@@ -5,7 +5,9 @@ gates acting in parallel (their direct sum); between stack k and stack
 k+1 (indices mod the stack count, so the last stack feeds the first) a
 wiring says which output wire continues as which input wire.  Closing
 the loop makes the circuit a scalar, computed in evaluate() as the sum
-of principal minors of the collapsed endomorphism.
+of principal minors of the collapsed endomorphism.  evaluate() collapses
+at the narrowest stack boundary (w_min wires), so on a ring of width w it
+costs O(depth * w^2 * w_min) plus one w_min x w_min determinant.
 
 Wire labels are local to a stack boundary: the same int may appear in
 several stacks and means nothing across a wiring except what the wiring
@@ -15,17 +17,19 @@ itself says.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import DanglingWire, DuplicateLabel, SizeMismatch
 from .labeled import (
     LabeledMatrix,
     Scalar,
-    compose,
     direct_sum,
     labeled,
     permutation_matrix,
     principal_minor_sum,
 )
+from .scalars import ZERO, grid_is_exact
 
 Wiring = tuple[tuple[int, int], ...]  # (source output label, target input label)
 
@@ -96,27 +100,90 @@ def wiring_matrix(circuit: Circuit, k: int) -> LabeledMatrix:
     return permutation_matrix(dict(circuit.wirings[k]), src, dst)
 
 
-def collapse(circuit: Circuit) -> LabeledMatrix:
-    """Multiply out one full turn of the loop.
+def _stack_rows(circuit: Circuit, k: int) -> list[tuple[int, list[tuple[int, Scalar]]]]:
+    """Stack k followed by wiring k, as sparse rows.
 
-    Returns the endomorphism P_{m-1} M_{m-1} ... P_0 M_0 on stack 0's
-    input wires.  The empty circuit collapses to the 0x0 matrix.
+    One (stack k+1 input label, [(stack k input label, entry), ...]) pair
+    per gate row, zero entries dropped.  The wiring only renames rows, so
+    no permutation matrix is ever built or multiplied.
+    """
+    wire = dict(circuit.wirings[k])
+    return [(wire[r], [(c, x) for c, x in zip(g.cols, row) if x])
+            for g in circuit.stacks[k].gates
+            for r, row in zip(g.rows, g.entries)]
+
+
+def transfer_matrix(circuit: Circuit, k: int) -> LabeledMatrix:
+    """Stack k then wiring k as one matrix: columns stack k inputs, rows stack k+1 inputs."""
+    cols = circuit.stacks[k].in_labels
+    rows = circuit.stacks[(k + 1) % len(circuit.stacks)].in_labels
+    pos = {lab: j for j, lab in enumerate(cols)}
+    grid = {lab: [ZERO] * len(cols) for lab in rows}
+    for lab, terms in _stack_rows(circuit, k):
+        for c, x in terms:
+            grid[lab][pos[c]] = x
+    return labeled(rows, cols, [grid[lab] for lab in rows])
+
+
+def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
+    """Multiply out one full turn of the loop, read at stack `start`.
+
+    Returns the endomorphism P_{s-1} M_{s-1} ... P_{s+1} M_{s+1} P_s M_s
+    (indices mod the stack count) on stack s's input wires, rows and
+    columns both in that stack's input order.  The empty circuit
+    collapses to the 0x0 matrix.
+
+    Each wire at the current boundary is carried as a row over the w_s
+    start wires.  A gate multiplies only the rows it reads, skipping zero
+    entries, and a wiring renames rows, so one turn costs
+    O(depth * w^2 * w_s).  Exact circuits run on Python ints: each stack's
+    denominators are cleared once with their lcm, and one running scale
+    divides out at the end.  Complex circuits run the same loop with
+    scale 1.
     """
     validate(circuit)
     m = len(circuit.stacks)
     if m == 0:
-        return labeled((), (), ())
-    acc: LabeledMatrix | None = None
-    for k in range(m):
-        step = compose(wiring_matrix(circuit, k), circuit.stacks[k].matrix())
-        acc = step if acc is None else compose(step, acc)
-    assert acc is not None
-    return acc
+        return LabeledMatrix((), (), ())
+    if not 0 <= start < m:
+        raise IndexError(f"start {start} out of range for {m} stacks")
+    labels = circuit.stacks[start].in_labels
+    w = len(labels)
+    exact = all(grid_is_exact(g.entries) for s in circuit.stacks for g in s.gates)
+    acc = {lab: [int(i == j) for j in range(w)] for i, lab in enumerate(labels)}
+    scale = 1
+    for k in range(start, start + m):
+        rows = _stack_rows(circuit, k % m)
+        if exact:
+            d = lcm(*(x.denominator for _, terms in rows for _, x in terms))
+            scale *= d
+        nxt = {}
+        for lab, terms in rows:
+            out = None
+            for c, x in terms:
+                x = x.numerator * (d // x.denominator) if exact else complex(x)
+                src = acc[c]
+                out = ([x * b for b in src] if out is None
+                       else [a + x * b for a, b in zip(out, src)])
+            nxt[lab] = out or [0] * w
+        acc = nxt
+    if exact:
+        entries = tuple(tuple(Fraction(v, scale) for v in acc[lab]) for lab in labels)
+    else:
+        entries = tuple(tuple(complex(v) for v in acc[lab]) for lab in labels)
+    return LabeledMatrix(labels, labels, entries)
 
 
 def evaluate(circuit: Circuit) -> Scalar:
-    """Scalar value of the closed circuit: det(I + collapse)."""
-    return principal_minor_sum(collapse(circuit))
+    """Scalar value of the closed circuit: det(I + collapse).
+
+    The collapse is read at the narrowest boundary (det(I + XY) =
+    det(I + YX) makes every boundary give the same value), so the cost is
+    O(depth * w^2 * w_min) plus one w_min x w_min determinant.
+    """
+    widths = [len(s.in_labels) for s in circuit.stacks]
+    start = widths.index(min(widths)) if widths else 0
+    return principal_minor_sum(collapse(circuit, start))
 
 
 def width_depth(circuit: Circuit) -> tuple[int, int]:

@@ -5,8 +5,8 @@ tensor contraction), check (fast vs oracle vs multicycle total), multicycles
 (list weights), compile (emit a Pfaffian circuit file).  On Pfaffian files:
 pfeval.  On graph files: forests, trees, poly.
 
-Exit codes: 0 success, 1 usage error, 2 parse or validation failure,
-3 value mismatch in check.  All output is deterministic.
+Exit codes: 0 success, 1 usage error, 2 parse, validation, I/O or
+environment failure, 3 value mismatch in check.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 
 from .circuit import evaluate
 from .compiler import compile_circuit
-from .errors import ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError
 from .formats import (
     parse_circuit,
     parse_graph,
@@ -82,6 +82,11 @@ def _build_parser() -> _Parser:
     return p
 
 
+# Built once: parse_args keeps no state between calls, and building the
+# tree costs more than a small eval.
+_PARSER = _build_parser()
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -144,21 +149,14 @@ def _run(ns) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
         return _run(ns)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, ValidationError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuit import Circuit, Stack, evaluate, validate, wiring_matrix
+from .circuit import Circuit, evaluate, transfer_matrix, validate
 from .errors import LabelCollision, NotSquare
-from .labeled import LabeledMatrix, compose, identity, labeled
+from .labeled import LabeledMatrix, identity, labeled
 from .pfaffian import PfaffianCircuit, PfGate, SkewMatrix
 from .scalars import Scalar
 
@@ -87,8 +87,7 @@ def _ring_gates(circuit: Circuit) -> list[LabeledMatrix]:
     if m == 0:
         gates = [labeled((), (), ())]
     else:
-        gates = [compose(wiring_matrix(circuit, k), circuit.stacks[k].matrix())
-                 for k in range(m)]
+        gates = [transfer_matrix(circuit, k) for k in range(m)]
     if len(gates) % 2 == 0:
         gates.append(identity(circuit.stacks[0].in_labels))
     return gates

@@ -67,6 +67,7 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
     """
     lines = _significant(text)
     stacks: list[list[LabeledMatrix]] = []
+    stack_lines: list[int] = []
     wirings: dict[int, tuple[tuple[int, int], ...]] = {}
     wiring_lines: dict[int, int] = {}
     for no, line in lines:
@@ -76,6 +77,7 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
             if len(toks) != 1:
                 raise ParseError(no, "stack line takes no arguments")
             stacks.append([])
+            stack_lines.append(no)
         elif head == "gate":
             if not stacks:
                 raise ParseError(no, "gate before any stack line")
@@ -136,7 +138,7 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
                 full_wirings.append(identity_wiring(src, dst))
             except SizeMismatch:
                 raise ParseError(
-                    0, f"no wiring {k} and boundary sizes differ "
+                    stack_lines[k], f"no wiring {k} and boundary sizes differ "
                        f"({len(src)} outputs vs {len(dst)} inputs)") from None
     return Circuit(built_stacks, tuple(full_wirings))
 

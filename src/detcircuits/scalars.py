@@ -50,7 +50,7 @@ def normalize_grid(rows: Sequence[Sequence]) -> tuple[tuple[Scalar, ...], ...]:
 
 
 def grid_is_exact(grid) -> bool:
-    return all(is_exact(x) for row in grid for x in row)
+    return all(isinstance(x, Fraction) for row in grid for x in row)
 
 
 def scalars_equal(a: Scalar, b: Scalar, tol: float = COMPLEX_TOL) -> bool:
@@ -93,7 +93,7 @@ def _det_exact(grid) -> Fraction:
     for row in grid:
         d = lcm(*(x.denominator for x in row)) if row else 1
         scale *= d
-        a.append([int(x * d) for x in row])
+        a.append([x.numerator * (d // x.denominator) for x in row])
     return Fraction(_det_bareiss_int(a), scale)
 
 
@@ -171,6 +171,12 @@ def parse_scalar(token: str, field: str = "rational") -> Scalar:
     """Parse one scalar token in the given field ("rational" or "complex")."""
     token = token.strip()
     if field == "rational":
+        # Plain integers skip Fraction's regex.  isdecimal() is the set of
+        # digits Fraction's \d and int() both accept (isdigit() would let
+        # through superscripts, which both reject).
+        digits = token[1:] if token[:1] in "+-" else token
+        if digits.isdecimal():
+            return Fraction(int(token))
         try:
             return Fraction(token)
         except (ValueError, ZeroDivisionError) as exc:

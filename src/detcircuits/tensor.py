@@ -17,9 +17,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Mapping
 
-from .circuit import Circuit, validate, wiring_matrix
-from .errors import LabelCollision, LabelMismatch, TooLarge
-from .labeled import LabeledMatrix, Scalar, compose, submatrix
+from .circuit import Circuit, transfer_matrix, validate, wiring_matrix
+from .errors import ConfigError, LabelCollision, LabelMismatch, TooLarge
+from .labeled import LabeledMatrix, Scalar, submatrix
 from .scalars import det_grid, scalars_equal
 
 Bits = tuple[int, ...]
@@ -28,7 +28,13 @@ DEFAULT_ORACLE_CAP = 20
 
 
 def oracle_cap() -> int:
-    return int(os.environ.get("DETCIRC_ORACLE_CAP", DEFAULT_ORACLE_CAP))
+    raw = os.environ.get("DETCIRC_ORACLE_CAP")
+    if raw is None:
+        return DEFAULT_ORACLE_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"DETCIRC_ORACLE_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +177,7 @@ def enumerate_multicycles(circuit: Circuit) -> tuple[Multicycle, ...]:
     if m == 0:
         return (Multicycle(frozenset(), Fraction(1)),)
     # transfer[k] maps the wires entering stack k to the wires entering stack k+1
-    transfer = [compose(wiring_matrix(circuit, k), circuit.stacks[k].matrix())
-                for k in range(m)]
+    transfer = [transfer_matrix(circuit, k) for k in range(m)]
     boundary = [circuit.stacks[k].in_labels for k in range(m)]
 
     def weight_for(subsets: tuple[tuple[int, ...], ...]) -> Scalar:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detcircuits import (
     Circuit,
@@ -10,14 +12,17 @@ from detcircuits import (
     SizeMismatch,
     Stack,
     collapse,
+    compose,
     contract_circuit,
     enumerate_multicycles,
     evaluate,
     identity_wiring,
     labeled,
     multicycle_total,
+    transfer_matrix,
     validate,
     width_depth,
+    wiring_matrix,
 )
 from circgen import rand_circuit, rand_grid
 
@@ -167,3 +172,93 @@ def test_width_depth():
 def test_identity_wiring_size_mismatch():
     with pytest.raises(SizeMismatch):
         identity_wiring((1, 2), (3,))
+
+
+# --- collapse against the dense compose chain --------------------------------
+
+def _parts(draw, n: int, g: int) -> list[int]:
+    """Split n wires into g consecutive shares, empty shares allowed."""
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=g - 1, max_size=g - 1)))
+    bounds = [0, *cuts, n]
+    return [bounds[i + 1] - bounds[i] for i in range(g)]
+
+
+@st.composite
+def ring_circuits(draw, field: str):
+    """Closed rings with p/q or complex entries, rectangular and empty
+    gates, several gates per stack, and boundaries of width 0 to 4."""
+    if field == "rational":
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        entry = st.complex_numbers(max_magnitude=2, allow_nan=False,
+                                   allow_infinity=False)
+    m = draw(st.integers(1, 4))
+    widths = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    stacks = []
+    label = 1
+    for k in range(m):
+        ins, outs = widths[k], widths[(k + 1) % m]
+        g = draw(st.integers(1, max(1, ins, outs)))
+        gates = []
+        for c, r in zip(_parts(draw, ins, g), _parts(draw, outs, g)):
+            rows = tuple(range(label, label + r))
+            cols = tuple(range(label + r, label + r + c))
+            label += r + c
+            grid = [[draw(entry) for _ in range(c)] for _ in range(r)]
+            gates.append(labeled(rows, cols, grid))
+        stacks.append(Stack(tuple(gates)))
+    wirings = []
+    for k in range(m):
+        src = stacks[k].out_labels
+        dst = draw(st.permutations(stacks[(k + 1) % m].in_labels))
+        wirings.append(tuple(zip(src, dst)))
+    return Circuit(tuple(stacks), tuple(wirings))
+
+
+def _compose_chain(c: Circuit, start: int):
+    """The dense product of permutation and direct-sum matrices, from start."""
+    m = len(c.stacks)
+    acc = None
+    for i in range(m):
+        k = (start + i) % m
+        step = compose(wiring_matrix(c, k), c.stacks[k].matrix())
+        acc = step if acc is None else compose(step, acc)
+    return acc
+
+
+def _check_collapse_matches_chain(c: Circuit) -> None:
+    exact = not any(isinstance(x, complex) for s in c.stacks for g in s.gates
+                    for row in g.entries for x in row)
+    for k in range(len(c.stacks)):
+        assert transfer_matrix(c, k) == compose(wiring_matrix(c, k), c.stacks[k].matrix())
+    for start in range(len(c.stacks)):
+        got = collapse(c, start)
+        want = _compose_chain(c, start)
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        for grow, wrow in zip(got.entries, want.entries):
+            for x, y in zip(grow, wrow):
+                if exact:
+                    assert type(x) is Fraction and x == y
+                else:
+                    # The chain returns Fraction(0) after a zero-width
+                    # boundary even on a complex circuit; collapse stays complex.
+                    assert type(x) is complex
+                    assert abs(x - y) <= 1e-9 * max(1.0, abs(y))
+
+
+@given(ring_circuits("rational"))
+@settings(max_examples=150, deadline=None)
+def test_collapse_equals_compose_chain_rational(c):
+    _check_collapse_matches_chain(c)
+
+
+@given(ring_circuits("complex"))
+@settings(max_examples=100, deadline=None)
+def test_collapse_equals_compose_chain_complex(c):
+    _check_collapse_matches_chain(c)
+
+
+def test_collapse_start_out_of_range():
+    c = loop_gate([[2]], 1)
+    with pytest.raises(IndexError):
+        collapse(c, 1)

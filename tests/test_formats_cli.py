@@ -248,3 +248,39 @@ def test_cli_check_mismatch_exit_code(monkeypatch, capsys):
     assert main(["check", str(DATA / "one_gate.circuit")]) == 3
     out = capsys.readouterr()
     assert "mismatch" in out.err
+
+
+def test_cli_usage_error_then_valid_verb(capsys):
+    # The parser is built once per process; a failed parse must not leak
+    # into the next call.
+    assert main(["eval", "--field", "integer", str(DATA / "two_by_two.circuit")]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage error:")
+    assert main(["eval", str(DATA / "two_by_two.circuit")]) == 0
+    out = capsys.readouterr()
+    assert out.out == "4\n"
+    assert out.err == ""
+
+
+def test_cli_malformed_oracle_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("DETCIRC_ORACLE_CAP", "abc")
+    assert main(["oracle", str(DATA / "two_by_two.circuit")]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and "DETCIRC_ORACLE_CAP" in out.err
+
+
+def test_cli_missing_wiring_names_stack_line(tmp_path, capsys):
+    # Stack 1 (line 5) has one output but stack 0 takes two inputs, and no
+    # wiring 1 line says how to join them.
+    path = tmp_path / "gap.circuit"
+    path.write_text("stack\n"
+                    "gate 2 2 1 2 / 3 4\n1 0\n0 1\n"
+                    "stack\n"
+                    "gate 1 2 5 / 6 7\n1 1\n"
+                    "wiring 0: 1->6, 2->7\n")
+    assert main(["eval", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: line 5: no wiring 1")

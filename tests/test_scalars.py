@@ -107,3 +107,32 @@ def test_scalars_equal_mixed():
     assert not scalars_equal(Fraction(1, 2), 0.5 + 1e-6j)
     assert scalars_equal(Fraction(1, 3), Fraction(1, 3))
     assert not scalars_equal(Fraction(1, 3), Fraction(1, 4))
+
+
+# Signs, separators, ASCII and Arabic-Indic digits, superscripts (isdigit
+# but not decimal), exponents, fractions, points, whitespace and junk.
+_TOKEN_CHARS = "0123456789+-_/.eE \t\u0663\u0661\u00b3\u00b2xj"
+
+
+def _fraction_or_reject(token: str):
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@given(st.one_of(
+    st.text(alphabet=_TOKEN_CHARS, max_size=8),
+    st.integers().map(str),
+    st.sampled_from(["1e3", "-2/3", "+7", "1_000", "\u0663", "\u00b3", "-\u0663",
+                     "+-1", "--1", "1_", "_1", " 12 ", "0/5", "5/0", "", "-"]),
+))
+@settings(max_examples=400, deadline=None)
+def test_parse_scalar_rational_matches_fraction(token):
+    want = _fraction_or_reject(token)
+    if want is None:
+        with pytest.raises(ValueError, match="bad rational"):
+            parse_scalar(token, "rational")
+    else:
+        got = parse_scalar(token, "rational")
+        assert type(got) is Fraction and got == want
