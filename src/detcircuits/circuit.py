@@ -67,7 +67,8 @@ class Circuit:
 
 
 def validate(circuit: Circuit) -> None:
-    """Check every wiring is a bijection between adjacent stack boundaries."""
+    """Check every wiring is a bijection between adjacent stack boundaries,
+    and that the gates of each stack use disjoint labels."""
     m = len(circuit.stacks)
     for k in range(m):
         src = circuit.stacks[k].out_labels
@@ -90,6 +91,11 @@ def validate(circuit: Circuit) -> None:
             missing = set(dst) - seen_dst
             extra = seen_dst - set(dst)
             raise DanglingWire(f"wiring {k}: unmatched inputs {missing or extra}")
+        # The sets match, so a shorter set means two gates share a label.
+        if len(seen_src) != len(src):
+            raise DuplicateLabel(f"stack {k} repeats an output label in {src}")
+        if len(seen_dst) != len(dst):
+            raise DuplicateLabel(f"stack {(k + 1) % m} repeats an input label in {dst}")
 
 
 def wiring_matrix(circuit: Circuit, k: int) -> LabeledMatrix:
@@ -125,6 +131,10 @@ def transfer_matrix(circuit: Circuit, k: int) -> LabeledMatrix:
     return labeled(rows, cols, [grid[lab] for lab in rows])
 
 
+def _is_exact(circuit: Circuit) -> bool:
+    return all(grid_is_exact(g.entries) for s in circuit.stacks for g in s.gates)
+
+
 def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
     """Multiply out one full turn of the loop, read at stack `start`.
 
@@ -149,7 +159,7 @@ def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
         raise IndexError(f"start {start} out of range for {m} stacks")
     labels = circuit.stacks[start].in_labels
     w = len(labels)
-    exact = all(grid_is_exact(g.entries) for s in circuit.stacks for g in s.gates)
+    exact = _is_exact(circuit)
     acc = {lab: [int(i == j) for j in range(w)] for i, lab in enumerate(labels)}
     scale = 1
     for k in range(start, start + m):
@@ -179,11 +189,16 @@ def evaluate(circuit: Circuit) -> Scalar:
 
     The collapse is read at the narrowest boundary (det(I + XY) =
     det(I + YX) makes every boundary give the same value), so the cost is
-    O(depth * w^2 * w_min) plus one w_min x w_min determinant.
+    O(depth * w^2 * w_min) plus one w_min x w_min determinant.  A complex
+    circuit gives a complex value even when w_min is 0 and the determinant
+    is the empty one.
     """
     widths = [len(s.in_labels) for s in circuit.stacks]
     start = widths.index(min(widths)) if widths else 0
-    return principal_minor_sum(collapse(circuit, start))
+    value = principal_minor_sum(collapse(circuit, start))
+    if min(widths, default=0) == 0 and not _is_exact(circuit):
+        value = complex(value)  # the 0x0 determinant is the exact 1 in any field
+    return value
 
 
 def width_depth(circuit: Circuit) -> tuple[int, int]:

@@ -3,18 +3,25 @@ from pathlib import Path
 import pytest
 
 from detcircuits import (
+    Circuit,
     Graph,
     ParseError,
+    Stack,
     ValidationError,
+    collapse,
+    compile_circuit,
     evaluate,
+    labeled,
     parse_circuit,
     parse_graph,
     parse_pfaffian,
+    principal_minor_sum,
     write_circuit,
     write_graph,
     write_pfaffian,
 )
 from detcircuits.cli import main
+from detcircuits.scalars import format_scalar
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -284,3 +291,43 @@ def test_cli_missing_wiring_names_stack_line(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: line 5: no wiring 1")
+
+
+@pytest.mark.parametrize("text", [
+    # stack 1 takes input label 1 in two gates
+    "stack\ngate 1 1 5 / 9\n2\n"
+    "stack\ngate 1 1 7 / 1\n3\ngate 0 1 / 1\n"
+    "wiring 0: 5->1\nwiring 1: 7->9\n",
+    # stack 0 gives output label 5 from two gates
+    "stack\ngate 1 1 5 / 9\n2\ngate 1 1 5 / 8\n4\n"
+    "stack\ngate 2 1 7 6 / 1\n3\n5\n"
+    "wiring 0: 5->1\nwiring 1: 7->9, 6->8\n",
+])
+def test_cli_stack_repeating_a_label_exits_2(tmp_path, capsys, text):
+    # Every wiring covers the label sets, so only the repeat is wrong.
+    path = tmp_path / "repeat.circuit"
+    path.write_text(text)
+    for verb in ("eval", "oracle", "check", "multicycles", "compile"):
+        assert main([verb, str(path), "-o", str(tmp_path / "r.pf")]
+                    if verb == "compile" else [verb, str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: stack ") and "repeats" in out.err
+    assert not (tmp_path / "r.pf").exists()
+
+
+def test_complex_circuit_with_empty_later_boundary(tmp_path, capsys):
+    # Stack 2 takes no inputs, so evaluate reads the collapse there as the
+    # 0x0 matrix; the value must still be complex and print as pfeval does.
+    c = Circuit(
+        (Stack((labeled((1, 2), (3,), [[2 + 1j], [1j]]),)),
+         Stack((labeled((), (4, 5), []),)),
+         Stack((labeled((6,), (), [[]]),))),
+        (((1, 4), (2, 5)), (), ((6, 3),)))
+    value = evaluate(c)
+    assert isinstance(value, complex) and value == 1
+    assert principal_minor_sum(collapse(c, 0)) == value
+    pf = tmp_path / "c.pf"
+    pf.write_text(write_pfaffian(compile_circuit(c).target))
+    assert main(["pfeval", "--field", "complex", str(pf)]) == 0
+    assert capsys.readouterr().out == format_scalar(value) + "\n" == "1+0i\n"
