@@ -105,91 +105,3 @@ from .tensor import (
     tensor_trace,
     tensors_equal,
 )
-
-__all__ = [
-    "Circuit",
-    "CompiledCircuit",
-    "ConfigError",
-    "DanglingWire",
-    "DuplicateLabel",
-    "EdgeMultiplicity",
-    "ForestPolynomial",
-    "Graph",
-    "LabelCollision",
-    "LabelMismatch",
-    "LabeledMatrix",
-    "Multicycle",
-    "NotEndomorphism",
-    "NotSkew",
-    "NotSquare",
-    "ParseError",
-    "PfGate",
-    "PfaffianCircuit",
-    "Scalar",
-    "SizeMismatch",
-    "SkewMatrix",
-    "Stack",
-    "Tensor",
-    "TooLarge",
-    "ValidationError",
-    "anti_transpose",
-    "braiding",
-    "collapse",
-    "compile_circuit",
-    "compose",
-    "contract_circuit",
-    "count_rooted_forests",
-    "count_spanning_trees",
-    "dagger",
-    "determinant",
-    "direct_sum",
-    "enumerate_forests",
-    "enumerate_multicycles",
-    "enumerate_trees",
-    "eval_pfaffian_circuit",
-    "eval_pfaffian_oracle",
-    "evaluate",
-    "forest_histogram",
-    "forest_polynomial",
-    "format_scalar",
-    "graph_to_circuit",
-    "identity",
-    "identity_wiring",
-    "incidence_matrix",
-    "labeled",
-    "laplacian",
-    "laplacian_cofactor",
-    "multicycle_total",
-    "pad_to_square",
-    "parse_circuit",
-    "parse_graph",
-    "parse_pfaffian",
-    "parse_scalar",
-    "permutation_matrix",
-    "pfaffian",
-    "pfaffian_oracle",
-    "principal_minor_sum",
-    "reflect",
-    "reorient",
-    "scalars_equal",
-    "sdet_expand",
-    "skew",
-    "skew_embed",
-    "skew_restrict",
-    "spf",
-    "spf_dual",
-    "submatrix",
-    "tensor_compose",
-    "tensor_product",
-    "tensor_trace",
-    "tensors_equal",
-    "transfer_matrix",
-    "validate",
-    "validate_pfaffian",
-    "width_depth",
-    "wiring_matrix",
-    "write_circuit",
-    "write_graph",
-    "write_pfaffian",
-    "zero_skew",
-]

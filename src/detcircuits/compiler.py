@@ -19,17 +19,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuit import Circuit, evaluate, transfer_matrix, validate
+from .circuit import Circuit, transfer_matrix, validate
 from .errors import LabelCollision, NotSquare
 from .labeled import LabeledMatrix, identity, labeled
 from .pfaffian import PfaffianCircuit, PfGate, SkewMatrix
-from .scalars import Scalar
+from .scalars import ZERO, Scalar
 
 
 def reflect(m: LabeledMatrix) -> LabeledMatrix:
     """Reverse the column order, labels included."""
     ent = [list(reversed(row)) for row in m.entries]
     return labeled(m.rows, tuple(reversed(m.cols)), ent)
+
+
+def _pad_grid(entries, n: int) -> list[list[Scalar]]:
+    """Extend a grid to n x n with Fraction zeros, to the right and below."""
+    grid = [list(row) + [ZERO] * (n - len(row)) for row in entries]
+    return grid + [[ZERO] * n for _ in range(n - len(grid))]
 
 
 def pad_to_square(m: LabeledMatrix) -> LabeledMatrix:
@@ -42,12 +48,19 @@ def pad_to_square(m: LabeledMatrix) -> LabeledMatrix:
         return m
     fresh = max((*m.rows, *m.cols), default=0) + 1
     n = max(r, c)
-    ent = [list(row) + [Fraction(0)] * (n - c) for row in m.entries]
-    for _ in range(n - r):
-        ent.append([Fraction(0)] * n)
     rows = m.rows + tuple(range(fresh, fresh + n - r))
     cols = m.cols + tuple(range(fresh, fresh + n - c))
-    return labeled(rows, cols, ent)
+    return labeled(rows, cols, _pad_grid(m.entries, n))
+
+
+def _skew_grid(grid) -> tuple[tuple[Scalar, ...], ...]:
+    """The block grid [[0, g̃], [-g̃ᵀ, 0]] of a square grid g, g̃ = g with
+    its columns reversed."""
+    n = len(grid)
+    zeros = [ZERO] * n
+    top = [zeros + list(reversed(row)) for row in grid]
+    bottom = [[-grid[i][n - 1 - t] for i in range(n)] + zeros for t in range(n)]
+    return tuple(tuple(row) for row in top + bottom)
 
 
 def skew_embed(m: LabeledMatrix) -> SkewMatrix:
@@ -62,15 +75,7 @@ def skew_embed(m: LabeledMatrix) -> SkewMatrix:
         raise NotSquare(f"skew embedding needs a square matrix, got {m.shape}")
     if set(m.rows) & set(m.cols):
         raise LabelCollision("skew embedding needs disjoint row and column labels")
-    n = r
-    labels = m.rows + tuple(reversed(m.cols))
-    grid = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for t in range(n):
-            v = m.entries[i][n - 1 - t]
-            grid[i][n + t] = v
-            grid[n + t][i] = -v
-    return SkewMatrix(labels, tuple(tuple(row) for row in grid))
+    return SkewMatrix(m.rows + tuple(reversed(m.cols)), _skew_grid(m.entries))
 
 
 @dataclass(frozen=True)
@@ -117,87 +122,50 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     """Build a Pfaffian circuit with the same value as the source circuit."""
     validate(circuit)
     gates = _ring_gates(circuit)
-    m = len(gates)
 
     nxt = 1
     row_ids: list[list[int]] = []  # per gate, ids of its real row slots
     col_ids: list[list[int]] = []  # per gate, ids of real col slots (col order)
-    grids: list[list[list[Scalar]]] = []  # padded square gate entries
-    gate_slot_ids: list[list[int]] = []  # per gate, all slot ids in slot order
-    k_pairs: list[tuple[int, int]] = []  # (padded slot id, closure id)
+    closures: list[tuple[int, int]] = []  # (padded slot id, closure id)
+    states: list[PfGate] = []
+    costates: list[PfGate] = []
 
     for g in gates:
         r, c = g.shape
         n = max(r, c)
-        grid = [list(row) + [Fraction(0)] * (n - c) for row in g.entries]
-        for _ in range(n - r):
-            grid.append([Fraction(0)] * n)
-        grids.append(grid)
-
+        # Slot i < n holds row i and slot 2n - 1 - j holds column j; each
+        # padded slot is followed by the id of the edge that closes it off.
         slots: list[int] = []
-        rids: list[int] = []
-        for i in range(n):  # row slots, real rows first
-            eid = nxt
+        for padded in [i >= r for i in range(n)] + [j >= c for j in reversed(range(n))]:
+            slots.append(nxt)
             nxt += 1
-            slots.append(eid)
-            if i < r:
-                rids.append(eid)
-            else:
-                k_pairs.append((eid, nxt))
+            if padded:
+                closures.append((slots[-1], nxt))
                 nxt += 1
-        cids = [0] * c
-        for t in range(n):  # column slots, reversed column order
-            j = n - 1 - t
-            eid = nxt
-            nxt += 1
-            slots.append(eid)
-            if j < c:
-                cids[j] = eid
-            else:
-                k_pairs.append((eid, nxt))
-                nxt += 1
-        row_ids.append(rids)
-        col_ids.append(cids)
-        gate_slot_ids.append(slots)
-
-    states: list[PfGate] = []
-    costates: list[PfGate] = []
-
-    for k, g in enumerate(gates):
-        n = len(grids[k])
-        sk = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            for t in range(n):
-                v = grids[k][i][n - 1 - t]
-                sk[i][n + t] = v
-                sk[n + t][i] = -v
+        row_ids.append(slots[:r])
+        col_ids.append(slots[::-1][:c])
         states.append(PfGate("state", SkewMatrix(
-            tuple(gate_slot_ids[k]), tuple(tuple(row) for row in sk))))
+            tuple(slots), _skew_grid(_pad_grid(g.entries, n)))))
 
-    # Pass-through gadget at each boundary: previous gate's row edges paired
-    # one-to-one with this gate's column edges, anti-diagonal block form.
+    # Pass-through gadget at each boundary: the embedded identity pairing
+    # the previous gate's row edges with this gate's column edges.
     costate_listing: list[int] = []
-    for k in range(m):
-        prev_rows = row_ids[(k - 1) % m]
-        this_cols = col_ids[k]
+    for k, this_cols in enumerate(col_ids):
+        prev_rows = row_ids[k - 1]
         p = len(this_cols)
         if len(prev_rows) != p:
             raise NotSquare("ring boundary widths disagree after validation")
         if p == 0:
             continue
         labels = tuple(prev_rows) + tuple(reversed(this_cols))
-        grid = [[Fraction(0)] * (2 * p) for _ in range(2 * p)]
-        for i in range(p):
-            grid[i][2 * p - 1 - i] = Fraction(1)
-            grid[2 * p - 1 - i][i] = Fraction(-1)
-        costates.append(PfGate("costate", SkewMatrix(
-            labels, tuple(tuple(row) for row in grid))))
+        eye = [[Fraction(int(i == j)) for j in range(p)] for i in range(p)]
+        costates.append(PfGate("costate", SkewMatrix(labels, _skew_grid(eye))))
         costate_listing.extend(labels)
 
-    for pad, aux in k_pairs:
-        states.append(PfGate("state", SkewMatrix((aux,), ((Fraction(0),),))))
+    for pad, aux in closures:
+        states.append(PfGate("state", SkewMatrix((aux,), ((ZERO,),))))
         costates.append(PfGate("costate", SkewMatrix(
-            (pad, aux), ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0))))))
+            (pad, aux), _skew_grid([[Fraction(1)]]))))
         costate_listing.extend((pad, aux))
 
     # The emitted order fixes every term's sign up to one global constant;
@@ -206,10 +174,9 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     if costate_listing and _perm_sign(costate_listing) < 0:
         x, y = nxt, nxt + 1
         nxt += 2
-        states.append(PfGate("state", SkewMatrix(
-            (x, y), ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))))))
+        states.append(PfGate("state", SkewMatrix((x, y), _skew_grid([[ZERO]]))))
         costates.append(PfGate("costate", SkewMatrix(
-            (x, y), ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0))))))
+            (x, y), _skew_grid([[Fraction(-1)]]))))
 
     target = PfaffianCircuit(tuple(states + costates), nxt - 1)
     source_entries = sum(len(g.rows) * len(g.cols)
@@ -221,16 +188,3 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         gadget_count=len(target.gates),
         size_ratio=Fraction(target_entries, max(source_entries, 1)),
     )
-
-
-def compile_and_check(circuit: Circuit) -> CompiledCircuit:
-    """Compile and assert value preservation (debug helper for scripts)."""
-    from .pfaffian import eval_pfaffian_circuit
-    from .scalars import scalars_equal
-
-    out = compile_circuit(circuit)
-    want = evaluate(circuit)
-    got = eval_pfaffian_circuit(out.target)
-    if not scalars_equal(want, got):
-        raise AssertionError(f"compiled value {got} != source value {want}")
-    return out

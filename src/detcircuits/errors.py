@@ -41,10 +41,6 @@ class SizeMismatch(ValidationError):
     """Adjacent interfaces have different wire counts."""
 
 
-class NotBipartite(ValidationError):
-    """An edge of a Pfaffian circuit is missing a state or costate endpoint."""
-
-
 class EdgeMultiplicity(ValidationError):
     """An edge id occurs more than once on the same side of a Pfaffian circuit."""
 

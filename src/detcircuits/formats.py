@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from .circuit import Circuit, Stack, identity_wiring
 from .errors import ParseError, SizeMismatch, ValidationError
-from .labeled import LabeledMatrix, labeled
-from .pfaffian import PfaffianCircuit, PfGate, skew
+from .labeled import LabeledMatrix
+from .pfaffian import PfaffianCircuit, PfGate, SkewMatrix
 from .graphs import Graph
 from .scalars import Scalar, format_scalar, parse_scalar
 
@@ -35,7 +35,9 @@ def _parse_int(tok: str, lineno: int, what: str) -> int:
         raise ParseError(lineno, f"expected integer {what}, got {tok!r}") from None
 
 
-def _parse_grid(lines, r: int, c: int, field: str, lineno: int) -> list[list[Scalar]]:
+def _parse_grid(lines, r: int, c: int, field: str, lineno: int) -> tuple[tuple[Scalar, ...], ...]:
+    """Read r rows of c scalars.  parse_scalar returns one type per field
+    (Fraction or complex), so the grid needs no further normalization."""
     grid = []
     for _ in range(r):
         try:
@@ -45,14 +47,11 @@ def _parse_grid(lines, r: int, c: int, field: str, lineno: int) -> list[list[Sca
         toks = _tokens(line)
         if len(toks) != c:
             raise ParseError(no, f"expected {c} entries, got {len(toks)}")
-        row = []
-        for tok in toks:
-            try:
-                row.append(parse_scalar(tok, field))
-            except ValueError as exc:
-                raise ParseError(no, str(exc)) from None
-        grid.append(row)
-    return grid
+        try:
+            grid.append(tuple(parse_scalar(tok, field) for tok in toks))
+        except ValueError as exc:
+            raise ParseError(no, str(exc)) from None
+    return tuple(grid)
 
 
 # ---------------------------------------------------------------- circuits
@@ -97,7 +96,7 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
             rows = tuple(_parse_int(t, no, "row label") for t in row_toks)
             cols = tuple(_parse_int(t, no, "column label") for t in col_toks)
             grid = _parse_grid(lines, r, c, field, no)
-            stacks[-1].append(labeled(rows, cols, grid))
+            stacks[-1].append(LabeledMatrix(rows, cols, grid))
         elif head == "wiring":
             body = line[len("wiring"):].strip()
             if ":" not in body:
@@ -187,7 +186,7 @@ def parse_pfaffian(text: str, field: str = "rational") -> PfaffianCircuit:
                 raise ParseError(no, f"edge ids are positive, got {e}")
         grid = _parse_grid(lines, n, n, field, no)
         try:
-            gates.append(PfGate(kind, skew(edges, grid)))
+            gates.append(PfGate(kind, SkewMatrix(edges, grid)))
         except (ValidationError, ValueError) as exc:
             raise ParseError(no, str(exc)) from None
         if edges:

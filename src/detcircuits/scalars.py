@@ -4,8 +4,9 @@ Every value in the package is either an exact rational (stored as
 fractions.Fraction, which keeps lowest terms and a positive denominator)
 or a complex float.  A matrix is "exact" when all of its entries are
 rational; mixing a float or complex entry into a grid demotes the whole
-grid to complex.  Comparisons are exact on the rational side and use an
-absolute tolerance of 1e-9 on the complex side.
+grid to complex.  Comparisons are exact on the rational side; on the
+complex side two values agree when they differ by at most 1e-9 times the
+larger of 1 and their magnitudes (absolute near order 1, relative above).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ Scalar = Union[Fraction, complex]
 COMPLEX_TOL = 1e-9
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def normalize_scalar(x) -> Scalar:
@@ -56,15 +56,8 @@ def grid_is_exact(grid) -> bool:
 def scalars_equal(a: Scalar, b: Scalar, tol: float = COMPLEX_TOL) -> bool:
     if is_exact(a) and is_exact(b):
         return a == b
-    return abs(complex(a) - complex(b)) <= tol
-
-
-def zero_like(exact: bool) -> Scalar:
-    return Fraction(0) if exact else 0j
-
-
-def one_like(exact: bool) -> Scalar:
-    return Fraction(1) if exact else 1 + 0j
+    a, b = complex(a), complex(b)
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 # --- determinants -----------------------------------------------------------

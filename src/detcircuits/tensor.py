@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb, prod
 from typing import Iterator, Mapping
 
 from .circuit import Circuit, transfer_matrix, validate, wiring_matrix
@@ -170,15 +171,21 @@ def enumerate_multicycles(circuit: Circuit) -> tuple[Multicycle, ...]:
     A multicycle picks a subset of wires at every stack boundary, all of
     the same size; its weight is the product around the loop of the
     corresponding minors of the boundary-to-boundary transfer matrices.
-    The weights sum to the circuit value.
+    The weights sum to the circuit value.  Refuses (TooLarge) when the
+    number of subset tuples to try exceeds 2 ** oracle_cap().
     """
     validate(circuit)
     m = len(circuit.stacks)
     if m == 0:
         return (Multicycle(frozenset(), Fraction(1)),)
+    boundary = [circuit.stacks[k].in_labels for k in range(m)]
+    max_size = min(len(b) for b in boundary)
+    tuples = sum(prod(comb(len(b), s) for b in boundary) for s in range(max_size + 1))
+    cap = oracle_cap()
+    if (tuples - 1).bit_length() > cap:  # tuples > 2**cap, without building 2**cap
+        raise TooLarge(f"multicycle enumeration over {tuples} subset tuples > 2**{cap}")
     # transfer[k] maps the wires entering stack k to the wires entering stack k+1
     transfer = [transfer_matrix(circuit, k) for k in range(m)]
-    boundary = [circuit.stacks[k].in_labels for k in range(m)]
 
     def weight_for(subsets: tuple[tuple[int, ...], ...]) -> Scalar:
         w: Scalar = Fraction(1)
@@ -191,7 +198,6 @@ def enumerate_multicycles(circuit: Circuit) -> tuple[Multicycle, ...]:
         return w
 
     found: list[Multicycle] = []
-    max_size = min(len(b) for b in boundary)
     for s in range(max_size + 1):
         per_gap = [combinations(boundary[k], s) for k in range(m)]
         for subsets in product(*per_gap):

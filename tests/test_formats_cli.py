@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from detcircuits import (
     ValidationError,
     collapse,
     compile_circuit,
+    contract_circuit,
     evaluate,
     labeled,
     parse_circuit,
@@ -22,6 +24,7 @@ from detcircuits import (
 )
 from detcircuits.cli import main
 from detcircuits.scalars import format_scalar
+from circgen import rand_circuit
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -331,3 +334,33 @@ def test_complex_circuit_with_empty_later_boundary(tmp_path, capsys):
     pf.write_text(write_pfaffian(compile_circuit(c).target))
     assert main(["pfeval", "--field", "complex", str(pf)]) == 0
     assert capsys.readouterr().out == format_scalar(value) + "\n" == "1+0i\n"
+
+
+def test_cli_check_uses_relative_tolerance(monkeypatch, capsys):
+    # Circuit #50 of this stream has |value| ~ 5.6e5, where evaluate and the
+    # contraction oracle differ by 1.7e-8: a rounding gap, not a mismatch.
+    import detcircuits.cli as climod
+    rng = random.Random(1)
+    for _ in range(51):
+        c = rand_circuit(rng, max_stacks=4, max_wires=5, field="complex")
+    assert abs(evaluate(c)) > 5e5 and abs(evaluate(c) - contract_circuit(c)) > 1e-8
+    monkeypatch.setattr(climod, "parse_circuit", lambda text, field: c)
+    assert main(["check", "--field", "complex", str(DATA / "one_gate.circuit")]) == 0
+    assert capsys.readouterr().out == f"ok {format_scalar(evaluate(c))}\n"
+
+
+def test_cli_multicycles_refuses_oversized_ring(tmp_path, capsys):
+    # Three stacks of width 12: about 2.0e9 subset tuples, over 2**20.
+    lines = []
+    for k in range(3):
+        rows = " ".join(str(100 * k + 50 + i) for i in range(12))
+        cols = " ".join(str(100 * k + i) for i in range(12))
+        lines.append(f"stack\ngate 12 12 {rows} / {cols}")
+        lines.extend(" ".join("1" if i == j else "0" for j in range(12))
+                     for i in range(12))
+    path = tmp_path / "wide.circuit"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["multicycles", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: multicycle enumeration over 2046924400")

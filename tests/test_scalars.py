@@ -109,6 +109,21 @@ def test_scalars_equal_mixed():
     assert not scalars_equal(Fraction(1, 3), Fraction(1, 4))
 
 
+def test_scalars_equal_is_absolute_near_order_one():
+    assert scalars_equal(0.5 + 0j, 0.5 + 0.9e-9j)
+    assert not scalars_equal(0.5 + 0j, 0.5 + 1.1e-9j)
+    assert not scalars_equal(0j, 2e-9 + 0j)
+    assert not scalars_equal(1 + 0j, 1 + 2e-9j)
+    assert not scalars_equal(Fraction(0), 2e-9 + 0j)
+
+
+def test_scalars_equal_is_relative_at_large_magnitude():
+    assert scalars_equal(5e5 + 0j, 5e5 + 1e-5 + 0j)  # 2e-11 relative
+    assert not scalars_equal(5e5 + 0j, 5e5 + 1e-3 + 0j)  # 2e-9 relative
+    assert scalars_equal(-1e12j, -1e12j + 900)
+    assert not scalars_equal(-1e12j, -1e12j + 1100)
+
+
 # Signs, separators, ASCII and Arabic-Indic digits, superscripts (isdigit
 # but not decimal), exponents, fractions, points, whitespace and junk.
 _TOKEN_CHARS = "0123456789+-_/.eE \t\u0663\u0661\u00b3\u00b2xj"

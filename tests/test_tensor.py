@@ -5,11 +5,15 @@ from itertools import combinations, product
 import pytest
 
 from detcircuits import (
+    Circuit,
     LabelMismatch,
+    Stack,
     TooLarge,
     braiding,
     compose,
     determinant,
+    enumerate_multicycles,
+    evaluate,
     identity,
     labeled,
     principal_minor_sum,
@@ -134,3 +138,15 @@ def test_trace_equals_principal_minor_sum():
 def test_trace_of_zero_1x1():
     t = sdet_expand(labeled((1,), (1,), [[0]]))
     assert tensor_trace(t) == 1
+
+
+def test_multicycle_enumeration_cap(monkeypatch):
+    # One stack of width 5 closed on itself: 2**5 subset tuples to try.
+    rng = random.Random(3)
+    gate = labeled((1, 2, 3, 4, 5), (6, 7, 8, 9, 10), rand_grid(rng, 5, 5))
+    c = Circuit((Stack((gate,)),), (tuple(zip(gate.rows, gate.cols)),))
+    monkeypatch.setenv("DETCIRC_ORACLE_CAP", "5")
+    assert sum(mc.weight for mc in enumerate_multicycles(c)) == evaluate(c)
+    monkeypatch.setenv("DETCIRC_ORACLE_CAP", "4")
+    with pytest.raises(TooLarge):
+        enumerate_multicycles(c)
