@@ -88,8 +88,13 @@ _PARSER = _build_parser()
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
 def _load_graph(ns) -> object:

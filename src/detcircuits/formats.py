@@ -15,10 +15,6 @@ from .graphs import Graph
 from .scalars import Scalar, format_scalar, parse_scalar
 
 
-def _tokens(line: str) -> list[str]:
-    return line.split()
-
-
 def _significant(text: str):
     """Yield (lineno, stripped line) skipping blanks and # comments."""
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -37,14 +33,17 @@ def _parse_int(tok: str, lineno: int, what: str) -> int:
 
 def _parse_grid(lines, r: int, c: int, field: str, lineno: int) -> tuple[tuple[Scalar, ...], ...]:
     """Read r rows of c scalars.  parse_scalar returns one type per field
-    (Fraction or complex), so the grid needs no further normalization."""
+    (Fraction or complex), so the grid needs no further normalization.
+    Empty rows (c = 0) read no lines: write_circuit writes them blank."""
+    if c == 0:
+        return ((),) * r
     grid = []
     for _ in range(r):
         try:
             no, line = next(lines)
         except StopIteration:
             raise ParseError(lineno, f"expected {r} matrix rows, file ended early") from None
-        toks = _tokens(line)
+        toks = line.split()
         if len(toks) != c:
             raise ParseError(no, f"expected {c} entries, got {len(toks)}")
         try:
@@ -70,7 +69,7 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
     wirings: dict[int, tuple[tuple[int, int], ...]] = {}
     wiring_lines: dict[int, int] = {}
     for no, line in lines:
-        toks = _tokens(line)
+        toks = line.split()
         head = toks[0]
         if head == "stack":
             if len(toks) != 1:
@@ -168,7 +167,7 @@ def parse_pfaffian(text: str, field: str = "rational") -> PfaffianCircuit:
     gates: list[PfGate] = []
     max_edge = 0
     for no, line in lines:
-        toks = _tokens(line)
+        toks = line.split()
         if toks[0] != "pfgate":
             raise ParseError(no, f"expected pfgate, got {toks[0]!r}")
         if len(toks) < 3:
@@ -214,7 +213,7 @@ def parse_graph(text: str) -> Graph:
         no, line = next(lines)
     except StopIteration:
         raise ParseError(1, "empty graph file, expected header n m") from None
-    toks = _tokens(line)
+    toks = line.split()
     if len(toks) != 2:
         raise ParseError(no, "header must be: n m")
     n = _parse_int(toks[0], no, "vertex count")
@@ -227,7 +226,7 @@ def parse_graph(text: str) -> Graph:
             no, line = next(lines)
         except StopIteration:
             raise ParseError(no, f"expected {m} edge lines, file ended early") from None
-        toks = _tokens(line)
+        toks = line.split()
         if len(toks) != 2:
             raise ParseError(no, "edge line must be: u v")
         edges.append((_parse_int(toks[0], no, "endpoint"),

@@ -1,11 +1,11 @@
 """Spanning-forest and spanning-tree counting.
 
-The bridge to circuits: an oriented incidence matrix B gives det(I+BBᵀ)
-as the number of rooted spanning forests, det(Ix+BᵀB) as the generating
-polynomial in the number of roots, and any Laplacian cofactor as the
-spanning-tree count.  A three-stack closed circuit built from edge and
-vertex nodes collapses to BBᵀ, tying the counts to circuit evaluation.
-Brute-force enumerators double as oracles for all of it.
+With L = BᵀB the Laplacian of an oriented incidence matrix B, det(I+L)
+counts rooted spanning forests (Sylvester: it equals det(I+BBᵀ)),
+det(Ix+L) is their generating polynomial in the number of roots, and any
+cofactor of L counts spanning trees.  A three-stack closed circuit built
+from edge and vertex nodes collapses to BBᵀ, tying the counts to circuit
+evaluation.  Brute-force enumerators double as oracles for all of it.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator
 
 from .circuit import Circuit, Stack
 from .errors import TooLarge, ValidationError
-from .labeled import LabeledMatrix, compose, dagger, labeled, principal_minor_sum
+from .labeled import LabeledMatrix, labeled
 from .scalars import det_grid
 
 ENUM_EDGE_CAP = 20
@@ -121,10 +121,10 @@ def graph_to_circuit(g: Graph) -> Circuit:
 
 
 def count_rooted_forests(g: Graph) -> int:
-    b = incidence_matrix(g)
-    d = principal_minor_sum(compose(b, dagger(b)))
-    assert isinstance(d, Fraction) and d.denominator == 1
-    return int(d)
+    """det(I + L); an isolated vertex adds only a factor of 1, so it is dropped."""
+    lap = laplacian(g)
+    keep = [i for i in range(g.vertex_count) if lap[i][i]]
+    return int(det_grid([[lap[r][s] + (r == s) for s in keep] for r in keep]))
 
 
 @dataclass(frozen=True)
@@ -136,33 +136,28 @@ class ForestPolynomial:
 
 
 def forest_polynomial(g: Graph) -> ForestPolynomial:
-    """det(Ix + BᵀB) with exact integer coefficients (Faddeev-LeVerrier)."""
-    n = g.vertex_count
-    a = [[-x for x in row] for row in laplacian(g)]  # char poly of -L
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = [[Fraction(0)] * n for _ in range(n)]
-    c = Fraction(1)
+    """det(Ix + L) by Faddeev-LeVerrier over ints: its coefficients are
+    integers, so each division by k is exact.  An isolated vertex is a factor x."""
+    lap = laplacian(g)
+    keep = [i for i in range(g.vertex_count) if lap[i][i]]
+    a = [[-int(lap[r][s]) for s in keep] for r in keep]  # char poly of -L
+    n = len(keep)
+    coeffs = [0] * n + [1]
+    am = [[0] * n for _ in range(n)]  # A M_{k-1}, with M_0 = 0
+    c = 1
     for k in range(1, n + 1):
-        am = [[sum(a[i][t] * mk[t][j] for t in range(n)) + (c if i == j else 0)
-               for j in range(n)] for i in range(n)]
-        trace = sum(sum(a[i][t] * am[t][i] for t in range(n)) for i in range(n))
-        c = Fraction(-trace) / k
-        mk = am
+        mk = [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(am)]
+        am = [[sum(x * y for x, y in zip(row, col)) for col in zip(*mk)] for row in a]
+        c = -sum(am[i][i] for i in range(n)) // k
         coeffs[n - k] = c
-    ints = tuple(int(x) for x in coeffs)
-    assert all(Fraction(i) == x for i, x in zip(ints, coeffs))
-    return ForestPolynomial(ints)
+    return ForestPolynomial((0,) * (g.vertex_count - n) + tuple(coeffs))
 
 
 def laplacian_cofactor(g: Graph, i: int) -> int:
     """det of the Laplacian with row and column i removed (0-based)."""
     lap = laplacian(g)
-    n = g.vertex_count
-    keep = [j for j in range(n) if j != i]
-    grid = [[lap[r][s] for s in keep] for r in keep]
-    d = det_grid(grid) if keep else Fraction(1)
-    return int(d)
+    keep = [j for j in range(g.vertex_count) if j != i]
+    return int(det_grid([[lap[r][s] for s in keep] for r in keep]))
 
 
 def count_spanning_trees(g: Graph) -> int:
@@ -214,20 +209,10 @@ def enumerate_forests(g: Graph) -> list[tuple[frozenset[int], frozenset[int]]]:
     """All (edge index set, root set) pairs: acyclic subgraph, one root per tree."""
     out: list[tuple[frozenset[int], frozenset[int]]] = []
     for subset, comps in _acyclic_subsets(g):
-        for roots in _root_choices(comps):
+        for roots in product(*comps):
             out.append((subset, frozenset(roots)))
     out.sort(key=lambda fr: (sorted(fr[0]), sorted(fr[1])))
     return out
-
-
-def _root_choices(comps: list[list[int]]) -> Iterator[tuple[int, ...]]:
-    if not comps:
-        yield ()
-        return
-    head, rest = comps[0], comps[1:]
-    for tail in _root_choices(rest):
-        for r in head:
-            yield (r,) + tail
 
 
 def enumerate_trees(g: Graph) -> list[frozenset[int]]:

@@ -48,11 +48,12 @@ def pfaffian(grid: Sequence[Sequence[Scalar]]) -> Scalar:
     exact = all(is_exact(x) for row in A for x in row)
     pf: Scalar = Fraction(1) if exact else complex(1)
     for k in range(0, n - 1, 2):
+        # Pivot on row k: the update divides by its entry (complex grids are only near-skew).
         if exact:
-            piv = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
+            piv = next((i for i in range(k + 1, n) if A[k][i] != 0), None)
         else:
-            piv = max(range(k + 1, n), key=lambda i: abs(A[i][k]), default=None)
-            if piv is not None and A[piv][k] == 0:
+            piv = max(range(k + 1, n), key=lambda i: abs(A[k][i]), default=None)
+            if piv is not None and A[k][piv] == 0:
                 piv = None
         if piv is None:
             return Fraction(0) if exact else 0j
@@ -229,8 +230,9 @@ def validate_pfaffian(pc: PfaffianCircuit) -> None:
                     raise EdgeMultiplicity(f"edge {e} used twice on the {side} side")
                 seen.add(e)
         if len(seen) != pc.edge_count:
-            missing = set(range(1, pc.edge_count + 1)) - seen
-            raise DanglingWire(f"edges {sorted(missing)} have no {side} gate")
+            first = next(e for e in range(1, pc.edge_count + 1) if e not in seen)
+            raise DanglingWire(f"{pc.edge_count - len(seen)} edges have no {side} "
+                               f"gate, the first is {first}")
 
 
 def _assemble(pc: PfaffianCircuit, side: str) -> list[list[Scalar]]:

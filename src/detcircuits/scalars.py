@@ -11,6 +11,7 @@ larger of 1 and their magnitudes (absolute near order 1, relative above).
 
 from __future__ import annotations
 
+from cmath import isfinite
 from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
@@ -186,6 +187,9 @@ def _parse_complex(token: str) -> complex:
     if t.endswith("i"):
         t = t[:-1] + "j"
     try:
-        return complex(t)
+        z = complex(t)
     except ValueError as exc:
         raise ValueError(f"bad complex {token!r}") from exc
+    if not isfinite(z):
+        raise ValueError(f"complex {token!r} is not finite")
+    return z

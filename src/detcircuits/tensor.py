@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, prod
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .circuit import Circuit, transfer_matrix, validate, wiring_matrix
 from .errors import ConfigError, LabelCollision, LabelMismatch, TooLarge
@@ -46,9 +46,6 @@ class Tensor:
 
     def component(self, ket: Bits, bra: Bits) -> Scalar:
         return self.data.get((ket, bra), Fraction(0))
-
-    def support(self) -> Iterator[tuple[Bits, Bits]]:
-        return iter(sorted(self.data))
 
 
 def tensors_equal(a: Tensor, b: Tensor, tol: float = 1e-9) -> bool:

@@ -364,3 +364,77 @@ def test_cli_multicycles_refuses_oversized_ring(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: multicycle enumeration over 2046924400")
+
+
+def test_write_circuit_round_trips_gates_without_columns():
+    # A gate with rows but no columns is written as r blank lines; the
+    # parser must not read the next directive as one of its rows.
+    rng = random.Random(11)
+    without_columns = 0
+    for _ in range(300):
+        c = rand_circuit(rng, max_stacks=5, max_wires=5)
+        without_columns += any(g.shape[0] and not g.shape[1]
+                               for s in c.stacks for g in s.gates)
+        text = write_circuit(c)
+        back = parse_circuit(text, "rational")
+        assert write_circuit(back) == text
+        assert evaluate(back) == evaluate(c)
+    assert without_columns > 250
+
+
+def test_cli_pfeval_huge_missing_edge_id(tmp_path, capsys):
+    # Edge id 10**6 makes 999 998 edges missing on each side; the error
+    # names the first and counts the rest instead of listing them.
+    path = tmp_path / "sparse.pf"
+    path.write_text("pfgate state 2 1 1000000\n0 1\n-1 0\n"
+                    "pfgate costate 2 1 1000000\n0 1\n-1 0\n")
+    assert main(["pfeval", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert len(out.err.encode()) < 200
+    assert "999998 edges" in out.err and "first is 2" in out.err
+
+
+@pytest.mark.parametrize("verb,name", [
+    ("eval", "bad.circuit"), ("pfeval", "bad.pf"), ("forests", "bad.graph")])
+def test_cli_non_utf8_file_exits_2(tmp_path, capsys, verb, name):
+    path = tmp_path / name
+    path.write_bytes(b"# ok\n\xff\xfe\n")
+    assert main([verb, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: line 2: {path} is not UTF-8")
+    assert out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-infi", "1e400", "1+nani"])
+def test_non_finite_complex_entries_are_parse_errors(tmp_path, capsys, token):
+    with pytest.raises(ParseError) as e:
+        parse_circuit(f"stack\ngate 1 1 1 / 1\n{token}\n", "complex")
+    assert e.value.line == 3 and "not finite" in e.value.reason
+    with pytest.raises(ParseError) as e:
+        parse_pfaffian(f"pfgate state 2 1 2\n0 {token}\n1 0\n", "complex")
+    assert e.value.line == 2 and "not finite" in e.value.reason
+    circuit = tmp_path / "x.circuit"
+    circuit.write_text(f"stack\ngate 1 1 1 / 1\n{token}\n")
+    pf = tmp_path / "x.pf"
+    pf.write_text(f"pfgate state 2 1 2\n0 {token}\n1 0\n"
+                  "pfgate costate 2 1 2\n0 1\n-1 0\n")
+    for argv in (["eval", str(circuit)], ["check", str(circuit)], ["pfeval", str(pf)]):
+        assert main(argv + ["--field", "complex"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: line ")
+
+
+def test_cli_pfeval_complex_grid_skew_within_tolerance(tmp_path, capsys):
+    # Entry (2,1) is 1e-10 where (1,2) is 0: skew within the tolerance, so
+    # the file is accepted, and the elimination must not pivot on column 1
+    # and then divide by the zero in row 1.
+    path = tmp_path / "near.pf"
+    rows = ["0 0 0 0 0 0", "1e-10 0 1 1 1 1", "0 -1 0 1 1 1",
+            "0 -1 -1 0 1 1", "0 -1 -1 -1 0 1", "0 -1 -1 -1 -1 0"]
+    costates = "".join(f"pfgate costate 2 {e} {e + 1}\n0 0\n0 0\n" for e in (1, 3, 5))
+    path.write_text("pfgate state 6 1 2 3 4 5 6\n" + "\n".join(rows) + "\n" + costates)
+    assert main(["pfeval", "--field", "complex", str(path)]) == 0
+    assert capsys.readouterr().out == "0+0i\n"

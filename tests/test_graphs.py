@@ -167,6 +167,30 @@ def test_laplacian_census_trace_identity():
         assert lhs == rhs == count_rooted_forests(g)
 
 
+def test_vertex_side_counts_match_edge_side_beyond_enum_cap():
+    # The old edge-side route, det(I + B Bᵀ) over |E| x |E|, and the
+    # circuit bridge stay as oracles for the vertex-side det(I + L), on
+    # multigraphs past the 20-edge enumeration cap with isolated vertices.
+    rng = random.Random(4)
+    past_cap = with_isolated = 0
+    for _ in range(40):
+        n = rng.randint(2, 16)
+        touched = rng.sample(range(1, n + 1), rng.randint(2, n))
+        edges = [tuple(rng.sample(touched, 2)) for _ in range(rng.randint(0, 3 * n))]
+        edges += edges[:rng.randint(0, 3)]  # repeated edges
+        g = Graph(n, tuple(edges))
+        past_cap += len(edges) > 20
+        with_isolated += len(touched) < n
+        b = incidence_matrix(g)
+        forests = count_rooted_forests(g)
+        assert forests == principal_minor_sum(compose(b, dagger(b)))
+        assert forests == evaluate(graph_to_circuit(g))
+        poly = forest_polynomial(g)
+        assert poly(1) == forests
+        assert poly.coefficients[1] == n * count_spanning_trees(g)
+    assert past_cap >= 10 and with_isolated >= 10
+
+
 def test_enumerate_forests_cap():
     big = Graph(7, tuple((1 + i % 6, 7) for i in range(21)))
     with pytest.raises(TooLarge):
