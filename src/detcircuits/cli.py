@@ -159,6 +159,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except SystemExit as exc:  # -h/--help: argparse printed the help to stdout
+        return exc.code
     try:
         return _run(ns)
     except (ParseError, ValidationError, ConfigError, OSError) as exc:

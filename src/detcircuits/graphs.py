@@ -120,11 +120,16 @@ def graph_to_circuit(g: Graph) -> Circuit:
     return Circuit(stacks, wirings)
 
 
+def _without_isolated(g: Graph) -> Graph:
+    """g less its isolated vertices, the rest renumbered in order: at most 2|E| vertices."""
+    at = {v: i for i, v in enumerate(sorted({v for e in g.edges for v in e}), 1)}
+    return Graph(len(at), tuple((at[u], at[v]) for u, v in g.edges))
+
+
 def count_rooted_forests(g: Graph) -> int:
     """det(I + L); an isolated vertex adds only a factor of 1, so it is dropped."""
-    lap = laplacian(g)
-    keep = [i for i in range(g.vertex_count) if lap[i][i]]
-    return int(det_grid([[lap[r][s] + (r == s) for s in keep] for r in keep]))
+    lap = laplacian(_without_isolated(g))
+    return int(det_grid([[x + (r == s) for s, x in enumerate(row)] for r, row in enumerate(lap)]))
 
 
 @dataclass(frozen=True)
@@ -138,10 +143,8 @@ class ForestPolynomial:
 def forest_polynomial(g: Graph) -> ForestPolynomial:
     """det(Ix + L) by Faddeev-LeVerrier over ints: its coefficients are
     integers, so each division by k is exact.  An isolated vertex is a factor x."""
-    lap = laplacian(g)
-    keep = [i for i in range(g.vertex_count) if lap[i][i]]
-    a = [[-int(lap[r][s]) for s in keep] for r in keep]  # char poly of -L
-    n = len(keep)
+    a = [[-int(x) for x in row] for row in laplacian(_without_isolated(g))]  # char poly of -L
+    n = len(a)
     coeffs = [0] * n + [1]
     am = [[0] * n for _ in range(n)]  # A M_{k-1}, with M_0 = 0
     c = 1
@@ -154,7 +157,10 @@ def forest_polynomial(g: Graph) -> ForestPolynomial:
 
 
 def laplacian_cofactor(g: Graph, i: int) -> int:
-    """det of the Laplacian with row and column i removed (0-based)."""
+    """det of the Laplacian with row and column i removed (0-based); 0 when n > 1
+    and a vertex is isolated (a zero row or a whole Laplacian is left)."""
+    if g.vertex_count > 1 and _without_isolated(g).vertex_count < g.vertex_count:
+        return 0
     lap = laplacian(g)
     keep = [j for j in range(g.vertex_count) if j != i]
     return int(det_grid([[lap[r][s] for s in keep] for r in keep]))

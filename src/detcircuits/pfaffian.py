@@ -4,9 +4,9 @@ A Pfaffian circuit assigns each edge id to exactly one state gate and
 exactly one costate gate; both carry skew matrices over their edge
 lists.  Its value is the full contraction of the sub-Pfaffian tensors,
 and the fast path computes it as a single Pfaffian of an edge-indexed
-matrix: the states assemble into one skew matrix, the costates into a
-second one whose entries get a checkerboard sign twist, and the value
-is the Pfaffian of their sum.
+matrix: the state entries and the costate entries, the latter with a
+checkerboard sign twist, add into one skew matrix, and the value is its
+Pfaffian.
 """
 
 from __future__ import annotations
@@ -14,49 +14,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Sequence
 
-from .errors import (
-    DanglingWire,
-    EdgeMultiplicity,
-    NotSkew,
-    TooLarge,
-)
-from .scalars import Scalar, is_exact, normalize_grid, scalars_equal
+from .errors import DanglingWire, EdgeMultiplicity, NotSkew, TooLarge
+from .scalars import (Scalar, clear_denominators, grid_is_exact, normalize_grid,
+                      scalars_equal)
 from .tensor import Bits, Tensor, oracle_cap, tensor_compose, tensor_product
 
 PF_ORACLE_MAX = 12
 
 
 def pfaffian(grid: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Pfaffian of a skew-symmetric matrix, by blocked elimination.
+    """Pfaffian of a skew-symmetric matrix; sizes 0, 2 and 4 use closed forms.
 
-    Exact over Fraction entries; partial pivoting over complex.  Small
-    sizes use the closed forms.
+    Rational grids run a fraction-free skew elimination in O(n^3) int
+    operations (Galbiati-Maffioli) that reads only the upper triangle, so
+    they must be exactly skew.  Complex grids run an elimination with pivoting.
     """
     n = len(grid)
     if n == 0:
         return Fraction(1)
     if n % 2 == 1:
-        return Fraction(0) if all(is_exact(x) for row in grid for x in row) else 0j
+        return Fraction(0) if grid_is_exact(grid) else 0j
     if n == 2:
         return grid[0][1]
     if n == 4:
         a = grid
         return a[0][1] * a[2][3] - a[0][2] * a[1][3] + a[0][3] * a[1][2]
+    if grid_is_exact(grid):
+        return _pfaffian_exact(grid)
     A = [list(row) for row in grid]
-    exact = all(is_exact(x) for row in A for x in row)
-    pf: Scalar = Fraction(1) if exact else complex(1)
+    pf = complex(1)
     for k in range(0, n - 1, 2):
         # Pivot on row k: the update divides by its entry (complex grids are only near-skew).
-        if exact:
-            piv = next((i for i in range(k + 1, n) if A[k][i] != 0), None)
-        else:
-            piv = max(range(k + 1, n), key=lambda i: abs(A[k][i]), default=None)
-            if piv is not None and A[k][piv] == 0:
-                piv = None
-        if piv is None:
-            return Fraction(0) if exact else 0j
+        piv = max(range(k + 1, n), key=lambda i: abs(A[k][i]))
+        if A[k][piv] == 0:
+            return 0j
         if piv != k + 1:
             A[piv], A[k + 1] = A[k + 1], A[piv]
             for row in A:
@@ -72,6 +66,35 @@ def pfaffian(grid: Sequence[Sequence[Scalar]]) -> Scalar:
             for j in range(k + 2, n):
                 A[i][j] = A[i][j] + (di * A[k][j] - ci * A[k + 1][j]) / b
     return pf
+
+
+def _pfaffian_exact(grid) -> Fraction:
+    # Index i scaled by d_i: integer entries, and Pf grows by prod(d).
+    a, factors = clear_denominators(grid)
+    a = [[x * d for x, d in zip(row, factors)] for row in a]
+    n, sign, prev = len(a), 1, 1
+    for k in range(0, n - 1, 2):
+        rk, q = a[k], k + 1
+        if rk[q] == 0:  # swap index q with the first p that row k reaches
+            p = next((j for j in range(q + 1, n) if rk[j]), None)
+            if p is None:
+                return Fraction(0)
+            rq, rp = a[q], a[p]
+            rk[q], rk[p], rq[p], sign = rk[p], rk[q], -rq[p], -sign
+            for r in range(q + 1, p):
+                rq[r], a[r][p] = -a[r][p], -rq[r]
+            rq[p + 1:], rp[p + 1:] = rp[p + 1:], rq[p + 1:]
+        b, rq = rk[q], a[q]
+        # Entry (i, j) becomes Pf on 0..q, i, j (Tanner's identity): // prev is exact.
+        for i in range(q + 1, n):
+            ci, di, ri = rk[i], rq[i], a[i]
+            if ci or di:
+                ri[i + 1:] = [(b * x + di * y - ci * z) // prev
+                              for x, y, z in zip(ri[i + 1:], rk[i + 1:], rq[i + 1:])]
+            elif b != prev:
+                ri[i + 1:] = [b * x // prev for x in ri[i + 1:]]
+        prev = b
+    return Fraction(sign * prev, prod(factors))
 
 
 def _matchings(points: tuple[int, ...]):
@@ -96,7 +119,7 @@ def pfaffian_oracle(grid: Sequence[Sequence[Scalar]]) -> Scalar:
     if n == 0:
         return Fraction(1)
     if n % 2 == 1:
-        return Fraction(0) if all(is_exact(x) for row in grid for x in row) else 0j
+        return Fraction(0) if grid_is_exact(grid) else 0j
     total: Scalar = Fraction(0)
     for pairs in _matchings(tuple(range(n))):
         term: Scalar = Fraction(1)
@@ -235,31 +258,23 @@ def validate_pfaffian(pc: PfaffianCircuit) -> None:
                                f"gate, the first is {first}")
 
 
-def _assemble(pc: PfaffianCircuit, side: str) -> list[list[Scalar]]:
-    n = pc.edge_count
-    grid: list[list[Scalar]] = [[Fraction(0)] * n for _ in range(n)]
-    for g in pc.gates:
-        if g.kind != side:
-            continue
-        for a, ea in enumerate(g.edges):
-            for b, eb in enumerate(g.edges):
-                grid[ea - 1][eb - 1] = g.matrix.entries[a][b]
-    return grid
-
-
 def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
     """Fast evaluation: one Pfaffian of the assembled edge matrix.
 
     The costate block enters with the sign twist (-1)**(i+j+1) on entry
     (i, j) in 1-based edge ids; that twist is what turns the sum over
     edge subsets of products of sub-Pfaffians into a single Pfaffian.
+    Both sides add into one grid whose zeros take the gates' field.
     """
     validate_pfaffian(pc)
-    xi = _assemble(pc, "state")
-    theta = _assemble(pc, "costate")
-    n = pc.edge_count
-    total = [[xi[i][j] + (theta[i][j] if (i + j) % 2 else -theta[i][j])
-              for j in range(n)] for i in range(n)]
+    zero = Fraction(0) if all(grid_is_exact(g.matrix.entries) for g in pc.gates) else 0j
+    total = [[zero] * pc.edge_count for _ in range(pc.edge_count)]
+    for g in pc.gates:
+        for ea, row in zip(g.edges, g.matrix.entries):
+            out = total[ea - 1]
+            for eb, x in zip(g.edges, row):
+                if x:
+                    out[eb - 1] += -x if g.kind == "costate" and (ea + eb) % 2 == 0 else x
     return pfaffian(total)
 
 

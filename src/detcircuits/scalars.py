@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from cmath import isfinite
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence, Union
 
 Scalar = Union[Fraction, complex]
@@ -80,15 +80,17 @@ def det_grid(grid: Sequence[Sequence[Scalar]]) -> Scalar:
     return _det_complex([[complex(x) for x in row] for row in grid])
 
 
+def clear_denominators(grid) -> tuple[list[list[int]], list[int]]:
+    """Each row times d_i, the lcm of its denominators, as ints; and the d_i."""
+    factors = [lcm(*[x.denominator for x in row]) for row in grid]
+    return [[x.numerator for x in row] if d == 1 else
+            [x.numerator * (d // x.denominator) for x in row]
+            for row, d in zip(grid, factors)], factors
+
+
 def _det_exact(grid) -> Fraction:
-    # Clear denominators row by row; det scales by the product of the factors.
-    scale = 1
-    a = []
-    for row in grid:
-        d = lcm(*(x.denominator for x in row)) if row else 1
-        scale *= d
-        a.append([x.numerator * (d // x.denominator) for x in row])
-    return Fraction(_det_bareiss_int(a), scale)
+    a, factors = clear_denominators(grid)  # det scales by prod(d)
+    return Fraction(_det_bareiss_int(a), prod(factors))
 
 
 def _det_bareiss_int(a: list[list[int]]) -> int:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -438,3 +439,41 @@ def test_cli_pfeval_complex_grid_skew_within_tolerance(tmp_path, capsys):
     path.write_text("pfgate state 6 1 2 3 4 5 6\n" + "\n".join(rows) + "\n" + costates)
     assert main(["pfeval", "--field", "complex", str(path)]) == 0
     assert capsys.readouterr().out == "0+0i\n"
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_cli_pfeval_all_zero_complex_file_stays_complex(tmp_path, capsys, n):
+    # The assembled grid is all zeros; its field comes from the gates, so
+    # the complex file still prints a complex value.
+    zeros = "\n".join(" ".join(["0"] * 2) for _ in range(2))
+    path = tmp_path / "zero.pf"
+    path.write_text("".join(f"pfgate {kind} 2 {e} {e + 1}\n{zeros}\n"
+                            for kind in ("state", "costate") for e in range(1, n, 2)))
+    assert main(["pfeval", "--field", "complex", str(path)]) == 0
+    assert capsys.readouterr().out == "0+0i\n"
+    assert main(["pfeval", str(path)]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
+def test_cli_help_returns_0(capsys):
+    assert main(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: detcirc")
+    assert main(["pfeval", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: detcirc pfeval")
+
+
+def test_cli_graph_counts_skip_isolated_vertices(tmp_path, capsys):
+    # A header naming many vertices and no edges must not cost a |V| x |V|
+    # grid.  The small size comes first: a dense build fails there.
+    path = tmp_path / "sparse.graph"
+    for n in (3000, 100000):
+        path.write_text(f"{n} 0\n")
+        for verb, want in (("forests", "1"), ("trees", "0")):
+            tracemalloc.start()
+            try:
+                assert main([verb, str(path)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert capsys.readouterr().out == want + "\n"
+            assert peak < 1 << 20, (n, verb, peak)

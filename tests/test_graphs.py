@@ -26,6 +26,7 @@ from detcircuits import (
     principal_minor_sum,
     reorient,
 )
+from detcircuits.scalars import det_grid
 
 K3 = Graph(3, ((1, 2), (2, 3), (3, 1)))
 K4 = Graph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
@@ -165,6 +166,25 @@ def test_laplacian_census_trace_identity():
         lhs = principal_minor_sum(compose(b, dagger(b)))
         rhs = principal_minor_sum(compose(dagger(b), b))
         assert lhs == rhs == count_rooted_forests(g)
+
+
+def test_cofactors_with_isolated_vertices_match_full_minors():
+    # The early 0 for an isolated vertex (n > 1) must equal the minor of
+    # the full Laplacian, for every removed vertex.
+    rng = random.Random(8)
+    seen_zero = 0
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        touched = rng.sample(range(1, n + 1), rng.randint(min(n, 2), n))
+        edges = [tuple(rng.sample(touched, 2)) for _ in range(rng.randint(0, 2 * n))] if n > 1 else []
+        g = Graph(n, tuple(edges))
+        lap = laplacian(g)
+        for i in range(n):
+            keep = [j for j in range(n) if j != i]
+            want = det_grid([[lap[r][s] for s in keep] for r in keep])
+            assert laplacian_cofactor(g, i) == want
+            seen_zero += want == 0
+    assert seen_zero >= 20
 
 
 def test_vertex_side_counts_match_edge_side_beyond_enum_cap():

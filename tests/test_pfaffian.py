@@ -26,9 +26,21 @@ from detcircuits import (
     validate_pfaffian,
     zero_skew,
 )
+from detcircuits.scalars import det_grid
 from circgen import rand_skew_grid
 
 rat = st.integers(-9, 9).map(Fraction)
+pq = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+def rand_pq_skew_grid(rng, n, zeros=0.0):
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() >= zeros:
+                g[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                g[j][i] = -g[i][j]
+    return g
 
 
 def test_pfaffian_degenerate_sizes():
@@ -255,3 +267,60 @@ def test_oracle_invariant_under_renumbering():
     pc = two_edge_circuit()
     swapped = renumber(pc, {1: 2, 2: 1})
     assert eval_pfaffian_oracle(swapped) == eval_pfaffian_oracle(pc)
+
+
+@st.composite
+def pq_skew_grids(draw):
+    """Skew grids of p/q entries up to n = 10, many of them sparse, some with
+    a zero leading entry (the kernel must swap) or an all-zero row (Pf 0)."""
+    n = draw(st.integers(0, 10))
+    entry = st.one_of(st.just(Fraction(0)), pq) if draw(st.booleans()) else pq
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i][j] = draw(entry)
+            g[j][i] = -g[i][j]
+    hole = draw(st.sampled_from(("none", "lead", "row")))
+    if hole == "lead" and n >= 2:
+        g[0][1] = g[1][0] = Fraction(0)
+    elif hole == "row" and n:
+        r = draw(st.integers(0, n - 1))
+        for j in range(n):
+            g[r][j] = g[j][r] = Fraction(0)
+    return g
+
+
+@given(pq_skew_grids())
+@settings(max_examples=200, deadline=None)
+def test_pfaffian_matches_oracle_on_rational_grids(g):
+    assert pfaffian(g) == pfaffian_oracle(g)
+
+
+def test_pfaffian_squared_is_det_grid_at_larger_sizes():
+    rng = random.Random(6)
+    for n, zeros in ((20, 0.0), (24, 0.8), (30, 0.5), (36, 0.9), (40, 0.0)):
+        g = rand_pq_skew_grid(rng, n, zeros)
+        p = pfaffian(g)
+        assert p * p == det_grid(g)
+
+
+def test_eval_pfaffian_adds_state_and_costate_on_a_shared_pair():
+    # Pairs (1,2), (3,4), (5,6) and (7,8) are named by a state and by a
+    # costate, so the assembly must add the two; at (1,2) they cancel, so
+    # the elimination must swap.  Gates stay at size 4, so the oracle's
+    # sub-Pfaffians are all closed forms.
+    h = Fraction(1, 2)
+    a = skew((1, 2, 3, 4), [[0, h, Fraction(2, 3), -1], [-h, 0, 3, Fraction(5, 7)],
+                            [Fraction(-2, 3), -3, 0, Fraction(1, 4)],
+                            [1, Fraction(-5, 7), Fraction(-1, 4), 0]])
+    b = skew((5, 6, 7, 8), [[0, 2, 0, Fraction(3, 5)], [-2, 0, Fraction(-4, 3), 1],
+                            [0, Fraction(4, 3), 0, 6], [Fraction(-3, 5), -1, -6, 0]])
+    c = skew((1, 2), [[0, -h], [h, 0]])
+    d = skew((3, 4, 5, 6), [[0, Fraction(7, 2), 1, -2], [Fraction(-7, 2), 0, 5, 3],
+                            [-1, -5, 0, Fraction(1, 3)], [2, -3, Fraction(-1, 3), 0]])
+    e = skew((7, 8), [[0, Fraction(-9, 4)], [Fraction(9, 4), 0]])
+    pc = PfaffianCircuit((PfGate("state", a), PfGate("state", b), PfGate("costate", c),
+                          PfGate("costate", d), PfGate("costate", e)), 8)
+    want = eval_pfaffian_oracle(pc)
+    assert want != 0
+    assert eval_pfaffian_circuit(pc) == want
