@@ -97,22 +97,22 @@ def _read(path: str) -> str:
         raise ParseError(line, f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
-def _load_graph(ns) -> object:
-    g = parse_graph(_read(ns.path))
-    if ns.orientation_seed is not None:
-        g = reorient(g, ns.orientation_seed)
-    return g
-
-
 def _run(ns) -> int:
+    # Every verb reads and parses its one file before it prints anything.
+    text = _read(ns.path)
+    if ns.verb in ("forests", "trees", "poly"):
+        g = parse_graph(text)
+        if ns.orientation_seed is not None:
+            g = reorient(g, ns.orientation_seed)
+    elif ns.verb == "pfeval":
+        pc = parse_pfaffian(text, ns.field)
+    else:
+        c = parse_circuit(text, ns.field)
     if ns.verb == "eval":
-        c = parse_circuit(_read(ns.path), ns.field)
         print(format_scalar(evaluate(c)))
     elif ns.verb == "oracle":
-        c = parse_circuit(_read(ns.path), ns.field)
         print(format_scalar(contract_circuit(c)))
     elif ns.verb == "check":
-        c = parse_circuit(_read(ns.path), ns.field)
         fast = evaluate(c)
         slow = contract_circuit(c)
         cyc = multicycle_total(c)
@@ -123,7 +123,6 @@ def _run(ns) -> int:
             return 3
         print(f"ok {format_scalar(fast)}")
     elif ns.verb == "multicycles":
-        c = parse_circuit(_read(ns.path), ns.field)
         total = None
         for mc in enumerate_multicycles(c):
             sup = " ".join(f"{k}:{lab}" for k, lab in sorted(mc.support))
@@ -132,22 +131,19 @@ def _run(ns) -> int:
         print("total {}".format(format_scalar(total) if total is not None
                                 else "0"))
     elif ns.verb == "compile":
-        c = parse_circuit(_read(ns.path), ns.field)
         compiled = compile_circuit(c)
         out_path = ns.output if ns.output else ns.path + ".pf"
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(write_pfaffian(compiled.target))
         print(f"size_ratio {format_scalar(compiled.size_ratio)}")
     elif ns.verb == "pfeval":
-        pc = parse_pfaffian(_read(ns.path), ns.field)
         print(format_scalar(eval_pfaffian_circuit(pc)))
     elif ns.verb == "forests":
-        print(count_rooted_forests(_load_graph(ns)))
+        print(count_rooted_forests(g))
     elif ns.verb == "trees":
-        print(count_spanning_trees(_load_graph(ns)))
+        print(count_spanning_trees(g))
     elif ns.verb == "poly":
-        poly = forest_polynomial(_load_graph(ns))
-        print(" ".join(str(c) for c in poly.coefficients))
+        print(" ".join(str(c) for c in forest_polynomial(g).coefficients))
     else:  # pragma: no cover - argparse enforces the verb set
         raise AssertionError(ns.verb)
     return 0

@@ -54,9 +54,6 @@ class LabeledMatrix:
     def shape(self) -> tuple[int, int]:
         return len(self.rows), len(self.cols)
 
-    def entry(self, row_label: WireLabel, col_label: WireLabel) -> Scalar:
-        return self.entries[self.rows.index(row_label)][self.cols.index(col_label)]
-
 
 def labeled(rows: Sequence[int], cols: Sequence[int], entries: Sequence[Sequence]) -> LabeledMatrix:
     """Build a LabeledMatrix, normalizing entry types."""
@@ -148,14 +145,11 @@ def principal_minor_sum(m: LabeledMatrix) -> Scalar:
     if set(m.rows) != set(m.cols):
         raise NotEndomorphism(f"rows {m.rows} and cols {m.cols} differ as sets")
     pos = {lab: j for j, lab in enumerate(m.cols)}
-    n = len(m.rows)
     grid = []
     for i, lab in enumerate(m.rows):
         row = [m.entries[i][pos[other]] for other in m.rows]
         row[i] = row[i] + 1
         grid.append(row)
-    if n == 0:
-        return Fraction(1)
     return det_grid(grid)
 
 

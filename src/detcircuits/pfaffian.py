@@ -18,58 +18,60 @@ from math import prod
 from typing import Sequence
 
 from .errors import DanglingWire, EdgeMultiplicity, NotSkew, TooLarge
-from .scalars import (Scalar, clear_denominators, grid_is_exact, normalize_grid,
+from .scalars import (ZERO, Scalar, clear_denominators, grid_is_exact, normalize_grid,
                       scalars_equal)
-from .tensor import Bits, Tensor, oracle_cap, tensor_compose, tensor_product
+from .tensor import Tensor, _subset_bits, oracle_cap, tensor_compose, tensor_product
 
 PF_ORACLE_MAX = 12
 
 
 def pfaffian(grid: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Pfaffian of a skew-symmetric matrix; sizes 0, 2 and 4 use closed forms.
+    """Pfaffian of a skew-symmetric matrix, read from its upper triangle only.
 
-    Rational grids run a fraction-free skew elimination in O(n^3) int
-    operations (Galbiati-Maffioli) that reads only the upper triangle, so
-    they must be exactly skew.  Complex grids run an elimination with pivoting.
+    Rational grids run a fraction-free O(n^3) elimination on ints
+    (Galbiati-Maffioli) that swaps indices on a zero pivot; complex grids
+    swap in the largest entry of each pivot row.
     """
     n = len(grid)
-    if n == 0:
-        return Fraction(1)
-    if n % 2 == 1:
-        return Fraction(0) if grid_is_exact(grid) else 0j
-    if n == 2:
-        return grid[0][1]
-    if n == 4:
-        a = grid
-        return a[0][1] * a[2][3] - a[0][2] * a[1][3] + a[0][3] * a[1][2]
     if grid_is_exact(grid):
-        return _pfaffian_exact(grid)
-    A = [list(row) for row in grid]
+        return Fraction(0) if n % 2 else _pfaffian_exact(grid)
+    if n % 2:
+        return 0j
+    a = [list(row) for row in grid]
     pf = complex(1)
     for k in range(0, n - 1, 2):
-        # Pivot on row k: the update divides by its entry (complex grids are only near-skew).
-        piv = max(range(k + 1, n), key=lambda i: abs(A[k][i]))
-        if A[k][piv] == 0:
+        rk, q = a[k], k + 1
+        # The update divides by the pivot, so take row k's largest entry.
+        p = max(range(q, n), key=lambda j: abs(rk[j]))
+        if rk[p] == 0:
             return 0j
-        if piv != k + 1:
-            A[piv], A[k + 1] = A[k + 1], A[piv]
-            for row in A:
-                row[piv], row[k + 1] = row[k + 1], row[piv]
+        if p != q:
+            _swap(a, k, p)
             pf = -pf
-        b = A[k][k + 1]
+        b, rq = rk[q], a[q]
         pf = pf * b
-        # Schur complement of the leading 2x2 block onto the rest.
-        for i in range(k + 2, n):
-            ci, di = A[k][i], A[k + 1][i]
-            if ci == 0 and di == 0:
-                continue
-            for j in range(k + 2, n):
-                A[i][j] = A[i][j] + (di * A[k][j] - ci * A[k + 1][j]) / b
+        # Schur complement of the pivot pair onto the rest.
+        for i in range(q + 1, n):
+            ci, di, ri = rk[i], rq[i], a[i]
+            if ci or di:
+                ri[i + 1:] = [x + (di * y - ci * z) / b
+                              for x, y, z in zip(ri[i + 1:], rk[i + 1:], rq[i + 1:])]
     return pf
 
 
+def _swap(a: list[list], k: int, p: int) -> None:
+    """Swap indices k+1 < p in the upper triangle of rows k on; Pf changes sign."""
+    q = k + 1
+    rk, rq, rp = a[k], a[q], a[p]
+    rk[q], rk[p], rq[p] = rk[p], rk[q], -rq[p]
+    for r in range(q + 1, p):
+        rq[r], a[r][p] = -a[r][p], -rq[r]
+    rq[p + 1:], rp[p + 1:] = rp[p + 1:], rq[p + 1:]
+
+
 def _pfaffian_exact(grid) -> Fraction:
-    # Index i scaled by d_i: integer entries, and Pf grows by prod(d).
+    # Index i scaled by d_i: integer entries, and Pf grows by prod(d).  The
+    # lower triangle feeds d_i only; the elimination never reads it.
     a, factors = clear_denominators(grid)
     a = [[x * d for x, d in zip(row, factors)] for row in a]
     n, sign, prev = len(a), 1, 1
@@ -79,11 +81,8 @@ def _pfaffian_exact(grid) -> Fraction:
             p = next((j for j in range(q + 1, n) if rk[j]), None)
             if p is None:
                 return Fraction(0)
-            rq, rp = a[q], a[p]
-            rk[q], rk[p], rq[p], sign = rk[p], rk[q], -rq[p], -sign
-            for r in range(q + 1, p):
-                rq[r], a[r][p] = -a[r][p], -rq[r]
-            rq[p + 1:], rp[p + 1:] = rp[p + 1:], rq[p + 1:]
+            _swap(a, k, p)
+            sign = -sign
         b, rq = rk[q], a[q]
         # Entry (i, j) becomes Pf on 0..q, i, j (Tanner's identity): // prev is exact.
         for i in range(q + 1, n):
@@ -142,11 +141,13 @@ class SkewMatrix:
             raise EdgeMultiplicity(f"repeated label in {self.labels}")
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValueError("skew matrix grid is not square on its labels")
-        for i in range(n):
-            if not scalars_equal(self.entries[i][i], Fraction(0)):
+        # Checked once here: pfaffian() and the edge matrix read only i < j.
+        for i, row in enumerate(self.entries):
+            if not scalars_equal(row[i], ZERO):
                 raise NotSkew(f"nonzero diagonal at {self.labels[i]}")
             for j in range(i + 1, n):
-                if not scalars_equal(self.entries[i][j], -self.entries[j][i]):
+                x, y = row[j], self.entries[j][i]
+                if (x or y) and not scalars_equal(x, -y):
                     raise NotSkew(
                         f"entry ({self.labels[i]},{self.labels[j]}) not "
                         "antisymmetric"
@@ -182,41 +183,27 @@ def anti_transpose(sk: SkewMatrix) -> SkewMatrix:
     return SkewMatrix(sk.labels, ent)
 
 
-def _bits_for(labels: tuple[int, ...], subset: frozenset[int]) -> Bits:
-    return tuple(1 if lab in subset else 0 for lab in labels)
+def _sub_pfaffians(sk: SkewMatrix):
+    """(bits, Pf) for every even subset of sk's indices whose Pfaffian is nonzero."""
+    n = sk.size
+    if n > oracle_cap():
+        raise TooLarge(f"sub-pfaffian expansion over {n} wires")
+    for s in range(0, n + 1, 2):
+        for pos in combinations(range(n), s):
+            v = pfaffian([[sk.entries[i][j] for j in pos] for i in pos])
+            if v != 0:
+                yield _subset_bits(n, pos), v
 
 
 def spf(sk: SkewMatrix) -> Tensor:
     """State tensor of all sub-Pfaffians: subset I carries Pf on I."""
-    n = sk.size
-    if n > oracle_cap():
-        raise TooLarge(f"sub-pfaffian expansion over {n} wires")
-    data: dict[tuple[Bits, Bits], Scalar] = {}
-    for s in range(0, n + 1, 2):
-        for pos in combinations(range(n), s):
-            grid = [[sk.entries[i][j] for j in pos] for i in pos]
-            v = pfaffian(grid)
-            if v != 0:
-                subset = frozenset(sk.labels[i] for i in pos)
-                data[(_bits_for(sk.labels, subset), ())] = v
-    return Tensor(sk.labels, (), data)
+    return Tensor(sk.labels, (), {(bits, ()): v for bits, v in _sub_pfaffians(sk)})
 
 
 def spf_dual(sk: SkewMatrix) -> Tensor:
     """Costate tensor: subset I carries Pf on the complement of I."""
-    n = sk.size
-    if n > oracle_cap():
-        raise TooLarge(f"sub-pfaffian expansion over {n} wires")
-    data: dict[tuple[Bits, Bits], Scalar] = {}
-    for s in range(0, n + 1):
-        for pos in combinations(range(n), s):
-            others = [i for i in range(n) if i not in set(pos)]
-            grid = [[sk.entries[i][j] for j in others] for i in others]
-            v = pfaffian(grid)
-            if v != 0:
-                subset = frozenset(sk.labels[i] for i in pos)
-                data[((), _bits_for(sk.labels, subset))] = v
-    return Tensor((), sk.labels, data)
+    return Tensor((), sk.labels, {((), tuple(1 - b for b in bits)): v
+                                  for bits, v in _sub_pfaffians(sk)})
 
 
 @dataclass(frozen=True)
@@ -264,7 +251,8 @@ def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
     The costate block enters with the sign twist (-1)**(i+j+1) on entry
     (i, j) in 1-based edge ids; that twist is what turns the sum over
     edge subsets of products of sub-Pfaffians into a single Pfaffian.
-    Both sides add into one grid whose zeros take the gates' field.
+    Both sides add into the upper triangle of one grid, the only part
+    pfaffian() reads; its zeros take the gates' field.
     """
     validate_pfaffian(pc)
     zero = Fraction(0) if all(grid_is_exact(g.matrix.entries) for g in pc.gates) else 0j
@@ -273,7 +261,7 @@ def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
         for ea, row in zip(g.edges, g.matrix.entries):
             out = total[ea - 1]
             for eb, x in zip(g.edges, row):
-                if x:
+                if x and ea < eb:
                     out[eb - 1] += -x if g.kind == "costate" and (ea + eb) % 2 == 0 else x
     return pfaffian(total)
 

@@ -54,11 +54,11 @@ def grid_is_exact(grid) -> bool:
     return all(isinstance(x, Fraction) for row in grid for x in row)
 
 
-def scalars_equal(a: Scalar, b: Scalar, tol: float = COMPLEX_TOL) -> bool:
+def scalars_equal(a: Scalar, b: Scalar) -> bool:
     if is_exact(a) and is_exact(b):
         return a == b
     a, b = complex(a), complex(b)
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= COMPLEX_TOL * max(1.0, abs(a), abs(b))
 
 
 # --- determinants -----------------------------------------------------------

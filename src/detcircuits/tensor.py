@@ -48,11 +48,11 @@ class Tensor:
         return self.data.get((ket, bra), Fraction(0))
 
 
-def tensors_equal(a: Tensor, b: Tensor, tol: float = 1e-9) -> bool:
+def tensors_equal(a: Tensor, b: Tensor) -> bool:
     if a.out_wires != b.out_wires or a.in_wires != b.in_wires:
         return False
     for key in set(a.data) | set(b.data):
-        if not scalars_equal(a.component(*key), b.component(*key), tol):
+        if not scalars_equal(a.component(*key), b.component(*key)):
             return False
     return True
 
@@ -64,10 +64,10 @@ def _subset_bits(n: int, positions: tuple[int, ...]) -> Bits:
     return tuple(bits)
 
 
-def sdet_expand(m: LabeledMatrix, cap: int | None = None) -> Tensor:
+def sdet_expand(m: LabeledMatrix) -> Tensor:
     """Tensor of all minors of m.  Cost grows as 4^wires; capped."""
     r, c = m.shape
-    limit = oracle_cap() if cap is None else cap
+    limit = oracle_cap()
     if r + c > limit:
         raise TooLarge(f"minor expansion of a {m.shape} matrix ({r + c} wires > {limit})")
     data: dict[tuple[Bits, Bits], Scalar] = {}

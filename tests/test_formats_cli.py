@@ -25,7 +25,7 @@ from detcircuits import (
 )
 from detcircuits.cli import main
 from detcircuits.scalars import format_scalar
-from circgen import rand_circuit
+from circgen import rand_circuit, rand_grid
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -208,6 +208,35 @@ def test_cli_compile_default_output(tmp_path, capsys):
     assert (tmp_path / "g.circuit.pf").exists()
     assert main(["pfeval", str(tmp_path / "g.circuit.pf")]) == 0
     assert capsys.readouterr().out == "3\n"
+
+
+def complex_ring(seed, width=6, depth=3):
+    rng = random.Random(seed)
+    stacks = []
+    for k in range(depth):
+        rows = tuple(range(20 * k + 1, 20 * k + width + 1))
+        cols = tuple(range(20 * k + 11, 20 * k + width + 11))
+        stacks.append(Stack((labeled(rows, cols, rand_grid(rng, width, width, "complex", -1, 1)),)))
+    wirings = []
+    for k in range(depth):
+        dst = list(stacks[(k + 1) % depth].in_labels)
+        rng.shuffle(dst)
+        wirings.append(tuple(zip(stacks[k].out_labels, dst)))
+    return Circuit(tuple(stacks), tuple(wirings))
+
+
+def test_cli_pfeval_complex_frozen(tmp_path, capsys):
+    # Compiled complex edge matrices make the elimination swap; the ring's
+    # swaps 15 times.  The printed values are pinned byte for byte.
+    ring = tmp_path / "ring.circuit"
+    ring.write_text(write_circuit(complex_ring(1)))
+    for src, want in ((DATA / "complex_pair.circuit", "7+1i"),
+                      (ring, "-59.5969450713-327.279324593i")):
+        out = tmp_path / "c.pf"
+        assert main(["compile", "--field", "complex", str(src), "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["pfeval", "--field", "complex", str(out)]) == 0
+        assert capsys.readouterr().out == want + "\n"
 
 
 def test_cli_pfeval_frozen(capsys):

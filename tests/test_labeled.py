@@ -35,12 +35,6 @@ def test_duplicate_labels_rejected():
         labeled((1, 2), (3, 3), [[1, 2], [3, 4]])
 
 
-def test_entry_lookup_by_label():
-    m = labeled((5, 9), (2, 7), [[1, 2], [3, 4]])
-    assert m.entry(9, 2) == 3
-    assert m.entry(5, 7) == 2
-
-
 def test_compose_identity():
     rng = random.Random(0)
     m = mk(rng, (1, 2), (3, 4))
@@ -113,8 +107,8 @@ def test_permutation_matrix_routes_wires():
     p = permutation_matrix({1: 20, 2: 10}, cols=(1, 2), rows=(10, 20))
     m = labeled((1, 2), (7, 8), [[1, 2], [3, 4]])
     routed = compose(p, m)
-    assert routed.entry(20, 7) == 1  # row 1 went to 20
-    assert routed.entry(10, 8) == 4  # row 2 went to 10
+    assert routed.rows == (10, 20) and routed.cols == (7, 8)
+    assert routed.entries == ((3, 4), (1, 2))  # row 1 went to 20, row 2 to 10
 
 
 def test_determinant_conventions():

@@ -97,10 +97,35 @@ def test_pfaffian_squared_is_determinant(nv):
 
 def test_pfaffian_complex_vs_oracle():
     rng = random.Random(1)
-    for _ in range(20):
-        n = rng.choice((2, 4, 6))
+    for t in range(45):
+        n = rng.choice((2, 4, 6, 8, 10))
         g = rand_skew_grid(rng, n, field="complex")
-        assert abs(pfaffian(g) - pfaffian_oracle(g)) < 1e-8
+        if t % 3 == 1:  # zero leading entry
+            g[0][1] = g[1][0] = 0j
+        elif t % 3 == 2:  # all-zero row: Pf 0
+            r = rng.randrange(n)
+            for j in range(n):
+                g[r][j] = g[j][r] = 0j
+        want = pfaffian_oracle(g)
+        assert abs(pfaffian(g) - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("field", ["rational", "complex"])
+def test_pfaffian_reads_only_the_upper_triangle(field):
+    # A zero or small leading entry makes both eliminations swap at once.
+    rng = random.Random(11)
+    zero = Fraction(0) if field == "rational" else 0j
+    for t in range(50):
+        n = rng.choice((6, 8, 10, 12))
+        g = rand_skew_grid(rng, n, field=field)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.3:
+                    g[i][j] = g[j][i] = zero
+        lead = zero if t % 2 else g[0][1] / 1000
+        g[0][1], g[1][0] = lead, -lead
+        upper = [[x if i < j else zero for j, x in enumerate(row)] for i, row in enumerate(g)]
+        assert pfaffian(g) == pfaffian(upper)
 
 
 def test_skew_validation():
@@ -110,6 +135,15 @@ def test_skew_validation():
         skew((1, 2), [[1, 2], [-2, 0]])
     sk = skew((1, 2), [[0, 3], [-3, 0]])
     assert sk.entries[0][1] == 3
+    # One entry of a pair zero, the other not: the pair is still checked.
+    for one in (1, 1.0):
+        with pytest.raises(NotSkew):
+            skew((1, 2), [[0, one], [0, 0]])
+    with pytest.raises(NotSkew):  # same numerator, other denominator
+        skew((1, 2), [[0, Fraction(1, 2)], [Fraction(-1, 3), 0]])
+    skew((1, 2), [[0, 1 + 2j], [-1 - 2j + 1e-12, 0]])
+    with pytest.raises(NotSkew):
+        skew((1, 2), [[0, 1 + 2j], [-1 - 2j + 1e-6, 0]])
 
 
 def test_anti_transpose_preserves_pfaffian():
@@ -308,7 +342,7 @@ def test_eval_pfaffian_adds_state_and_costate_on_a_shared_pair():
     # Pairs (1,2), (3,4), (5,6) and (7,8) are named by a state and by a
     # costate, so the assembly must add the two; at (1,2) they cancel, so
     # the elimination must swap.  Gates stay at size 4, so the oracle's
-    # sub-Pfaffians are all closed forms.
+    # sub-Pfaffian expansion stays small.
     h = Fraction(1, 2)
     a = skew((1, 2, 3, 4), [[0, h, Fraction(2, 3), -1], [-h, 0, 3, Fraction(5, 7)],
                             [Fraction(-2, 3), -3, 0, Fraction(1, 4)],
