@@ -29,7 +29,7 @@ from .labeled import (
     permutation_matrix,
     principal_minor_sum,
 )
-from .scalars import ZERO, grid_is_exact
+from .scalars import grid_is_exact
 
 Wiring = tuple[tuple[int, int], ...]  # (source output label, target input label)
 
@@ -124,7 +124,7 @@ def transfer_matrix(circuit: Circuit, k: int) -> LabeledMatrix:
     cols = circuit.stacks[k].in_labels
     rows = circuit.stacks[(k + 1) % len(circuit.stacks)].in_labels
     pos = {lab: j for j, lab in enumerate(cols)}
-    grid = {lab: [ZERO] * len(cols) for lab in rows}
+    grid = {lab: [0] * len(cols) for lab in rows}
     for lab, terms in _stack_rows(circuit, k):
         for c, x in terms:
             grid[lab][pos[c]] = x

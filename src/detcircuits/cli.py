@@ -123,13 +123,11 @@ def _run(ns) -> int:
             return 3
         print(f"ok {format_scalar(fast)}")
     elif ns.verb == "multicycles":
-        total = None
-        for mc in enumerate_multicycles(c):
+        cycles = enumerate_multicycles(c)
+        for mc in cycles:
             sup = " ".join(f"{k}:{lab}" for k, lab in sorted(mc.support))
             print(f"({sup}) {format_scalar(mc.weight)}")
-            total = mc.weight if total is None else total + mc.weight
-        print("total {}".format(format_scalar(total) if total is not None
-                                else "0"))
+        print(f"total {format_scalar(sum(mc.weight for mc in cycles))}")
     elif ns.verb == "compile":
         compiled = compile_circuit(c)
         out_path = ns.output if ns.output else ns.path + ".pf"

@@ -23,7 +23,7 @@ from .circuit import Circuit, transfer_matrix, validate
 from .errors import LabelCollision, NotSquare
 from .labeled import LabeledMatrix, identity, labeled
 from .pfaffian import PfaffianCircuit, PfGate, SkewMatrix
-from .scalars import ZERO, Scalar
+from .scalars import Scalar
 
 
 def reflect(m: LabeledMatrix) -> LabeledMatrix:
@@ -33,9 +33,9 @@ def reflect(m: LabeledMatrix) -> LabeledMatrix:
 
 
 def _pad_grid(entries, n: int) -> list[list[Scalar]]:
-    """Extend a grid to n x n with Fraction zeros, to the right and below."""
-    grid = [list(row) + [ZERO] * (n - len(row)) for row in entries]
-    return grid + [[ZERO] * n for _ in range(n - len(grid))]
+    """Extend a grid to n x n with zeros, to the right and below."""
+    grid = [list(row) + [0] * (n - len(row)) for row in entries]
+    return grid + [[0] * n for _ in range(n - len(grid))]
 
 
 def pad_to_square(m: LabeledMatrix) -> LabeledMatrix:
@@ -57,7 +57,7 @@ def _skew_grid(grid) -> tuple[tuple[Scalar, ...], ...]:
     """The block grid [[0, g̃], [-g̃ᵀ, 0]] of a square grid g, g̃ = g with
     its columns reversed."""
     n = len(grid)
-    zeros = [ZERO] * n
+    zeros = [0] * n
     top = [zeros + list(reversed(row)) for row in grid]
     bottom = [[-grid[i][n - 1 - t] for i in range(n)] + zeros for t in range(n)]
     return tuple(tuple(row) for row in top + bottom)
@@ -80,7 +80,6 @@ def skew_embed(m: LabeledMatrix) -> SkewMatrix:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    source: Circuit
     target: PfaffianCircuit
     gadget_count: int
     size_ratio: Fraction
@@ -158,14 +157,14 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         if p == 0:
             continue
         labels = tuple(prev_rows) + tuple(reversed(this_cols))
-        eye = [[Fraction(int(i == j)) for j in range(p)] for i in range(p)]
+        eye = [[int(i == j) for j in range(p)] for i in range(p)]
         costates.append(PfGate("costate", SkewMatrix(labels, _skew_grid(eye))))
         costate_listing.extend(labels)
 
     for pad, aux in closures:
-        states.append(PfGate("state", SkewMatrix((aux,), ((ZERO,),))))
+        states.append(PfGate("state", SkewMatrix((aux,), ((0,),))))
         costates.append(PfGate("costate", SkewMatrix(
-            (pad, aux), _skew_grid([[Fraction(1)]]))))
+            (pad, aux), _skew_grid([[1]]))))
         costate_listing.extend((pad, aux))
 
     # The emitted order fixes every term's sign up to one global constant;
@@ -174,16 +173,15 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     if costate_listing and _perm_sign(costate_listing) < 0:
         x, y = nxt, nxt + 1
         nxt += 2
-        states.append(PfGate("state", SkewMatrix((x, y), _skew_grid([[ZERO]]))))
+        states.append(PfGate("state", SkewMatrix((x, y), _skew_grid([[0]]))))
         costates.append(PfGate("costate", SkewMatrix(
-            (x, y), _skew_grid([[Fraction(-1)]]))))
+            (x, y), _skew_grid([[-1]]))))
 
     target = PfaffianCircuit(tuple(states + costates), nxt - 1)
     source_entries = sum(len(g.rows) * len(g.cols)
                          for s in circuit.stacks for g in s.gates)
     target_entries = sum(g.matrix.size ** 2 for g in target.gates)
     return CompiledCircuit(
-        source=circuit,
         target=target,
         gadget_count=len(target.gates),
         size_ratio=Fraction(target_entries, max(source_entries, 1)),

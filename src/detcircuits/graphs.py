@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator
 
@@ -51,17 +50,17 @@ def incidence_matrix(g: Graph) -> LabeledMatrix:
     spaces never collide.
     """
     n, m = g.vertex_count, len(g.edges)
-    ent = [[Fraction(0)] * n for _ in range(m)]
+    ent = [[0] * n for _ in range(m)]
     for i, (u, v) in enumerate(g.edges):
-        ent[i][u - 1] = Fraction(1)
-        ent[i][v - 1] = Fraction(-1)
+        ent[i][u - 1] = 1
+        ent[i][v - 1] = -1
     return labeled(tuple(range(n + 1, n + m + 1)), tuple(range(1, n + 1)), ent)
 
 
-def laplacian(g: Graph) -> list[list[Fraction]]:
+def laplacian(g: Graph) -> list[list[int]]:
     """BᵀB as a plain grid: degrees on the diagonal, -multiplicity off it."""
     n = g.vertex_count
-    grid = [[Fraction(0)] * n for _ in range(n)]
+    grid = [[0] * n for _ in range(n)]
     for u, v in g.edges:
         grid[u - 1][u - 1] += 1
         grid[v - 1][v - 1] += 1
@@ -91,10 +90,10 @@ def graph_to_circuit(g: Graph) -> Circuit:
     for i, (u, v) in enumerate(g.edges):
         split_gates.append(labeled(
             (inc(i, 0), inc(i, 1)), (i + 1,),
-            [[Fraction(1)], [Fraction(-1)]]))
+            [[1], [-1]]))
         join_gates.append(labeled(
             (i + 1,), (out_inc(i, 0), out_inc(i, 1)),
-            [[Fraction(1), Fraction(-1)]]))
+            [[1, -1]]))
 
     at_vertex: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
     for i, (u, v) in enumerate(g.edges):
@@ -107,7 +106,7 @@ def graph_to_circuit(g: Graph) -> Circuit:
         rows = tuple(3 * m + s + 1 for s in slots)
         d = len(slots)
         vertex_gates.append(labeled(rows, cols,
-                                    [[Fraction(1)] * d for _ in range(d)]))
+                                    [[1] * d for _ in range(d)]))
 
     stacks = (Stack(tuple(split_gates)),
               Stack(tuple(vertex_gates)),
@@ -143,7 +142,7 @@ class ForestPolynomial:
 def forest_polynomial(g: Graph) -> ForestPolynomial:
     """det(Ix + L) by Faddeev-LeVerrier over ints: its coefficients are
     integers, so each division by k is exact.  An isolated vertex is a factor x."""
-    a = [[-int(x) for x in row] for row in laplacian(_without_isolated(g))]  # char poly of -L
+    a = [[-x for x in row] for row in laplacian(_without_isolated(g))]  # char poly of -L
     n = len(a)
     coeffs = [0] * n + [1]
     am = [[0] * n for _ in range(n)]  # A M_{k-1}, with M_0 = 0

@@ -15,7 +15,6 @@ before the ordinary matrix product is taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -62,7 +61,7 @@ def labeled(rows: Sequence[int], cols: Sequence[int], entries: Sequence[Sequence
 
 def identity(labels: Sequence[int]) -> LabeledMatrix:
     n = len(labels)
-    ent = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    ent = [[int(i == j) for j in range(n)] for i in range(n)]
     return labeled(labels, labels, ent)
 
 
@@ -81,7 +80,7 @@ def compose(n: LabeledMatrix, m: LabeledMatrix) -> LabeledMatrix:
             for k in range(len(n.cols)):
                 term = n.entries[i][k] * mid[k][j]
                 acc = term if acc is None else acc + term
-            out_row.append(acc if acc is not None else Fraction(0))
+            out_row.append(acc if acc is not None else 0)
         out.append(out_row)
     return labeled(n.rows, m.cols, out)
 
@@ -94,9 +93,9 @@ def direct_sum(a: LabeledMatrix, b: LabeledMatrix) -> LabeledMatrix:
     rb, cb = b.shape
     ent = []
     for i in range(ra):
-        ent.append(list(a.entries[i]) + [Fraction(0)] * cb)
+        ent.append(list(a.entries[i]) + [0] * cb)
     for i in range(rb):
-        ent.append([Fraction(0)] * ca + list(b.entries[i]))
+        ent.append([0] * ca + list(b.entries[i]))
     return labeled(a.rows + b.rows, a.cols + b.cols, ent)
 
 
@@ -120,7 +119,7 @@ def braiding(a: Sequence[int], b: Sequence[int]) -> LabeledMatrix:
         raise LabelCollision("braiding requires disjoint bundles")
     rows = b + a
     cols = a + b
-    ent = [[Fraction(1) if r == c else Fraction(0) for c in cols] for r in rows]
+    ent = [[int(r == c) for c in cols] for r in rows]
     return labeled(rows, cols, ent)
 
 
@@ -130,7 +129,7 @@ def permutation_matrix(mapping: Mapping[int, int],
     """0/1 matrix of a label bijection: entry (mapping[c], c) is 1."""
     rows = tuple(rows)
     cols = tuple(cols)
-    ent = [[Fraction(1) if mapping[c] == r else Fraction(0) for c in cols] for r in rows]
+    ent = [[int(mapping[c] == r) for c in cols] for r in rows]
     return labeled(rows, cols, ent)
 
 

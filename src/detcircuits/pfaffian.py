@@ -18,8 +18,7 @@ from math import prod
 from typing import Sequence
 
 from .errors import DanglingWire, EdgeMultiplicity, NotSkew, TooLarge
-from .scalars import (ZERO, Scalar, clear_denominators, grid_is_exact, normalize_grid,
-                      scalars_equal)
+from .scalars import Scalar, clear_denominators, grid_is_exact, normalize_grid, scalars_equal
 from .tensor import Tensor, _subset_bits, oracle_cap, tensor_compose, tensor_product
 
 PF_ORACLE_MAX = 12
@@ -34,7 +33,7 @@ def pfaffian(grid: Sequence[Sequence[Scalar]]) -> Scalar:
     """
     n = len(grid)
     if grid_is_exact(grid):
-        return Fraction(0) if n % 2 else _pfaffian_exact(grid)
+        return 0 if n % 2 else _pfaffian_exact(grid)
     if n % 2:
         return 0j
     a = [list(row) for row in grid]
@@ -70,17 +69,20 @@ def _swap(a: list[list], k: int, p: int) -> None:
 
 
 def _pfaffian_exact(grid) -> Fraction:
-    # Index i scaled by d_i: integer entries, and Pf grows by prod(d).  The
-    # lower triangle feeds d_i only; the elimination never reads it.
-    a, factors = clear_denominators(grid)
-    a = [[x * d for x, d in zip(row, factors)] for row in a]
+    # Index i scaled by d_i, the lcm of the denominators right of the
+    # diagonal in row i: d_i d_j a_ij is an integer for i < j, and Pf grows
+    # by prod(d).  The elimination never reads the zeros padded on the left.
+    upper, factors = clear_denominators([row[i + 1:] for i, row in enumerate(grid)])
+    a = [[0] * (i + 1) + [x * d for x, d in zip(row, factors[i + 1:])]
+         for i, row in enumerate(upper)]
     n, sign, prev = len(a), 1, 1
     for k in range(0, n - 1, 2):
         rk, q = a[k], k + 1
         if rk[q] == 0:  # swap index q with the first p that row k reaches
             p = next((j for j in range(q + 1, n) if rk[j]), None)
-            if p is None:
-                return Fraction(0)
+            if p is None:  # row k is zero, and so is Pf
+                sign = 0
+                break
             _swap(a, k, p)
             sign = -sign
         b, rq = rk[q], a[q]
@@ -143,7 +145,7 @@ class SkewMatrix:
             raise ValueError("skew matrix grid is not square on its labels")
         # Checked once here: pfaffian() and the edge matrix read only i < j.
         for i, row in enumerate(self.entries):
-            if not scalars_equal(row[i], ZERO):
+            if not scalars_equal(row[i], 0):
                 raise NotSkew(f"nonzero diagonal at {self.labels[i]}")
             for j in range(i + 1, n):
                 x, y = row[j], self.entries[j][i]
@@ -164,7 +166,7 @@ def skew(labels: Sequence[int], entries: Sequence[Sequence]) -> SkewMatrix:
 
 def zero_skew(labels: Sequence[int]) -> SkewMatrix:
     n = len(labels)
-    return skew(labels, [[Fraction(0)] * n for _ in range(n)])
+    return skew(labels, [[0] * n for _ in range(n)])
 
 
 def skew_restrict(sk: SkewMatrix, keep: Sequence[int]) -> SkewMatrix:
@@ -255,7 +257,7 @@ def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
     pfaffian() reads; its zeros take the gates' field.
     """
     validate_pfaffian(pc)
-    zero = Fraction(0) if all(grid_is_exact(g.matrix.entries) for g in pc.gates) else 0j
+    zero = 0 if all(grid_is_exact(g.matrix.entries) for g in pc.gates) else 0j
     total = [[zero] * pc.edge_count for _ in range(pc.edge_count)]
     for g in pc.gates:
         for ea, row in zip(g.edges, g.matrix.entries):

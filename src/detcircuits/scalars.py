@@ -1,10 +1,11 @@
 """Scalar arithmetic for the two supported ground fields.
 
-Every value in the package is either an exact rational (stored as
+Every value in the package is either an exact rational (an int, or a
 fractions.Fraction, which keeps lowest terms and a positive denominator)
-or a complex float.  A matrix is "exact" when all of its entries are
-rational; mixing a float or complex entry into a grid demotes the whole
-grid to complex.  Comparisons are exact on the rational side; on the
+or a complex float.  A grid of ints and Fractions is exact and goes to
+the exact kernels as it is.  normalize_grid, behind labeled() and skew(),
+stores Fraction, and demotes the whole grid to complex when any entry is
+a float or complex.  Comparisons are exact on the rational side; on the
 complex side two values agree when they differ by at most 1e-9 times the
 larger of 1 and their magnitudes (absolute near order 1, relative above).
 """
@@ -16,11 +17,13 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence, Union
 
-Scalar = Union[Fraction, complex]
+Scalar = Union[int, Fraction, complex]
 
 COMPLEX_TOL = 1e-9
 
-ZERO = Fraction(0)
+# By type, so a bool is not exact; unlike isinstance, this makes no call into
+# Fraction's ABC metaclass for each int, and int zeros fill most exact grids.
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
 def normalize_scalar(x) -> Scalar:
@@ -39,7 +42,7 @@ def normalize_scalar(x) -> Scalar:
 
 
 def is_exact(x: Scalar) -> bool:
-    return isinstance(x, Fraction)
+    return type(x) in _EXACT_TYPES
 
 
 def normalize_grid(rows: Sequence[Sequence]) -> tuple[tuple[Scalar, ...], ...]:
@@ -51,7 +54,7 @@ def normalize_grid(rows: Sequence[Sequence]) -> tuple[tuple[Scalar, ...], ...]:
 
 
 def grid_is_exact(grid) -> bool:
-    return all(isinstance(x, Fraction) for row in grid for x in row)
+    return all(_EXACT_TYPES.issuperset(map(type, row)) for row in grid)
 
 
 def scalars_equal(a: Scalar, b: Scalar) -> bool:

@@ -239,6 +239,32 @@ def test_cli_pfeval_complex_frozen(tmp_path, capsys):
         assert capsys.readouterr().out == want + "\n"
 
 
+COMPLEX_PAIR_PF = """\
+pfgate state 4 1 2 3 4
+0 0 0+0i 1+1i
+0 0 2-1i 0+0i
+-0+0i -2+1i 0 0
+-1-1i -0+0i 0 0
+pfgate costate 4 1 2 3 4
+0 0 0 1
+0 0 1 0
+0 -1 0 0
+-1 0 0 0
+"""
+
+
+def test_cli_compile_bytes_frozen(tmp_path):
+    # What compile writes is pinned byte for byte: the checked-in .pf files,
+    # and a complex gadget whose exact zeros print as 0 beside 0+0i and -0+0i.
+    out = tmp_path / "c.pf"
+    for name in ("ring3", "two_by_two"):
+        assert main(["compile", str(DATA / f"{name}.circuit"), "-o", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"{name}.pf").read_bytes()
+    src = DATA / "complex_pair.circuit"
+    assert main(["compile", "--field", "complex", str(src), "-o", str(out)]) == 0
+    assert out.read_bytes() == COMPLEX_PAIR_PF.encode()
+
+
 def test_cli_pfeval_frozen(capsys):
     assert main(["pfeval", str(DATA / "two_by_two.pf")]) == 0
     assert capsys.readouterr().out == "4\n"

@@ -55,6 +55,10 @@ def test_incidence_rows_have_norm_two():
         assert bbt.entries[i][i] == 2
 
 
+def test_laplacian_holds_ints():
+    assert all(type(x) is int for row in laplacian(K4) for x in row)
+
+
 def test_count_rooted_forests_small():
     assert count_rooted_forests(VERTEX) == 1
     assert count_rooted_forests(EDGE) == 3

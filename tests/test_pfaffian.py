@@ -49,6 +49,18 @@ def test_pfaffian_degenerate_sizes():
     assert pfaffian([[Fraction(0), Fraction(7)], [Fraction(-7), Fraction(0)]]) == 7
 
 
+def test_pfaffian_of_ints_is_exact():
+    big = 10**20 + 1
+    got = pfaffian([[0, big], [-big, 0]])
+    assert type(got) is Fraction and got == big
+    mixed = [[0, big, Fraction(1, 3), 2],
+             [-big, 0, 5, Fraction(-2, 7)],
+             [Fraction(-1, 3), -5, 0, 2**70],
+             [-2, Fraction(2, 7), -2**70, 0]]
+    got = pfaffian(mixed)
+    assert type(got) is Fraction and got == pfaffian_oracle(mixed)
+
+
 def test_pfaffian_4x4_closed_form():
     a12, a13, a14, a23, a24, a34 = (Fraction(x) for x in (2, 3, 5, 7, 11, 13))
     g = [[0, a12, a13, a14],

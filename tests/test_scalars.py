@@ -56,6 +56,22 @@ def test_bareiss_matches_cofactor_expansion(grid):
     assert det_grid(grid) == det_cofactor(grid)
 
 
+def test_int_grids_take_the_exact_path():
+    # As floats both products round to 2**120 and the determinant to 0.
+    got = det_grid([[2**60 + 1, 2**60], [2**60, 2**60 - 1]])
+    assert type(got) is Fraction and got == -1
+    mixed = [[Fraction(1, 3), 2**60, 1], [2**60 + 1, 3, Fraction(-2, 5)], [7, 0, 2**61]]
+    got = det_grid(mixed)
+    assert type(got) is Fraction and got == det_cofactor(mixed)
+
+
+def test_ints_compare_and_print_exactly():
+    assert not scalars_equal(10**17 + 1, 10**17)
+    assert scalars_equal(10**17, Fraction(10**17))
+    assert format_scalar(3) == "3"
+    assert format_scalar(-3) == "-3"
+
+
 def test_det_complex_matches_cofactor():
     rng = random.Random(11)
     for _ in range(30):
