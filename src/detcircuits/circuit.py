@@ -59,17 +59,15 @@ class Circuit:
     wirings: tuple[Wiring, ...]  # wirings[k] crosses the gap after stack k
 
     def __post_init__(self):
-        if len(self.wirings) != len(self.stacks):
-            raise SizeMismatch(
-                f"{len(self.stacks)} stacks need {len(self.stacks)} wirings, "
-                f"got {len(self.wirings)}"
-            )
+        validate(self)
 
 
 def validate(circuit: Circuit) -> None:
-    """Check every wiring is a bijection between adjacent stack boundaries,
-    and that the gates of each stack use disjoint labels."""
+    """One wiring per stack, each a bijection between adjacent stack boundaries,
+    and disjoint gate labels within a stack.  Runs once, in Circuit.__post_init__."""
     m = len(circuit.stacks)
+    if len(circuit.wirings) != m:
+        raise SizeMismatch(f"{m} stacks need {m} wirings, got {len(circuit.wirings)}")
     for k in range(m):
         src = circuit.stacks[k].out_labels
         dst = circuit.stacks[(k + 1) % m].in_labels
@@ -151,7 +149,6 @@ def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
     divides out at the end.  Complex circuits run the same loop with
     scale 1.
     """
-    validate(circuit)
     m = len(circuit.stacks)
     if m == 0:
         return LabeledMatrix((), (), ())

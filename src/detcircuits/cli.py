@@ -5,7 +5,7 @@ tensor contraction), check (fast vs oracle vs multicycle total), multicycles
 (list weights), compile (emit a Pfaffian circuit file).  On Pfaffian files:
 pfeval.  On graph files: forests, trees, poly.
 
-Exit codes: 0 success, 1 usage error, 2 parse, validation, I/O or
+Exit codes: 0 success, 1 usage error, 2 parse, validation, I/O, size or
 environment failure, 3 value mismatch in check.  All output is deterministic.
 """
 
@@ -157,8 +157,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     try:
         return _run(ns)
-    except (ParseError, ValidationError, ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParseError, ValidationError, ConfigError, OSError, OverflowError,
+            MemoryError) as exc:  # only a MemoryError has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -165,7 +165,6 @@ def parse_pfaffian(text: str, field: str = "rational") -> PfaffianCircuit:
     """Parse `pfgate state|costate n <n edge ids>` blocks with n x n grids."""
     lines = _significant(text)
     gates: list[PfGate] = []
-    max_edge = 0
     for no, line in lines:
         toks = line.split()
         if toks[0] != "pfgate":
@@ -188,9 +187,7 @@ def parse_pfaffian(text: str, field: str = "rational") -> PfaffianCircuit:
             gates.append(PfGate(kind, SkewMatrix(edges, grid)))
         except (ValidationError, ValueError) as exc:
             raise ParseError(no, str(exc)) from None
-        if edges:
-            max_edge = max(max_edge, max(edges))
-    return PfaffianCircuit(tuple(gates), max_edge)
+    return PfaffianCircuit(tuple(gates))
 
 
 def write_pfaffian(pc: PfaffianCircuit) -> str:

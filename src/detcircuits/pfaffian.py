@@ -11,7 +11,7 @@ Pfaffian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -224,12 +224,19 @@ class PfGate:
 
 @dataclass(frozen=True)
 class PfaffianCircuit:
+    """edge_count is the largest edge id (0 for no gates); checked when built."""
     gates: tuple[PfGate, ...]
-    edge_count: int
+    edge_count: int = field(init=False)
+
+    def __post_init__(self):
+        last = max((e for g in self.gates for e in g.edges), default=0)
+        object.__setattr__(self, "edge_count", last)
+        validate_pfaffian(self)
 
 
 def validate_pfaffian(pc: PfaffianCircuit) -> None:
-    """Every edge id 1..edge_count once in a state and once in a costate."""
+    """Every edge id 1..edge_count once in a state and once in a costate.
+    Runs once, in PfaffianCircuit.__post_init__."""
     for side in ("state", "costate"):
         seen: set[int] = set()
         for g in pc.gates:
@@ -256,7 +263,6 @@ def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
     Both sides add into the upper triangle of one grid, the only part
     pfaffian() reads; its zeros take the gates' field.
     """
-    validate_pfaffian(pc)
     zero = 0 if all(grid_is_exact(g.matrix.entries) for g in pc.gates) else 0j
     total = [[zero] * pc.edge_count for _ in range(pc.edge_count)]
     for g in pc.gates:
@@ -270,7 +276,6 @@ def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
 
 def eval_pfaffian_oracle(pc: PfaffianCircuit) -> Scalar:
     """Oracle evaluation by contracting sub-Pfaffian tensors edge by edge."""
-    validate_pfaffian(pc)
     if pc.edge_count > oracle_cap():
         raise TooLarge(f"oracle contraction over {pc.edge_count} edges")
     ket = Tensor((), (), {((), ()): Fraction(1)})

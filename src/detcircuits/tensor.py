@@ -18,7 +18,7 @@ from itertools import combinations, product
 from math import comb, prod
 from typing import Mapping
 
-from .circuit import Circuit, transfer_matrix, validate, wiring_matrix
+from .circuit import Circuit, transfer_matrix, wiring_matrix
 from .errors import ConfigError, LabelCollision, LabelMismatch, TooLarge
 from .labeled import LabeledMatrix, Scalar, submatrix
 from .scalars import det_grid, scalars_equal
@@ -142,7 +142,6 @@ def contract_circuit(circuit: Circuit) -> Scalar:
     them around the loop, and traces.  Agrees with circuit.evaluate()
     but takes time exponential in the boundary widths.
     """
-    validate(circuit)
     m = len(circuit.stacks)
     if m == 0:
         return Fraction(1)
@@ -171,7 +170,6 @@ def enumerate_multicycles(circuit: Circuit) -> tuple[Multicycle, ...]:
     The weights sum to the circuit value.  Refuses (TooLarge) when the
     number of subset tuples to try exceeds 2 ** oracle_cap().
     """
-    validate(circuit)
     m = len(circuit.stacks)
     if m == 0:
         return (Multicycle(frozenset(), Fraction(1)),)

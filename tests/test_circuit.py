@@ -11,10 +11,13 @@ from detcircuits import (
     DuplicateLabel,
     SizeMismatch,
     Stack,
+    ValidationError,
     collapse,
+    compile_circuit,
     compose,
     contract_circuit,
     enumerate_multicycles,
+    eval_pfaffian_circuit,
     evaluate,
     identity_wiring,
     labeled,
@@ -78,6 +81,94 @@ def test_wiring_count_must_match_stacks():
     g = labeled((1,), (2,), [[1]])
     with pytest.raises(SizeMismatch):
         Circuit((Stack((g,)),), ())
+
+
+def test_dangling_circuit_raises_when_built():
+    # Output 1 wired to a missing input 99: wiring_matrix used to return a
+    # zero matrix for it, and transfer_matrix a bare KeyError.
+    g = labeled((1,), (2,), [[1]])
+    with pytest.raises(DanglingWire) as e:
+        Circuit((Stack((g,)),), (((1, 99),),))
+    assert str(e.value) == "wiring 0: unmatched inputs {2}"
+
+
+@pytest.mark.parametrize("gates,wiring,error,message", [
+    ("g2", ((1, 2), (1, 4)), DuplicateLabel, "wiring 0 reuses output 1"),
+    ("g2", ((1, 2), (3, 2)), DuplicateLabel, "wiring 0 reuses input 2"),
+    ("g2", ((1, 2), (5, 4)), DanglingWire, "wiring 0: unmatched outputs {3}"),
+    ("shared", ((1, 2),), DuplicateLabel, "stack 0 repeats an output label in (1, 1)"),
+])
+def test_invalid_circuit_raises_when_built(gates, wiring, error, message):
+    stack = {"g2": (labeled((1, 3), (2, 4), [[1, 0], [0, 1]]),),
+             "shared": (labeled((1,), (2,), [[1]]), labeled((1,), (), [[]]))}[gates]
+    with pytest.raises(error) as e:
+        Circuit((Stack(stack),), (wiring,))
+    assert str(e.value) == message
+
+
+@st.composite
+def loose_circuits(draw):
+    """A random closed circuit, as gate specs and wirings, after up to four
+    edits that may leave a wire dangling or a label repeated: a wiring pair
+    retargeted, redirected, dropped, doubled, added or swapped with another,
+    or a gate row relabelled, often onto a label its stack already uses, with
+    the wiring pairs that read the old label dropped."""
+    c = rand_circuit(draw(st.randoms(use_true_random=False)), max_stacks=3, max_wires=3)
+    specs = [[[list(g.rows), g.cols, g.entries] for g in s.gates] for s in c.stacks]
+    wirings = [list(w) for w in c.wirings]
+    label = st.integers(1, 20)
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, len(wirings) - 1))
+        w = wirings[k]
+        how = draw(st.sampled_from(
+            ["retarget", "redirect", "drop", "double", "add", "swap", "relabel"]))
+        if how == "add":
+            w.append((draw(label), draw(label)))
+        elif how == "relabel":
+            rows = [g[0] for g in specs[k] if g[0]]
+            if rows:
+                r = draw(st.sampled_from(rows))
+                i = draw(st.integers(0, len(r) - 1))
+                old = r[i]
+                r[i] = draw(st.sampled_from([x for g in rows for x in g]) | label)
+                w[:] = [pair for pair in w if pair[0] != old]
+        elif w:
+            i = draw(st.integers(0, len(w) - 1))
+            a, b = w[i]
+            if how == "retarget":
+                w[i] = (a, draw(label))
+            elif how == "redirect":
+                w[i] = (draw(label), b)
+            elif how == "drop":
+                del w[i]
+            elif how == "double":
+                w.append(w[i])
+            else:
+                j = draw(st.integers(0, len(w) - 1))
+                w[i], w[j] = (a, w[j][1]), (w[j][0], b)
+    return specs, tuple(tuple(w) for w in wirings)
+
+
+def _is_permutation(grid) -> bool:
+    lines = [list(line) for line in (*grid, *zip(*grid))]
+    return all(sorted(line) == [0] * (len(line) - 1) + [1] for line in lines)
+
+
+@given(loose_circuits())
+@settings(max_examples=200, deadline=None)
+def test_a_circuit_that_exists_is_closed(case):
+    specs, wirings = case
+    try:
+        c = Circuit(tuple(Stack(tuple(labeled(tuple(r), cols, e) for r, cols, e in s))
+                          for s in specs), wirings)
+    except ValidationError:
+        return
+    value = evaluate(c)
+    assert eval_pfaffian_circuit(compile_circuit(c).target) == value
+    for k in range(len(c.stacks)):
+        transfer_matrix(c, k)
+        p = wiring_matrix(c, k)
+        assert len(p.rows) == len(p.cols) and _is_permutation(p.entries)
 
 
 def test_collapse_of_two_stack_chain():

@@ -532,3 +532,19 @@ def test_cli_graph_counts_skip_isolated_vertices(tmp_path, capsys):
                 tracemalloc.stop()
             assert capsys.readouterr().out == want + "\n"
             assert peak < 1 << 20, (n, verb, peak)
+
+
+@pytest.mark.parametrize("n,message", [
+    ("99999999999999999999", None),  # OverflowError: too many vertices to index
+    (str(2 ** 62), "error: out of memory\n"),  # MemoryError: refused before allocating
+])
+def test_cli_poly_on_a_huge_vertex_count_exits_2(tmp_path, capsys, n, message):
+    # poly prefixes one zero coefficient per isolated vertex.  Python refuses
+    # both sizes at once; a count it would try to allocate is not tested.
+    path = tmp_path / "huge.graph"
+    path.write_text(f"{n} 0\n")
+    assert main(["poly", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert message is None or out.err == message

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from detcircuits import (
     DanglingWire,
+    EdgeMultiplicity,
     NotSkew,
     PfaffianCircuit,
     PfGate,
     TooLarge,
     anti_transpose,
+    compile_circuit,
     determinant,
     eval_pfaffian_circuit,
     eval_pfaffian_oracle,
@@ -27,7 +29,7 @@ from detcircuits import (
     zero_skew,
 )
 from detcircuits.scalars import det_grid
-from circgen import rand_skew_grid
+from circgen import rand_circuit, rand_skew_grid
 
 rat = st.integers(-9, 9).map(Fraction)
 pq = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -259,16 +261,44 @@ def test_pfaffian_splitting_identity():
 def two_edge_circuit():
     state = PfGate("state", skew((1, 2), [[0, 2], [-2, 0]]))
     costate = PfGate("costate", skew((1, 2), [[0, 1], [-1, 0]]))
-    return PfaffianCircuit((state, costate), 2)
+    return PfaffianCircuit((state, costate))
 
 
 def test_validate_pfaffian_coverage():
     validate_pfaffian(two_edge_circuit())
     # edge 2 missing on the costate side
-    bad = PfaffianCircuit((PfGate("state", skew((1, 2), [[0, 2], [-2, 0]])),
-                           PfGate("costate", skew((1,), [[0]]))), 2)
     with pytest.raises(DanglingWire):
-        validate_pfaffian(bad)
+        PfaffianCircuit((PfGate("state", skew((1, 2), [[0, 2], [-2, 0]])),
+                         PfGate("costate", skew((1,), [[0]]))))
+
+
+def test_edge_count_is_the_largest_edge_id():
+    assert PfaffianCircuit(()).edge_count == 0
+    gates = (("state", (3, 4)), ("state", (1, 2)), ("costate", (4, 1)), ("costate", (2, 3)))
+    pc = PfaffianCircuit(tuple(PfGate(kind, zero_skew(edges)) for kind, edges in gates))
+    assert pc.edge_count == 4
+    rng = random.Random(8)
+    for _ in range(30):
+        target = compile_circuit(rand_circuit(rng, max_stacks=4, max_wires=3)).target
+        for side in ("state", "costate"):
+            edges = sorted(e for g in target.gates if g.kind == side for e in g.edges)
+            assert edges == list(range(1, target.edge_count + 1))
+
+
+@pytest.mark.parametrize("gates,error,message", [
+    ((("state", (1, 3)), ("costate", (3, 1))),
+     DanglingWire, "1 edges have no state gate, the first is 2"),
+    ((("state", (1, 2)), ("costate", (2,))),
+     DanglingWire, "1 edges have no costate gate, the first is 1"),
+    ((("state", (1, 2)), ("state", (1,)), ("costate", (2, 1))),
+     EdgeMultiplicity, "edge 1 used twice on the state side"),
+    ((("state", (0, 2)), ("costate", (2, 0))),
+     DanglingWire, "edge id 0 outside 1..2"),
+])
+def test_invalid_pfaffian_circuit_raises_when_built(gates, error, message):
+    with pytest.raises(error) as e:
+        PfaffianCircuit(tuple(PfGate(kind, zero_skew(edges)) for kind, edges in gates))
+    assert str(e.value) == message
 
 
 def test_eval_pfaffian_tiny():
@@ -278,7 +308,7 @@ def test_eval_pfaffian_tiny():
 
 
 def test_eval_pfaffian_empty():
-    pc = PfaffianCircuit((), 0)
+    pc = PfaffianCircuit(())
     assert eval_pfaffian_circuit(pc) == 1
     assert eval_pfaffian_oracle(pc) == 1
 
@@ -288,7 +318,7 @@ def renumber(pc, sigma):
     for g in pc.gates:
         labs = tuple(sigma[e] for e in g.matrix.labels)
         gates.append(PfGate(g.kind, skew(labs, [list(r) for r in g.matrix.entries])))
-    return PfaffianCircuit(tuple(gates), pc.edge_count)
+    return PfaffianCircuit(tuple(gates))
 
 
 def test_multiple_valid_edge_orderings_exist():
@@ -366,7 +396,7 @@ def test_eval_pfaffian_adds_state_and_costate_on_a_shared_pair():
                             [-1, -5, 0, Fraction(1, 3)], [2, -3, Fraction(-1, 3), 0]])
     e = skew((7, 8), [[0, Fraction(-9, 4)], [Fraction(9, 4), 0]])
     pc = PfaffianCircuit((PfGate("state", a), PfGate("state", b), PfGate("costate", c),
-                          PfGate("costate", d), PfGate("costate", e)), 8)
+                          PfGate("costate", d), PfGate("costate", e)))
     want = eval_pfaffian_oracle(pc)
     assert want != 0
     assert eval_pfaffian_circuit(pc) == want
