@@ -7,6 +7,15 @@ and the fast path computes it as a single Pfaffian of an edge-indexed
 matrix: the state entries and the costate entries, the latter with a
 checkerboard sign twist, add into one skew matrix, and the value is its
 Pfaffian.
+
+Both Pfaffian kernels store a skew matrix as its upper triangle in
+sparse rows: rows[i] maps each j > i to a nonzero a_ij.  The rational
+kernel is a fraction-free Galbiati-Maffioli elimination on ints.  A pivot
+pair updates only the rows it reaches; every other row keeps a stamp, the
+pivot at which it was last current, and catches up by one exact division
+when it is next read.  A zero pivot swaps two indices q < p, and brings
+only rows q..p up to date first.  The complex kernel pivots on the largest
+entry of the pivot row and runs on the same rows with the same swap.
 """
 
 from __future__ import annotations
@@ -27,73 +36,114 @@ PF_ORACLE_MAX = 12
 def pfaffian(grid: Sequence[Sequence[Scalar]]) -> Scalar:
     """Pfaffian of a skew-symmetric matrix, read from its upper triangle only.
 
-    Rational grids run a fraction-free O(n^3) elimination on ints
-    (Galbiati-Maffioli) that swaps indices on a zero pivot; complex grids
-    swap in the largest entry of each pivot row.
+    The nonzero entries right of the diagonal become sparse rows once, and
+    the kernel for the grid's field runs on them.
     """
     n = len(grid)
-    if grid_is_exact(grid):
-        return 0 if n % 2 else _pfaffian_exact(grid)
+    rows = [{j: row[j] for j in range(i + 1, n) if row[j]} for i, row in enumerate(grid)]
+    return _pfaffian_exact(rows) if grid_is_exact(grid) else _pfaffian_complex(rows)
+
+
+def _swap(a: list[dict], k: int, p: int) -> None:
+    """Swap indices k+1 < p in the rows k on, where a[k][p] is nonzero; Pf changes sign."""
+    q = k + 1
+    rk, rq = a[k], a[q]
+    x = rk.pop(q, 0)
+    rk[q] = rk.pop(p)
+    if x:
+        rk[p] = x
+    # (r, p) becomes -(q, r) for q < r < p, (q, p) is negated, and the
+    # parts right of p trade places.
+    to_q = {r: -a[r].pop(p) for r in range(q + 1, p) if p in a[r]}
+    to_p = {}
+    for j, y in rq.items():
+        if j < p:
+            a[j][p] = -y
+        elif j == p:
+            to_q[p] = -y
+        else:
+            to_p[j] = y
+    to_q.update(a[p])
+    a[q], a[p] = to_q, to_p
+
+
+def _pfaffian_complex(a: list[dict]) -> complex:
+    n = len(a)
     if n % 2:
         return 0j
-    a = [list(row) for row in grid]
     pf = complex(1)
-    for k in range(0, n - 1, 2):
+    for k in range(0, n, 2):
         rk, q = a[k], k + 1
-        # The update divides by the pivot, so take row k's largest entry.
-        p = max(range(q, n), key=lambda j: abs(rk[j]))
-        if rk[p] == 0:
+        # The update divides by the pivot, so take row k's largest entry
+        # (the lowest index on ties).
+        p = min(rk, key=lambda j: (-abs(rk[j]), j), default=q)
+        if not rk.get(p):
             return 0j
         if p != q:
             _swap(a, k, p)
             pf = -pf
         b, rq = rk[q], a[q]
         pf = pf * b
-        # Schur complement of the pivot pair onto the rest.
-        for i in range(q + 1, n):
-            ci, di, ri = rk[i], rq[i], a[i]
-            if ci or di:
-                ri[i + 1:] = [x + (di * y - ci * z) / b
-                              for x, y, z in zip(ri[i + 1:], rk[i + 1:], rq[i + 1:])]
+        # Schur complement of the pivot pair onto the rows it reaches.
+        cols = set(rk).union(rq)
+        for i in cols:
+            ci, di = rk.get(i, 0), rq.get(i, 0)
+            if i > q and (ci or di):
+                ri = a[i]
+                for j in cols:
+                    if j > i:
+                        ri[j] = ri.get(j, 0) + (di * rk.get(j, 0) - ci * rq.get(j, 0)) / b
     return pf
 
 
-def _swap(a: list[list], k: int, p: int) -> None:
-    """Swap indices k+1 < p in the upper triangle of rows k on; Pf changes sign."""
-    q = k + 1
-    rk, rq, rp = a[k], a[q], a[p]
-    rk[q], rk[p], rq[p] = rk[p], rk[q], -rq[p]
-    for r in range(q + 1, p):
-        rq[r], a[r][p] = -a[r][p], -rq[r]
-    rq[p + 1:], rp[p + 1:] = rp[p + 1:], rq[p + 1:]
+def _catch_up(a: list[dict], stamp: list, i: int, prev: int) -> dict:
+    """Row i, rescaled from the pivot it was last current at to prev."""
+    s = stamp[i]
+    if s != prev:
+        a[i] = {j: x * prev // s for j, x in a[i].items()}
+        stamp[i] = prev
+    return a[i]
 
 
-def _pfaffian_exact(grid) -> Fraction:
-    # Index i scaled by d_i, the lcm of the denominators right of the
-    # diagonal in row i: d_i d_j a_ij is an integer for i < j, and Pf grows
-    # by prod(d).  The elimination never reads the zeros padded on the left.
-    upper, factors = clear_denominators([row[i + 1:] for i, row in enumerate(grid)])
-    a = [[0] * (i + 1) + [x * d for x, d in zip(row, factors[i + 1:])]
-         for i, row in enumerate(upper)]
-    n, sign, prev = len(a), 1, 1
-    for k in range(0, n - 1, 2):
-        rk, q = a[k], k + 1
-        if rk[q] == 0:  # swap index q with the first p that row k reaches
-            p = next((j for j in range(q + 1, n) if rk[j]), None)
-            if p is None:  # row k is zero, and so is Pf
-                sign = 0
-                break
+def _pfaffian_exact(rows: list[dict]) -> Fraction | int:
+    n = len(rows)
+    if n % 2:
+        return 0
+    # Index i scaled by d_i, the lcm of the denominators in row i: d_i d_j a_ij
+    # is an integer for i < j, and Pf grows by prod(d).
+    cleared, factors = clear_denominators([r.values() for r in rows])
+    a = [{j: x * factors[j] for j, x in zip(r, c) if x} for r, c in zip(rows, cleared)]
+    # Entry (i, j) after the pivot pair ending at q is Pf on 0..q, i, j
+    # (Tanner's identity), so the division by the last pivot prev is exact.
+    # A row the pivot pair does not reach would only be scaled by b / prev;
+    # it waits instead, and stamp[i] is the pivot it was last current at.
+    stamp = [1] * n
+    sign, prev = 1, 1
+    for k in range(0, n, 2):
+        rk, q = _catch_up(a, stamp, k, prev), k + 1
+        if q not in rk:  # swap index q with the first p that row k reaches
+            if not rk:  # row k is zero, and so is Pf
+                return Fraction(0)
+            p = min(rk)
+            for r in range(q, p + 1):
+                _catch_up(a, stamp, r, prev)
             _swap(a, k, p)
             sign = -sign
-        b, rq = rk[q], a[q]
-        # Entry (i, j) becomes Pf on 0..q, i, j (Tanner's identity): // prev is exact.
-        for i in range(q + 1, n):
-            ci, di, ri = rk[i], rq[i], a[i]
-            if ci or di:
-                ri[i + 1:] = [(b * x + di * y - ci * z) // prev
-                              for x, y, z in zip(ri[i + 1:], rk[i + 1:], rq[i + 1:])]
-            elif b != prev:
-                ri[i + 1:] = [b * x // prev for x in ri[i + 1:]]
+        b, rq = rk[q], _catch_up(a, stamp, q, prev)
+        for i in set(rk).union(rq):
+            if i > q:
+                ci, di = rk.get(i, 0), rq.get(i, 0)
+                ri = {j: b * x for j, x in _catch_up(a, stamp, i, prev).items()}
+                if di:
+                    for j, y in rk.items():
+                        if j > i:
+                            ri[j] = ri.get(j, 0) + di * y
+                if ci:
+                    for j, z in rq.items():
+                        if j > i:
+                            ri[j] = ri.get(j, 0) - ci * z
+                a[i] = {j: x // prev for j, x in ri.items() if x}
+                stamp[i] = b
         prev = b
     return Fraction(sign * prev, prod(factors))
 
@@ -260,18 +310,23 @@ def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
     The costate block enters with the sign twist (-1)**(i+j+1) on entry
     (i, j) in 1-based edge ids; that twist is what turns the sum over
     edge subsets of products of sub-Pfaffians into a single Pfaffian.
-    Both sides add into the upper triangle of one grid, the only part
-    pfaffian() reads; its zeros take the gates' field.
+    Both sides add their nonzero entries into sparse upper-triangle rows.
+    The gates, not the rows, say which field's kernel runs, so an all-zero
+    complex circuit still evaluates to 0j.
     """
-    zero = 0 if all(grid_is_exact(g.matrix.entries) for g in pc.gates) else 0j
-    total = [[zero] * pc.edge_count for _ in range(pc.edge_count)]
+    rows: list[dict] = [{} for _ in range(pc.edge_count)]
     for g in pc.gates:
         for ea, row in zip(g.edges, g.matrix.entries):
-            out = total[ea - 1]
+            out = rows[ea - 1]
             for eb, x in zip(g.edges, row):
                 if x and ea < eb:
-                    out[eb - 1] += -x if g.kind == "costate" and (ea + eb) % 2 == 0 else x
-    return pfaffian(total)
+                    j = eb - 1
+                    if g.kind == "costate" and (ea + eb) % 2 == 0:
+                        x = -x
+                    out[j] = out[j] + x if j in out else x
+    if all(grid_is_exact(g.matrix.entries) for g in pc.gates):
+        return _pfaffian_exact(rows)
+    return _pfaffian_complex(rows)
 
 
 def eval_pfaffian_oracle(pc: PfaffianCircuit) -> Scalar:

@@ -55,6 +55,36 @@ def rand_circuit(rng, max_stacks=4, max_wires=4, field="rational", lo=-5, hi=5):
         if not gates:
             gates = [labeled((), (), ())]
         stacks.append(Stack(tuple(gates)))
+    return _close(rng, stacks)
+
+
+def _shares(rng, n, parts):
+    """n split into `parts` positive shares at random cut points."""
+    cuts = [0] + sorted(rng.sample(range(1, n), parts - 1)) + [n]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
+
+
+def rand_ring(rng, width, depth):
+    """Closed rational ring of `depth` stacks on `width` wires each; every
+    stack is one to three gates with nonempty row and column shares, and
+    the wire bijections are shuffled."""
+    stacks = []
+    label = 0
+    for _ in range(depth):
+        parts = rng.randint(1, min(3, width))
+        gates = []
+        for r, c in zip(_shares(rng, width, parts), _shares(rng, width, parts)):
+            rows = tuple(range(label + 1, label + r + 1))
+            cols = tuple(range(label + r + 1, label + r + c + 1))
+            label += r + c
+            gates.append(labeled(rows, cols, rand_grid(rng, r, c)))
+        stacks.append(Stack(tuple(gates)))
+    return _close(rng, stacks)
+
+
+def _close(rng, stacks):
+    """The ring through the stacks, each wiring a shuffled bijection."""
+    m = len(stacks)
     wirings = []
     for k in range(m):
         src = list(stacks[k].out_labels)

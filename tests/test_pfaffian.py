@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detcircuits import (
+    Circuit,
     DanglingWire,
     EdgeMultiplicity,
     NotSkew,
@@ -18,18 +20,21 @@ from detcircuits import (
     determinant,
     eval_pfaffian_circuit,
     eval_pfaffian_oracle,
+    evaluate,
     labeled,
+    parse_pfaffian,
     pfaffian,
     pfaffian_oracle,
     skew,
     skew_restrict,
     spf,
     spf_dual,
+    Stack,
     validate_pfaffian,
     zero_skew,
 )
 from detcircuits.scalars import det_grid
-from circgen import rand_circuit, rand_skew_grid
+from circgen import rand_circuit, rand_ring, rand_skew_grid
 
 rat = st.integers(-9, 9).map(Fraction)
 pq = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -345,31 +350,70 @@ def test_oracle_invariant_under_renumbering():
     assert eval_pfaffian_oracle(swapped) == eval_pfaffian_oracle(pc)
 
 
+def _entries(field):
+    if field == "rational":
+        return Fraction(0), pq
+    return 0j, st.builds(lambda x, y: complex(float(x), float(y)), pq, pq)
+
+
 @st.composite
-def pq_skew_grids(draw):
-    """Skew grids of p/q entries up to n = 10, many of them sparse, some with
-    a zero leading entry (the kernel must swap) or an all-zero row (Pf 0)."""
+def pq_skew_grids(draw, field="rational"):
+    """Skew grids of p/q entries (complex ones have p/q parts) up to n = 10,
+    many of them sparse, some with a zero leading entry (the kernel must
+    swap) or an all-zero row (Pf 0)."""
+    zero, value = _entries(field)
     n = draw(st.integers(0, 10))
-    entry = st.one_of(st.just(Fraction(0)), pq) if draw(st.booleans()) else pq
-    g = [[Fraction(0)] * n for _ in range(n)]
+    entry = st.one_of(st.just(zero), value) if draw(st.booleans()) else value
+    g = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             g[i][j] = draw(entry)
             g[j][i] = -g[i][j]
     hole = draw(st.sampled_from(("none", "lead", "row")))
     if hole == "lead" and n >= 2:
-        g[0][1] = g[1][0] = Fraction(0)
+        g[0][1] = g[1][0] = zero
     elif hole == "row" and n:
         r = draw(st.integers(0, n - 1))
         for j in range(n):
-            g[r][j] = g[j][r] = Fraction(0)
+            g[r][j] = g[j][r] = zero
     return g
 
 
-@given(pq_skew_grids())
-@settings(max_examples=200, deadline=None)
+@st.composite
+def permuted_sparse_skew_grids(draw, field="rational"):
+    """Banded or block-diagonal skew grids up to n = 10 under a random
+    relabelling of the indices.  Zero pivots then turn up at later steps,
+    and rows sit out several pivot pairs before one reaches them."""
+    zero, value = _entries(field)
+    n = draw(st.integers(2, 10))
+    if draw(st.booleans()):
+        band = draw(st.integers(1, 3))
+        near = [[j - i <= band for j in range(n)] for i in range(n)]
+    else:
+        cuts = draw(st.lists(st.integers(1, n - 1), max_size=4))
+        block = [sum(c <= i for c in cuts) for i in range(n)]
+        near = [[block[i] == block[j] for j in range(n)] for i in range(n)]
+    at = draw(st.permutations(range(n)))
+    g = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if near[i][j]:
+                x = draw(value)
+                g[at[i]][at[j]], g[at[j]][at[i]] = x, -x
+    return g
+
+
+@given(st.one_of(pq_skew_grids(), permuted_sparse_skew_grids()))
+@settings(max_examples=300, deadline=None)
 def test_pfaffian_matches_oracle_on_rational_grids(g):
     assert pfaffian(g) == pfaffian_oracle(g)
+
+
+@given(st.one_of(pq_skew_grids("complex"), permuted_sparse_skew_grids("complex")))
+@settings(max_examples=200, deadline=None)
+def test_pfaffian_matches_oracle_on_complex_grids(g):
+    want = pfaffian_oracle(g)
+    assert abs(pfaffian(g) - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_pfaffian_squared_is_det_grid_at_larger_sizes():
@@ -383,8 +427,8 @@ def test_pfaffian_squared_is_det_grid_at_larger_sizes():
 def test_eval_pfaffian_adds_state_and_costate_on_a_shared_pair():
     # Pairs (1,2), (3,4), (5,6) and (7,8) are named by a state and by a
     # costate, so the assembly must add the two; at (1,2) they cancel, so
-    # the elimination must swap.  Gates stay at size 4, so the oracle's
-    # sub-Pfaffian expansion stays small.
+    # the elimination must swap, in both fields.  Gates stay at size 4, so
+    # the oracle's sub-Pfaffian expansion stays small.
     h = Fraction(1, 2)
     a = skew((1, 2, 3, 4), [[0, h, Fraction(2, 3), -1], [-h, 0, 3, Fraction(5, 7)],
                             [Fraction(-2, 3), -3, 0, Fraction(1, 4)],
@@ -400,3 +444,68 @@ def test_eval_pfaffian_adds_state_and_costate_on_a_shared_pair():
     want = eval_pfaffian_oracle(pc)
     assert want != 0
     assert eval_pfaffian_circuit(pc) == want
+    zc = PfaffianCircuit(tuple(
+        PfGate(g.kind, skew(g.edges, [[complex(x) for x in row] for row in g.matrix.entries]))
+        for g in pc.gates))
+    got = eval_pfaffian_circuit(zc)
+    assert type(got) is complex and abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_eval_pfaffian_on_a_thousand_independent_pairs():
+    # Edges 2m-1 and 2m meet only each other, in one state and one costate,
+    # so the edge matrix is block-diagonal and Pf is the product of the pair
+    # values: the state entry plus the costate entry times its twist
+    # (-1)**(i+j+1).  Eliminating it must not rescale the rows a pivot
+    # pair does not reach.
+    rng = random.Random(9)
+    lines, want = [], 1
+    for m in range(1, 1001):
+        i, j = 2 * m - 1, 2 * m
+        s, c = rng.randint(1, 9), rng.randint(0, 9)
+        lines += [f"pfgate state 2 {i} {j}", f"0 {s}", f"{-s} 0",
+                  f"pfgate costate 2 {i} {j}", f"0 {c}", f"{-c} 0"]
+        want *= s + (-1) ** (i + j + 1) * c
+    pc = parse_pfaffian("\n".join(lines) + "\n")
+    assert pc.edge_count == 2000
+    start = time.perf_counter()
+    assert eval_pfaffian_circuit(pc) == want
+    assert time.perf_counter() - start < 5.0
+
+
+def test_compiled_deep_ring_matches_evaluate():
+    c = rand_ring(random.Random(12), 6, 64)
+    pc = compile_circuit(c).target
+    assert pc.edge_count > 700
+    assert eval_pfaffian_circuit(pc) == evaluate(c)
+
+
+def i_gauge(c, rng):
+    """c with each wire's source row times a power of i and its target
+    column times the inverse power.  A multicycle either uses a wire at both
+    ends or at neither, so the value stays; the entries turn complex, and
+    none is rounded."""
+    phase = {}
+    for wiring in c.wirings:
+        for src, dst in wiring:
+            k = rng.randrange(4)
+            phase[src], phase[dst] = 1j ** k, 1j ** -k
+    return Circuit(tuple(
+        Stack(tuple(labeled(g.rows, g.cols, [[complex(x) * phase[r] * phase[col]
+                                              for col, x in zip(g.cols, row)]
+                                             for r, row in zip(g.rows, g.entries)])
+                    for g in stack.gates))
+        for stack in c.stacks), c.wirings)
+
+
+def test_compiled_deep_complex_ring_matches_the_exact_value():
+    # The reference is the exact value of the rational ring it was gauged
+    # from: the complex collapse in evaluate is no reference at this depth.
+    rng = random.Random(12)
+    c = rand_ring(rng, 6, 64)
+    want = evaluate(c)
+    z = i_gauge(c, rng)
+    assert any(x.imag for stack in z.stacks for g in stack.gates for row in g.entries
+               for x in row)
+    got = eval_pfaffian_circuit(compile_circuit(z).target)
+    assert type(got) is complex
+    assert abs(got - want) <= 1e-9 * abs(want)
