@@ -21,8 +21,6 @@ from .circuit import (
 from .compiler import (
     CompiledCircuit,
     compile_circuit,
-    pad_to_square,
-    reflect,
     skew_embed,
 )
 from .errors import (

@@ -26,31 +26,10 @@ from .pfaffian import PfaffianCircuit, PfGate, SkewMatrix
 from .scalars import Scalar
 
 
-def reflect(m: LabeledMatrix) -> LabeledMatrix:
-    """Reverse the column order, labels included."""
-    ent = [list(reversed(row)) for row in m.entries]
-    return labeled(m.rows, tuple(reversed(m.cols)), ent)
-
-
 def _pad_grid(entries, n: int) -> list[list[Scalar]]:
     """Extend a grid to n x n with zeros, to the right and below."""
     grid = [list(row) + [0] * (n - len(row)) for row in entries]
     return grid + [[0] * n for _ in range(n - len(grid))]
-
-
-def pad_to_square(m: LabeledMatrix) -> LabeledMatrix:
-    """Extend with zero rows (wide input) or zero columns (tall input).
-
-    New labels start above every existing label so they cannot collide.
-    """
-    r, c = m.shape
-    if r == c:
-        return m
-    fresh = max((*m.rows, *m.cols), default=0) + 1
-    n = max(r, c)
-    rows = m.rows + tuple(range(fresh, fresh + n - r))
-    cols = m.cols + tuple(range(fresh, fresh + n - c))
-    return labeled(rows, cols, _pad_grid(m.entries, n))
 
 
 def _skew_grid(grid) -> tuple[tuple[Scalar, ...], ...]:

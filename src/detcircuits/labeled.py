@@ -15,6 +15,7 @@ before the ordinary matrix product is taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -72,16 +73,8 @@ def compose(n: LabeledMatrix, m: LabeledMatrix) -> LabeledMatrix:
     # Align the contraction axis: fetch m's rows in n's column-label order.
     pos = {lab: i for i, lab in enumerate(m.rows)}
     mid = [m.entries[pos[lab]] for lab in n.cols]
-    out = []
-    for i in range(len(n.rows)):
-        out_row = []
-        for j in range(len(m.cols)):
-            acc = None
-            for k in range(len(n.cols)):
-                term = n.entries[i][k] * mid[k][j]
-                acc = term if acc is None else acc + term
-            out_row.append(acc if acc is not None else 0)
-        out.append(out_row)
+    cols = [[r[j] for r in mid] for j in range(len(m.cols))]
+    out = [[sum(map(mul, row, col)) for col in cols] for row in n.entries]
     return labeled(n.rows, m.cols, out)
 
 

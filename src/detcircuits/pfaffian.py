@@ -123,7 +123,7 @@ def _pfaffian_exact(rows: list[dict]) -> Fraction | int:
         rk, q = _catch_up(a, stamp, k, prev), k + 1
         if q not in rk:  # swap index q with the first p that row k reaches
             if not rk:  # row k is zero, and so is Pf
-                return Fraction(0)
+                return 0
             p = min(rk)
             for r in range(q, p + 1):
                 _catch_up(a, stamp, r, prev)
@@ -167,15 +167,11 @@ def pfaffian_oracle(grid: Sequence[Sequence[Scalar]]) -> Scalar:
     n = len(grid)
     if n > PF_ORACLE_MAX:
         raise TooLarge(f"matching-sum pfaffian of size {n} > {PF_ORACLE_MAX}")
-    if n == 0:
-        return Fraction(1)
     if n % 2 == 1:
-        return Fraction(0) if grid_is_exact(grid) else 0j
-    total: Scalar = Fraction(0)
+        return 0 if grid_is_exact(grid) else 0j
+    total: Scalar = 0
     for pairs in _matchings(tuple(range(n))):
-        term: Scalar = Fraction(1)
-        for i, j in pairs:
-            term = term * grid[i][j]
+        term = prod(grid[i][j] for i, j in pairs)
         crossings = sum(1 for (a, b), (c, d) in combinations(pairs, 2)
                         if a < c < b < d or c < a < d < b)
         total = total + (term if crossings % 2 == 0 else -term)
@@ -333,8 +329,8 @@ def eval_pfaffian_oracle(pc: PfaffianCircuit) -> Scalar:
     """Oracle evaluation by contracting sub-Pfaffian tensors edge by edge."""
     if pc.edge_count > oracle_cap():
         raise TooLarge(f"oracle contraction over {pc.edge_count} edges")
-    ket = Tensor((), (), {((), ()): Fraction(1)})
-    bra = Tensor((), (), {((), ()): Fraction(1)})
+    ket = Tensor((), (), {((), ()): 1})
+    bra = Tensor((), (), {((), ()): 1})
     for g in pc.gates:
         if g.kind == "state":
             ket = tensor_product(ket, spf(g.matrix))

@@ -4,10 +4,11 @@ Every value in the package is either an exact rational (an int, or a
 fractions.Fraction, which keeps lowest terms and a positive denominator)
 or a complex float.  A grid of ints and Fractions is exact and goes to
 the exact kernels as it is.  normalize_grid, behind labeled() and skew(),
-stores Fraction, and demotes the whole grid to complex when any entry is
-a float or complex.  Comparisons are exact on the rational side; on the
-complex side two values agree when they differ by at most 1e-9 times the
-larger of 1 and their magnitudes (absolute near order 1, relative above).
+keeps ints and Fractions as they are, and demotes the whole grid to
+complex when any entry is a float or complex.  Comparisons are exact on
+the rational side; on the complex side two values agree when they differ
+by at most 1e-9 times the larger of 1 and their magnitudes (absolute near
+order 1, relative above).
 """
 
 from __future__ import annotations
@@ -27,17 +28,18 @@ _EXACT_TYPES = frozenset((int, Fraction))
 
 
 def normalize_scalar(x) -> Scalar:
-    """Coerce ints to Fraction and floats to complex; reject everything else."""
+    """Keep ints, Fractions and complex values, make floats complex; reject
+    everything else.  A bool is rejected, and other int subclasses become int."""
+    if type(x) in _EXACT_TYPES:
+        return x
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
-    if isinstance(x, Fraction):
-        return x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
+    if isinstance(x, (Fraction, complex)):
+        return x
     if isinstance(x, float):
         return complex(x)
-    if isinstance(x, complex):
-        return x
     raise TypeError(f"unsupported scalar type {type(x).__name__}")
 
 
@@ -48,8 +50,8 @@ def is_exact(x: Scalar) -> bool:
 def normalize_grid(rows: Sequence[Sequence]) -> tuple[tuple[Scalar, ...], ...]:
     """Normalize a rectangular grid; demote all entries to complex if any is."""
     grid = [[normalize_scalar(x) for x in row] for row in rows]
-    if any(not is_exact(x) for row in grid for x in row):
-        grid = [[complex(x) if isinstance(x, Fraction) else x for x in row] for row in grid]
+    if not grid_is_exact(grid):
+        grid = [[complex(x) for x in row] for row in grid]
     return tuple(tuple(row) for row in grid)
 
 
@@ -77,7 +79,7 @@ def det_grid(grid: Sequence[Sequence[Scalar]]) -> Scalar:
     if any(len(row) != n for row in grid):
         raise ValueError("det_grid requires a square grid")
     if n == 0:
-        return Fraction(1)
+        return 1
     if grid_is_exact(grid):
         return _det_exact(grid)
     return _det_complex([[complex(x) for x in row] for row in grid])
@@ -138,19 +140,10 @@ def _det_complex(a: list[list[complex]]) -> complex:
 
 def det_cofactor(grid: Sequence[Sequence[Scalar]]) -> Scalar:
     """Cofactor-expansion determinant; the slow cross-check for det_grid."""
-    n = len(grid)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return grid[0][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in [list(r) for r in grid[1:]]]
-        term = grid[0][j] * det_cofactor(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    if not grid:
+        return 1
+    return sum((-x if j % 2 else x) * det_cofactor([r[:j] + r[j + 1:] for r in grid[1:]])
+               for j, x in enumerate(grid[0]))
 
 
 # --- text round-trip --------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, product
 from math import comb, prod
 from typing import Mapping
@@ -45,7 +44,7 @@ class Tensor:
     data: Mapping[tuple[Bits, Bits], Scalar] = field(default_factory=dict)
 
     def component(self, ket: Bits, bra: Bits) -> Scalar:
-        return self.data.get((ket, bra), Fraction(0))
+        return self.data.get((ket, bra), 0)
 
 
 def tensors_equal(a: Tensor, b: Tensor) -> bool:
@@ -108,9 +107,7 @@ def tensor_compose(a: Tensor, b: Tensor) -> Tensor:
     for (ka, mid), va in a.data.items():
         for bb, vb in by_mid.get(mid, ()):
             key = (ka, bb)
-            acc = data.get(key)
-            term = va * vb
-            data[key] = term if acc is None else acc + term
+            data[key] = data.get(key, 0) + va * vb
     data = {k: v for k, v in data.items() if v != 0}
     return Tensor(a.out_wires, b.in_wires, data)
 
@@ -121,15 +118,12 @@ def tensor_trace(t: Tensor) -> Scalar:
         raise LabelMismatch(f"cannot trace {t.out_wires} against {t.in_wires}")
     in_pos = {lab: i for i, lab in enumerate(t.in_wires)}
     reorder = [in_pos[lab] for lab in t.out_wires]
-    total: Scalar = Fraction(0)
-    for (ket, bra), v in t.data.items():
-        if all(ket[i] == bra[reorder[i]] for i in range(len(ket))):
-            total = total + v
-    return total
+    return sum(v for (ket, bra), v in t.data.items()
+               if all(ket[i] == bra[reorder[i]] for i in range(len(ket))))
 
 
 def _stack_tensor(gates: tuple[LabeledMatrix, ...]) -> Tensor:
-    t = Tensor((), (), {((), ()): Fraction(1)})
+    t = Tensor((), (), {((), ()): 1})
     for g in gates:
         t = tensor_product(t, sdet_expand(g))
     return t
@@ -144,7 +138,7 @@ def contract_circuit(circuit: Circuit) -> Scalar:
     """
     m = len(circuit.stacks)
     if m == 0:
-        return Fraction(1)
+        return 1
     acc: Tensor | None = None
     for k in range(m):
         step = tensor_compose(sdet_expand(wiring_matrix(circuit, k)),
@@ -172,7 +166,7 @@ def enumerate_multicycles(circuit: Circuit) -> tuple[Multicycle, ...]:
     """
     m = len(circuit.stacks)
     if m == 0:
-        return (Multicycle(frozenset(), Fraction(1)),)
+        return (Multicycle(frozenset(), 1),)
     boundary = [circuit.stacks[k].in_labels for k in range(m)]
     max_size = min(len(b) for b in boundary)
     tuples = sum(prod(comb(len(b), s) for b in boundary) for s in range(max_size + 1))
@@ -183,12 +177,12 @@ def enumerate_multicycles(circuit: Circuit) -> tuple[Multicycle, ...]:
     transfer = [transfer_matrix(circuit, k) for k in range(m)]
 
     def weight_for(subsets: tuple[tuple[int, ...], ...]) -> Scalar:
-        w: Scalar = Fraction(1)
+        w: Scalar = 1
         for k in range(m):
             block = submatrix(transfer[k], subsets[(k + 1) % m], subsets[k])
             d = det_grid([list(row) for row in block.entries])
             if d == 0:
-                return Fraction(0)
+                return 0
             w = w * d
         return w
 
@@ -205,7 +199,4 @@ def enumerate_multicycles(circuit: Circuit) -> tuple[Multicycle, ...]:
 
 
 def multicycle_total(circuit: Circuit) -> Scalar:
-    total: Scalar = Fraction(0)
-    for mc in enumerate_multicycles(circuit):
-        total = total + mc.weight
-    return total
+    return sum(mc.weight for mc in enumerate_multicycles(circuit))

@@ -15,9 +15,7 @@ from detcircuits import (
     eval_pfaffian_oracle,
     evaluate,
     labeled,
-    pad_to_square,
     pfaffian,
-    reflect,
     sdet_expand,
     skew,
     skew_embed,
@@ -27,28 +25,6 @@ from detcircuits import (
     validate_pfaffian,
 )
 from circgen import rand_circuit, rand_grid
-
-
-def test_reflect_reverses_columns():
-    m = labeled((1,), (2, 3, 4), [[5, 6, 7]])
-    r = reflect(m)
-    assert r.cols == (4, 3, 2)
-    assert r.entries == ((Fraction(7), Fraction(6), Fraction(5)),)
-
-
-def test_pad_to_square_wide_and_tall():
-    wide = labeled((1,), (2, 3), [[4, 5]])
-    p = pad_to_square(wide)
-    assert p.shape == (2, 2)
-    assert p.cols == (2, 3)
-    assert p.entries[1] == (Fraction(0), Fraction(0))
-    tall = labeled((1, 2), (3,), [[4], [5]])
-    q = pad_to_square(tall)
-    assert q.shape == (2, 2)
-    assert q.rows == (1, 2)
-    assert all(row[1] == 0 for row in q.entries)
-    sq = labeled((1,), (2,), [[9]])
-    assert pad_to_square(sq) == sq
 
 
 def test_skew_embed_1x1():

@@ -392,6 +392,36 @@ def test_complex_circuit_with_empty_later_boundary(tmp_path, capsys):
     assert capsys.readouterr().out == format_scalar(value) + "\n" == "1+0i\n"
 
 
+# Frozen outputs of the oracle verbs in the complex field.  They must not
+# depend on whether the tensor oracles seed their sums and products with
+# int 0 and 1 or with Fraction(0) and Fraction(1).
+EMPTY_BOUNDARY = ("stack\ngate 2 1 1 2 / 3\n2+1i\n0+1i\n"
+                  "stack\ngate 0 2  / 4 5\n"
+                  "stack\ngate 1 0 6 / \n\n"
+                  "wiring 0: 1->4, 2->5\nwiring 1:\nwiring 2: 6->3\n")
+ORACLE_VERBS_COMPLEX = [
+    (["oracle"], "complex_pair.circuit", "7+1i\n"),
+    (["check"], "complex_pair.circuit", "ok 7+1i\n"),
+    (["multicycles"], "complex_pair.circuit",
+     "() 1\n(0:3) 1+1i\n(0:4) 2-1i\n(0:3 0:4) 3+1i\ntotal 7+1i\n"),
+    (["eval"], None, "1+0i\n"),
+    # Unlike eval, the oracle keeps the empty contraction's exact 1.
+    (["oracle"], None, "1\n"),
+]
+
+
+@pytest.mark.parametrize("verb, name, want", ORACLE_VERBS_COMPLEX)
+def test_cli_complex_oracle_verbs_frozen(tmp_path, capsys, verb, name, want):
+    if name is None:
+        path = tmp_path / "empty_boundary.circuit"
+        path.write_text(EMPTY_BOUNDARY)
+    else:
+        path = DATA / name
+    assert main(verb + ["--field", "complex", str(path)]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (want, "")
+
+
 def test_cli_check_uses_relative_tolerance(monkeypatch, capsys):
     # Circuit #50 of this stream has |value| ~ 5.6e5, where evaluate and the
     # contraction oracle differ by 1.7e-8: a rounding gap, not a mismatch.

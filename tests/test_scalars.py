@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detcircuits.labeled import labeled
 from detcircuits.scalars import (
     det_cofactor,
     det_grid,
@@ -21,7 +22,7 @@ rationals = st.fractions(max_denominator=20).map(
 
 def test_normalize_scalar_types():
     assert normalize_scalar(3) == Fraction(3)
-    assert isinstance(normalize_scalar(3), Fraction)
+    assert type(normalize_scalar(3)) is int
     assert normalize_scalar(0.5) == 0.5 + 0j
     assert isinstance(normalize_scalar(0.5), complex)
     with pytest.raises(TypeError):
@@ -34,7 +35,53 @@ def test_normalize_grid_demotes_to_complex():
     grid = normalize_grid([[1, Fraction(1, 2)], [0.25, 2]])
     assert all(isinstance(x, complex) for row in grid for x in row)
     grid = normalize_grid([[1, 2], [3, 4]])
-    assert all(isinstance(x, Fraction) for row in grid for x in row)
+    assert all(type(x) is int for row in grid for x in row)
+
+
+def test_ints_stay_ints_and_parsed_integers_stay_fractions():
+    assert normalize_scalar(-3) == -3 and type(normalize_scalar(-3)) is int
+    half = Fraction(1, 2)
+    assert normalize_scalar(half) is half
+    m = labeled((1, 2), (3, 4), [[0, 7], [half, -2]])
+    assert [[type(x) for x in row] for row in m.entries] == [[int, int], [Fraction, int]]
+    assert m.entries == ((0, 7), (half, -2))
+    # The parser keeps its own rule: integer tokens become Fraction.
+    assert type(parse_scalar("3")) is Fraction and parse_scalar("3") == 3
+
+
+def test_int_subclasses_become_int():
+    class Count(int):
+        pass
+
+    got = normalize_scalar(Count(5))
+    assert type(got) is int and got == 5
+    assert [[type(x) for x in row] for row in normalize_grid([[Count(2), 1]])] == [[int, int]]
+
+
+@pytest.mark.parametrize("bad", [True, False, "1", None, b"1", [1]])
+def test_non_scalars_are_rejected(bad):
+    with pytest.raises(TypeError):
+        normalize_scalar(bad)
+    with pytest.raises(TypeError):
+        normalize_grid([[1, bad]])
+
+
+def test_float_subclasses_become_complex():
+    class Weight(float):
+        pass
+
+    got = normalize_scalar(Weight(0.25))
+    assert type(got) is complex and got == 0.25
+    assert type(normalize_scalar(2.0)) is complex
+
+
+def test_mixed_grid_demotes_every_entry_to_complex():
+    grid = normalize_grid([[0, 3, Fraction(-1, 4)], [1j, Fraction(2), 5]])
+    assert all(type(x) is complex for row in grid for x in row)
+    assert grid == ((0j, 3 + 0j, -0.25 + 0j), (1j, 2 + 0j, 5 + 0j))
+    m = labeled((1,), (2, 3), [[7, 0.5]])
+    assert m.entries == ((7 + 0j, 0.5 + 0j),)
+    assert all(type(x) is complex for x in m.entries[0])
 
 
 def test_det_small_cases():
