@@ -1,16 +1,18 @@
 """Compile closed determinantal circuits to Pfaffian circuits.
 
-Every gate becomes a state gadget holding the skew embedding of the
-(zero-padded) gate matrix, every stack boundary becomes a pass-through
-costate gadget, and padded wires are closed off by two-edge zero
-gadgets.  Edge ids are issued in one scan around the ring, so the
-global edge order is the geometric one; the one remaining degree of
-freedom is an overall sign, which is read off the emitted order and
-absorbed by an extra constant gadget when negative.
+Every ring gate, an r x c matrix g, becomes a state gadget on r + c edges
+holding its skew embedding [[0, g̃], [-g̃ᵀ, 0]], g̃ = g with its columns
+reversed.  Its sub-Pfaffian on rows I and reflected columns J̃ is the
+minor det(g_{I,J}), and 0 when |I| != |J|, so a rectangular gate needs no
+padding.  Every stack boundary becomes a pass-through costate gadget.
+Edge ids are issued in one scan around the ring, so the global edge
+order is the geometric one; the one remaining degree of freedom is an
+overall sign, which is read off the emitted order and absorbed by an
+extra constant gadget pair when negative.
 
-The ring is first normalized to one square-ish gate per stack.  An odd
-number of stacks is required for a consistent edge order to exist at
-all (an even ring forces the sign to alternate with the number of
+The ring is first normalized to one gate per stack, its transfer matrix.
+An odd number of stacks is required for a consistent edge order to exist
+at all (an even ring forces the sign to alternate with the number of
 active wires), so an identity stack is appended when the count is even.
 """
 
@@ -26,19 +28,12 @@ from .pfaffian import PfaffianCircuit, PfGate, SkewMatrix
 from .scalars import Scalar
 
 
-def _pad_grid(entries, n: int) -> list[list[Scalar]]:
-    """Extend a grid to n x n with zeros, to the right and below."""
-    grid = [list(row) + [0] * (n - len(row)) for row in entries]
-    return grid + [[0] * n for _ in range(n - len(grid))]
-
-
-def _skew_grid(grid) -> tuple[tuple[Scalar, ...], ...]:
-    """The block grid [[0, g̃], [-g̃ᵀ, 0]] of a square grid g, g̃ = g with
+def _skew_grid(grid, c: int) -> tuple[tuple[Scalar, ...], ...]:
+    """The block grid [[0, g̃], [-g̃ᵀ, 0]] of an r x c grid g, g̃ = g with
     its columns reversed."""
-    n = len(grid)
-    zeros = [0] * n
-    top = [zeros + list(reversed(row)) for row in grid]
-    bottom = [[-grid[i][n - 1 - t] for i in range(n)] + zeros for t in range(n)]
+    r = len(grid)
+    top = [[0] * r + list(reversed(row)) for row in grid]
+    bottom = [[-grid[i][c - 1 - t] for i in range(r)] + [0] * c for t in range(c)]
     return tuple(tuple(row) for row in top + bottom)
 
 
@@ -54,7 +49,7 @@ def skew_embed(m: LabeledMatrix) -> SkewMatrix:
         raise NotSquare(f"skew embedding needs a square matrix, got {m.shape}")
     if set(m.rows) & set(m.cols):
         raise LabelCollision("skew embedding needs disjoint row and column labels")
-    return SkewMatrix(m.rows + tuple(reversed(m.cols)), _skew_grid(m.entries))
+    return SkewMatrix(m.rows + tuple(reversed(m.cols)), _skew_grid(m.entries, c))
 
 
 @dataclass(frozen=True)
@@ -101,57 +96,41 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     gates = _ring_gates(circuit)
 
     nxt = 1
-    row_ids: list[list[int]] = []  # per gate, ids of its real row slots
-    col_ids: list[list[int]] = []  # per gate, ids of real col slots (col order)
-    closures: list[tuple[int, int]] = []  # (padded slot id, closure id)
+    row_ids: list[tuple[int, ...]] = []  # per gate, ids of its row slots
+    col_ids: list[tuple[int, ...]] = []  # per gate, ids of its col slots (col order)
     states: list[PfGate] = []
     costates: list[PfGate] = []
 
     for g in gates:
         r, c = g.shape
-        n = max(r, c)
-        # Slot i < n holds row i and slot 2n - 1 - j holds column j; each
-        # padded slot is followed by the id of the edge that closes it off.
-        slots: list[int] = []
-        for padded in [i >= r for i in range(n)] + [j >= c for j in reversed(range(n))]:
-            slots.append(nxt)
-            nxt += 1
-            if padded:
-                closures.append((slots[-1], nxt))
-                nxt += 1
+        # Slot i holds row i and slot r + c - 1 - j holds column j.
+        slots = tuple(range(nxt, nxt + r + c))
+        nxt += r + c
         row_ids.append(slots[:r])
         col_ids.append(slots[::-1][:c])
-        states.append(PfGate("state", SkewMatrix(
-            tuple(slots), _skew_grid(_pad_grid(g.entries, n)))))
+        states.append(PfGate("state", SkewMatrix(slots, _skew_grid(g.entries, c))))
 
     # Pass-through gadget at each boundary: the embedded identity pairing
     # the previous gate's row edges with this gate's column edges.
     costate_listing: list[int] = []
     for k, this_cols in enumerate(col_ids):
-        prev_rows = row_ids[k - 1]
         p = len(this_cols)
         if p == 0:
             continue
-        labels = tuple(prev_rows) + tuple(reversed(this_cols))
+        labels = row_ids[k - 1] + this_cols[::-1]
         eye = [[int(i == j) for j in range(p)] for i in range(p)]
-        costates.append(PfGate("costate", SkewMatrix(labels, _skew_grid(eye))))
+        costates.append(PfGate("costate", SkewMatrix(labels, _skew_grid(eye, p))))
         costate_listing.extend(labels)
-
-    for pad, aux in closures:
-        states.append(PfGate("state", SkewMatrix((aux,), ((0,),))))
-        costates.append(PfGate("costate", SkewMatrix(
-            (pad, aux), _skew_grid([[1]]))))
-        costate_listing.extend((pad, aux))
 
     # The emitted order fixes every term's sign up to one global constant;
     # read it off the all-edges-idle configuration and cancel a -1 with a
-    # constant gadget pair.
-    if costate_listing and _perm_sign(costate_listing) < 0:
+    # constant gadget pair.  The costate is listed (y, x), so its own
+    # Pfaffian is +1 while its edge-matrix entry a_xy is -1: the oracle,
+    # which reads each gate in its own order, sees no extra sign.
+    if _perm_sign(costate_listing) < 0:
         x, y = nxt, nxt + 1
-        nxt += 2
-        states.append(PfGate("state", SkewMatrix((x, y), _skew_grid([[0]]))))
-        costates.append(PfGate("costate", SkewMatrix(
-            (x, y), _skew_grid([[-1]]))))
+        states.append(PfGate("state", SkewMatrix((x, y), _skew_grid([[0]], 1))))
+        costates.append(PfGate("costate", SkewMatrix((y, x), _skew_grid([[1]], 1))))
 
     target = PfaffianCircuit(tuple(states + costates))
     source_entries = sum(len(g.rows) * len(g.cols)

@@ -6,7 +6,12 @@ lists.  Its value is the full contraction of the sub-Pfaffian tensors,
 and the fast path computes it as a single Pfaffian of an edge-indexed
 matrix: the state entries and the costate entries, the latter with a
 checkerboard sign twist, add into one skew matrix, and the value is its
-Pfaffian.
+Pfaffian.  That Pfaffian equals the contraction (eval_pfaffian_oracle)
+only for suitable edge numberings, such as the compiler's; for others, as
+in a hand-written .pf file, it can be the contraction's negative or
+another value.  Of 1000 random circuits of 2-8 edges, with gates of at
+most 4 edges, shuffled label lists and a nonzero contraction, 273 matched
+and 284 came out negated.
 
 Both Pfaffian kernels store a skew matrix as its upper triangle in
 sparse rows: rows[i] maps each j > i to a nonzero a_ij.  The rational

@@ -17,7 +17,7 @@ from itertools import combinations, product
 from math import comb, prod
 from typing import Mapping
 
-from .circuit import Circuit, transfer_matrix, wiring_matrix
+from .circuit import Circuit, _is_exact, transfer_matrix, wiring_matrix
 from .errors import ConfigError, LabelCollision, LabelMismatch, TooLarge
 from .labeled import LabeledMatrix, Scalar, submatrix
 from .scalars import det_grid, scalars_equal
@@ -134,7 +134,8 @@ def contract_circuit(circuit: Circuit) -> Scalar:
 
     Expands every gate and every wiring into its minor tensor, chains
     them around the loop, and traces.  Agrees with circuit.evaluate()
-    but takes time exponential in the boundary widths.
+    but takes time exponential in the boundary widths.  A complex circuit
+    gives a complex value, even where only the empty minors contribute.
     """
     m = len(circuit.stacks)
     if m == 0:
@@ -145,7 +146,8 @@ def contract_circuit(circuit: Circuit) -> Scalar:
                               _stack_tensor(circuit.stacks[k].gates))
         acc = step if acc is None else tensor_compose(step, acc)
     assert acc is not None
-    return tensor_trace(acc)
+    value = tensor_trace(acc)
+    return value if _is_exact(circuit) else complex(value)
 
 
 @dataclass(frozen=True)
@@ -161,8 +163,9 @@ def enumerate_multicycles(circuit: Circuit) -> tuple[Multicycle, ...]:
     A multicycle picks a subset of wires at every stack boundary, all of
     the same size; its weight is the product around the loop of the
     corresponding minors of the boundary-to-boundary transfer matrices.
-    The weights sum to the circuit value.  Refuses (TooLarge) when the
-    number of subset tuples to try exceeds 2 ** oracle_cap().
+    The weights sum to the circuit value, and a complex circuit's weights
+    are complex.  Refuses (TooLarge) when the number of subset tuples to
+    try exceeds 2 ** oracle_cap().
     """
     m = len(circuit.stacks)
     if m == 0:
@@ -175,9 +178,10 @@ def enumerate_multicycles(circuit: Circuit) -> tuple[Multicycle, ...]:
         raise TooLarge(f"multicycle enumeration over {tuples} subset tuples > 2**{cap}")
     # transfer[k] maps the wires entering stack k to the wires entering stack k+1
     transfer = [transfer_matrix(circuit, k) for k in range(m)]
+    one = 1 if _is_exact(circuit) else 1 + 0j
 
     def weight_for(subsets: tuple[tuple[int, ...], ...]) -> Scalar:
-        w: Scalar = 1
+        w = one
         for k in range(m):
             block = submatrix(transfer[k], subsets[(k + 1) % m], subsets[k])
             d = det_grid([list(row) for row in block.entries])

@@ -14,11 +14,14 @@ from detcircuits import (
     eval_pfaffian_circuit,
     eval_pfaffian_oracle,
     evaluate,
+    identity_wiring,
     labeled,
+    parse_circuit,
     pfaffian,
     sdet_expand,
     skew,
     skew_embed,
+    skew_restrict,
     spf,
     spf_dual,
     submatrix,
@@ -177,16 +180,122 @@ def test_compile_random_circuits_complex():
         assert abs(complex(got) - complex(evaluate(c))) < 1e-6
 
 
+def has_sign_gadget(target):
+    """Whether target ends in the sign-fix pair: a state and a costate on
+    the last two edges alone.  Past two edges no ring gate's state and no
+    pass-through costate share such a pair."""
+    e = target.edge_count
+    kinds = sorted(g.kind for g in target.gates if set(g.edges) == {e - 1, e})
+    return e > 2 and kinds == ["costate", "state"]
+
+
+def agree(got, want):
+    if isinstance(want, complex):
+        return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+    return got == want
+
+
 def test_compile_matches_tensor_oracle_on_small_targets():
-    rng = random.Random(5)
-    done = 0
-    while done < 10:
-        c = rand_circuit(rng, max_stacks=2, max_wires=2)
+    # The fast path, the sub-Pfaffian contraction and evaluate agree on
+    # every compiled circuit of at most 14 edges, in both fields.
+    seen = set()
+    for field in ("rational", "complex"):
+        rng = random.Random(5)
+        done = 0
+        while done < 75:
+            c = rand_circuit(rng, max_stacks=4, max_wires=3, field=field)
+            target = compile_circuit(c).target
+            if target.edge_count > 14:
+                continue
+            want = evaluate(c)
+            assert agree(eval_pfaffian_circuit(target), want)
+            assert agree(eval_pfaffian_oracle(target), want)
+            widths = [len(s.in_labels) for s in c.stacks]
+            if any(w != widths[k - 1] for k, w in enumerate(widths)):
+                seen.add("rectangular ring gate")
+            if 0 in widths:
+                seen.add("zero-width boundary")
+            if has_sign_gadget(target):
+                seen.add("sign gadget")
+            done += 1
+    assert seen == {"rectangular ring gate", "zero-width boundary", "sign gadget"}
+
+
+# evaluate gives -17.  A sign-fix costate whose own Pfaffian was -1 turned
+# the sub-Pfaffian contraction of the compiled circuit into +17.
+SIGN_GADGET_CIRCUIT = """stack
+gate 1 2 1 / 2 3
+-1 -2
+stack
+gate 1 1 4 / 5
+-3
+stack
+gate 2 1 6 7 / 8
+4
+-5
+wiring 0: 1->5
+wiring 1: 4->8
+wiring 2: 6->2, 7->3
+"""
+
+
+def test_sign_gadget_keeps_the_oracle_value():
+    c = parse_circuit(SIGN_GADGET_CIRCUIT, "rational")
+    target = compile_circuit(c).target
+    assert has_sign_gadget(target)
+    assert evaluate(c) == -17
+    assert eval_pfaffian_circuit(target) == -17
+    assert eval_pfaffian_oracle(target) == -17
+
+
+def ring_shapes(c):
+    """(rows, cols) of each ring gate: stack k with wiring k, then the
+    identity stack that an even ring gets."""
+    widths = [len(s.in_labels) for s in c.stacks] or [0]
+    m = len(widths)
+    shapes = [(widths[(k + 1) % m], widths[k]) for k in range(m)]
+    if m % 2 == 0:
+        shapes.append((widths[0], widths[0]))
+    return shapes
+
+
+def test_compiled_size_is_one_gadget_per_gate_and_boundary():
+    # An r x c ring gate costs r + c edges and one state gadget, a boundary
+    # of nonzero width one costate gadget, and the sign fix two edges and
+    # two gadgets; nothing is padded to a square.
+    rng = random.Random(7)
+    circuits = [Circuit((), ())] + [rand_circuit(rng, max_stacks=5, max_wires=4)
+                                    for _ in range(200)]
+    for c in circuits:
         out = compile_circuit(c)
-        if out.target.edge_count > 14:
-            continue
-        assert eval_pfaffian_oracle(out.target) == evaluate(c)
-        done += 1
+        shapes = ring_shapes(c)
+        fix = 2 if has_sign_gadget(out.target) else 0
+        assert out.target.edge_count == sum(r + k for r, k in shapes) + fix
+        assert out.gadget_count == len(shapes) + sum(1 for _, k in shapes if k) + fix
+
+
+@pytest.mark.parametrize("r, c", [(1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1)])
+def test_rectangular_state_gadget_carries_every_minor(r, c):
+    # Ring gate 0 of this two-stack ring is g itself, and its state gadget
+    # sits on edges 1..r+c: row i on edge i + 1, column j on edge r + c - j.
+    rng = random.Random(10 * r + c)
+    g = labeled(tuple(range(1, r + 1)), tuple(range(11, 11 + c)), rand_grid(rng, r, c))
+    h = labeled(tuple(range(21, 21 + c)), tuple(range(31, 31 + r)), rand_grid(rng, c, r))
+    ring = Circuit((Stack((g,)), Stack((h,))),
+                   (identity_wiring(g.rows, h.cols), identity_wiring(h.rows, g.cols)))
+    state = compile_circuit(ring).target.gates[0]
+    assert (state.kind, state.edges) == ("state", tuple(range(1, r + c + 1)))
+    for ibits in product((0, 1), repeat=r):
+        for jbits in product((0, 1), repeat=c):
+            rows = [i for i in range(r) if ibits[i]]
+            cols = [j for j in range(c) if jbits[j]]
+            block = skew_restrict(state.matrix, [i + 1 for i in rows] + [r + c - j for j in cols])
+            got = pfaffian([list(row) for row in block.entries])
+            if len(rows) != len(cols):
+                assert got == 0
+            else:
+                assert got == determinant(submatrix(
+                    g, [g.rows[i] for i in rows], [g.cols[j] for j in cols]))
 
 
 def test_size_ratio_scales_with_gate_dimension():

@@ -148,7 +148,7 @@ def test_cli_multicycles_frozen(capsys):
     assert main(["multicycles", "--field", "complex",
                  str(DATA / "complex_pair.circuit")]) == 0
     assert capsys.readouterr().out == (
-        "() 1\n(0:3) 1+1i\n(0:4) 2-1i\n(0:3 0:4) 3+1i\ntotal 7+1i\n")
+        "() 1+0i\n(0:3) 1+1i\n(0:4) 2-1i\n(0:3 0:4) 3+1i\ntotal 7+1i\n")
 
 
 def test_cli_graph_verbs(capsys):
@@ -394,7 +394,8 @@ def test_complex_circuit_with_empty_later_boundary(tmp_path, capsys):
 
 # Frozen outputs of the oracle verbs in the complex field.  They must not
 # depend on whether the tensor oracles seed their sums and products with
-# int 0 and 1 or with Fraction(0) and Fraction(1).
+# int 0 and 1 or with Fraction(0) and Fraction(1), and a complex circuit's
+# oracle values print as complex, the exact 1 of an empty contraction too.
 EMPTY_BOUNDARY = ("stack\ngate 2 1 1 2 / 3\n2+1i\n0+1i\n"
                   "stack\ngate 0 2  / 4 5\n"
                   "stack\ngate 1 0 6 / \n\n"
@@ -403,10 +404,11 @@ ORACLE_VERBS_COMPLEX = [
     (["oracle"], "complex_pair.circuit", "7+1i\n"),
     (["check"], "complex_pair.circuit", "ok 7+1i\n"),
     (["multicycles"], "complex_pair.circuit",
-     "() 1\n(0:3) 1+1i\n(0:4) 2-1i\n(0:3 0:4) 3+1i\ntotal 7+1i\n"),
+     "() 1+0i\n(0:3) 1+1i\n(0:4) 2-1i\n(0:3 0:4) 3+1i\ntotal 7+1i\n"),
     (["eval"], None, "1+0i\n"),
-    # Unlike eval, the oracle keeps the empty contraction's exact 1.
-    (["oracle"], None, "1\n"),
+    (["oracle"], None, "1+0i\n"),
+    (["check"], None, "ok 1+0i\n"),
+    (["multicycles"], None, "() 1+0i\ntotal 1+0i\n"),
 ]
 
 

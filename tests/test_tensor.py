@@ -11,6 +11,7 @@ from detcircuits import (
     TooLarge,
     braiding,
     compose,
+    contract_circuit,
     determinant,
     enumerate_multicycles,
     evaluate,
@@ -150,3 +151,20 @@ def test_multicycle_enumeration_cap(monkeypatch):
     monkeypatch.setenv("DETCIRC_ORACLE_CAP", "4")
     with pytest.raises(TooLarge):
         enumerate_multicycles(c)
+
+
+def test_complex_oracles_give_complex_values():
+    # Only the empty minors contribute across the zero-width boundary, and
+    # their 1 is still a complex value in a complex circuit.
+    g1 = labeled((1, 2), (3,), [[2 + 1j], [1j]])
+    g2 = labeled((), (4, 5), [])
+    g3 = labeled((6,), (), [[]])
+    c = Circuit((Stack((g1,)), Stack((g2,)), Stack((g3,))),
+                (((1, 4), (2, 5)), (), ((6, 3),)))
+    for value in (evaluate(c), contract_circuit(c),
+                  *(mc.weight for mc in enumerate_multicycles(c))):
+        assert type(value) is complex and value == 1
+    exact = Circuit((Stack((labeled((1,), (2,), [[3]]),)),), (((1, 2),),))
+    values = [contract_circuit(exact)] + [mc.weight for mc in enumerate_multicycles(exact)]
+    assert values == [4, 1, 3]
+    assert not any(isinstance(v, complex) for v in values)
