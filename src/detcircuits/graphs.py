@@ -140,17 +140,26 @@ class ForestPolynomial:
 
 
 def forest_polynomial(g: Graph) -> ForestPolynomial:
-    """det(Ix + L) by Faddeev-LeVerrier over ints: its coefficients are
-    integers, so each division by k is exact.  An isolated vertex is a factor x."""
-    a = [[-x for x in row] for row in laplacian(_without_isolated(g))]  # char poly of -L
-    n = len(a)
+    """det(Ix + L) by Faddeev-LeVerrier over ints; its coefficients are integers,
+    so each division by k is exact.  A = -L is applied as neighbour row sums: row
+    i of A M is the sum of M[t] over i's neighbours t (once per edge) less
+    deg(i) M[i], at O(n²(n + 2m)) in all.  An isolated vertex is a factor x."""
+    h = _without_isolated(g)
+    n = h.vertex_count
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in h.edges:
+        nbrs[u - 1].append(v - 1)
+        nbrs[v - 1].append(u - 1)
     coeffs = [0] * n + [1]
     am = [[0] * n for _ in range(n)]  # A M_{k-1}, with M_0 = 0
     c = 1
     for k in range(1, n + 1):
-        mk = [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(am)]
-        am = [[sum(x * y for x, y in zip(row, col)) for col in zip(*mk)] for row in a]
-        c = -sum(am[i][i] for i in range(n)) // k
+        mk = am
+        for i, row in enumerate(mk):  # M_k = A M_{k-1} + c I
+            row[i] += c
+        am = [list(map(sum, zip([-len(ts) * x for x in mk[i]], *(mk[t] for t in ts))))
+              for i, ts in enumerate(nbrs)]
+        c = -sum(row[i] for i, row in enumerate(am)) // k
         coeffs[n - k] = c
     return ForestPolynomial((0,) * (g.vertex_count - n) + tuple(coeffs))
 
@@ -158,7 +167,7 @@ def forest_polynomial(g: Graph) -> ForestPolynomial:
 def laplacian_cofactor(g: Graph, i: int) -> int:
     """det of the Laplacian with row and column i removed (0-based); 0 when n > 1
     and a vertex is isolated (a zero row or a whole Laplacian is left)."""
-    if g.vertex_count > 1 and _without_isolated(g).vertex_count < g.vertex_count:
+    if g.vertex_count > 1 and len({v for e in g.edges for v in e}) < g.vertex_count:
         return 0
     lap = laplacian(g)
     keep = [j for j in range(g.vertex_count) if j != i]

@@ -160,6 +160,9 @@ def test_cli_graph_verbs(capsys):
         (["trees", str(DATA / "k4.graph")], "16"),
         (["poly", str(DATA / "k4.graph")], "0 64 48 12 1"),
         (["forests", str(DATA / "single_edge.graph")], "3"),
+        (["trees", str(DATA / "triangle_plus_isolated.graph")], "0"),
+        (["forests", str(DATA / "triangle_plus_isolated.graph")], "16"),
+        (["poly", str(DATA / "triangle_plus_isolated.graph")], "0 0 9 6 1"),
     ]
     for argv, want in cases:
         assert main(argv) == 0
@@ -174,6 +177,30 @@ def test_cli_orientation_seed_invariance(capsys):
         assert main(["poly", "--orientation-seed", seed,
                      str(DATA / "k4.graph")]) == 0
         assert capsys.readouterr().out == "0 64 48 12 1\n"
+
+
+@pytest.mark.parametrize("cycle", [False, True], ids=["path", "cycle"])
+def test_cli_poly_on_a_long_path_and_cycle(tmp_path, capsys, cycle):
+    # Closed forms at n = 120: the path P_n has F_2n rooted forests and one
+    # spanning tree, the cycle C_n has L_2n - 2 forests and n spanning trees
+    # (F Fibonacci, L Lucas); the linear coefficient is n times the trees.
+    # A dense n^4 matrix product per step would make this take tens of seconds.
+    n = 120
+    edges = [(i, i + 1) for i in range(1, n)] + [(n, 1)] * cycle
+    path = tmp_path / "long.graph"
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    fib = [0, 1]
+    while len(fib) <= 2 * n + 1:
+        fib.append(fib[-1] + fib[-2])
+    assert main(["poly", str(path)]) == 0
+    coeffs = [int(t) for t in capsys.readouterr().out.split()]
+    assert len(coeffs) == n + 1 and coeffs[0] == 0 and coeffs[n] == 1
+    if cycle:
+        assert sum(coeffs) == fib[2 * n - 1] + fib[2 * n + 1] - 2
+        assert coeffs[1] == n * n
+    else:
+        assert sum(coeffs) == fib[2 * n]
+        assert coeffs[1] == n
 
 
 def test_cli_compile_round_trip(tmp_path, capsys):

@@ -26,6 +26,7 @@ from detcircuits import (
     principal_minor_sum,
     reorient,
 )
+from detcircuits.graphs import ENUM_EDGE_CAP
 from detcircuits.scalars import det_grid
 
 K3 = Graph(3, ((1, 2), (2, 3), (3, 1)))
@@ -213,6 +214,44 @@ def test_vertex_side_counts_match_edge_side_beyond_enum_cap():
         assert poly(1) == forests
         assert poly.coefficients[1] == n * count_spanning_trees(g)
     assert past_cap >= 10 and with_isolated >= 10
+
+
+def _interpolate(ys):
+    """Ascending coefficients of the polynomial through (x, ys[x]) for
+    x = 0, 1, ...: Newton divided differences, then the Newton form expanded."""
+    d = [Fraction(y) for y in ys]
+    for k in range(1, len(d)):
+        for i in range(len(d) - 1, k - 1, -1):
+            d[i] = (d[i] - d[i - 1]) / k
+    coeffs = [d[-1]]
+    for k in range(len(d) - 2, -1, -1):  # coeffs = coeffs * (x - k) + d[k]
+        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += d[k]
+    return coeffs
+
+
+def test_forest_polynomial_matches_interpolated_determinant():
+    # Past the enumeration cap the oracle is det(xI + L) by Bareiss at
+    # x = 0..n, interpolated.  Parallel edges, some reversed, must each add
+    # their neighbour once; isolated vertices are factors of x.
+    rng = random.Random(12)
+    past_cap = parallel = with_isolated = 0
+    for _ in range(30):
+        n = rng.randint(2, 30)
+        touched = rng.sample(range(1, n + 1), rng.randint(2, n))
+        base = [tuple(rng.sample(touched, 2)) for _ in range(rng.randint(1, 2 * n))]
+        repeats = rng.choices(base, k=rng.randint(0, min(len(base), n)))
+        edges = base + [(v, u) if rng.random() < 0.5 else (u, v) for u, v in repeats]
+        rng.shuffle(edges)
+        g = Graph(n, tuple(edges))
+        past_cap += len(edges) > ENUM_EDGE_CAP
+        parallel += len({frozenset(e) for e in edges}) < len(edges)
+        with_isolated += len(touched) < n
+        lap = laplacian(g)
+        values = [det_grid([[a + x * (r == s) for s, a in enumerate(row)]
+                            for r, row in enumerate(lap)]) for x in range(n + 1)]
+        assert list(forest_polynomial(g).coefficients) == _interpolate(values)
+    assert past_cap >= 10 and parallel >= 10 and with_isolated >= 10
 
 
 def test_enumerate_forests_cap():
