@@ -24,7 +24,6 @@ from .compiler import (
     skew_embed,
 )
 from .errors import (
-    ConfigError,
     DanglingWire,
     DuplicateLabel,
     EdgeMultiplicity,

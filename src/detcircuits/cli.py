@@ -5,8 +5,9 @@ tensor contraction), check (fast vs oracle vs multicycle total), multicycles
 (list weights), compile (emit a Pfaffian circuit file).  On Pfaffian files:
 pfeval.  On graph files: forests, trees, poly.
 
-Exit codes: 0 success, 1 usage error, 2 parse, validation, I/O, size or
-environment failure, 3 value mismatch in check.  All output is deterministic.
+Exit codes: 0 success, 1 usage error, 2 parse, validation, I/O or size
+failure or a non-finite complex result, 3 value mismatch in check.  All
+output is deterministic.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from .circuit import evaluate
 from .compiler import compile_circuit
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .formats import (
     parse_circuit,
     parse_graph,
@@ -124,10 +125,14 @@ def _run(ns) -> int:
         print(f"ok {format_scalar(fast)}")
     elif ns.verb == "multicycles":
         cycles = enumerate_multicycles(c)
+        # Every line is formatted before any is printed: a non-finite weight
+        # raises, and stdout stays empty.
+        lines = []
         for mc in cycles:
             sup = " ".join(f"{k}:{lab}" for k, lab in sorted(mc.support))
-            print(f"({sup}) {format_scalar(mc.weight)}")
-        print(f"total {format_scalar(sum(mc.weight for mc in cycles))}")
+            lines.append(f"({sup}) {format_scalar(mc.weight)}")
+        lines.append(f"total {format_scalar(sum(mc.weight for mc in cycles))}")
+        print("\n".join(lines))
     elif ns.verb == "compile":
         compiled = compile_circuit(c)
         out_path = ns.output if ns.output else ns.path + ".pf"
@@ -157,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     try:
         return _run(ns)
-    except (ParseError, ValidationError, ConfigError, OSError, OverflowError,
+    except (ParseError, ValidationError, OSError, OverflowError,
             MemoryError) as exc:  # only a MemoryError has no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2

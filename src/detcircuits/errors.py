@@ -45,10 +45,6 @@ class EdgeMultiplicity(ValidationError):
     """An edge id occurs more than once on the same side of a Pfaffian circuit."""
 
 
-class ConfigError(Exception):
-    """An environment variable holds a value the package cannot use."""
-
-
 class ParseError(Exception):
     """A text input could not be parsed.  Carries the 1-based line number."""
 

@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .errors import DanglingWire, EdgeMultiplicity, NotSkew, TooLarge
 from .scalars import Scalar, clear_denominators, grid_is_exact, normalize_grid, scalars_equal
-from .tensor import Tensor, _subset_bits, oracle_cap, tensor_compose, tensor_product
+from .tensor import ORACLE_CAP, Tensor, _subset_bits, tensor_compose, tensor_product
 
 PF_ORACLE_MAX = 12
 
@@ -239,7 +239,7 @@ def anti_transpose(sk: SkewMatrix) -> SkewMatrix:
 def _sub_pfaffians(sk: SkewMatrix):
     """(bits, Pf) for every even subset of sk's indices whose Pfaffian is nonzero."""
     n = sk.size
-    if n > oracle_cap():
+    if n > ORACLE_CAP:
         raise TooLarge(f"sub-pfaffian expansion over {n} wires")
     for s in range(0, n + 1, 2):
         for pos in combinations(range(n), s):
@@ -332,7 +332,7 @@ def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
 
 def eval_pfaffian_oracle(pc: PfaffianCircuit) -> Scalar:
     """Oracle evaluation by contracting sub-Pfaffian tensors edge by edge."""
-    if pc.edge_count > oracle_cap():
+    if pc.edge_count > ORACLE_CAP:
         raise TooLarge(f"oracle contraction over {pc.edge_count} edges")
     ket = Tensor((), (), {((), ()): 1})
     bra = Tensor((), (), {((), ()): 1})

@@ -149,10 +149,14 @@ def det_cofactor(grid: Sequence[Sequence[Scalar]]) -> Scalar:
 # --- text round-trip --------------------------------------------------------
 
 def format_scalar(x: Scalar) -> str:
-    """Rationals print as p/q (bare integers without /1); complex as a+bi."""
+    """Rationals print as p/q (bare integers without /1); complex as a+bi.
+    A complex value that is not finite (a result that overflowed) raises
+    OverflowError."""
     if is_exact(x):
         return str(x)
     z = complex(x)
+    if not isfinite(z):
+        raise OverflowError(f"complex value {z} is not finite")
     re = f"{z.real:.12g}"
     im = f"{abs(z.imag):.12g}"
     sign = "-" if z.imag < 0 else "+"

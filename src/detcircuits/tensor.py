@@ -6,35 +6,26 @@ the subsets have different sizes, and 1 at the empty pair.  Tensor legs
 follow the wire lists, one bit per wire, leftmost wire first.  Composing
 and tracing these tensors is exponentially slow, which is the point:
 contract_circuit() is the independent oracle the fast determinant path
-is checked against.
+is checked against.  ORACLE_CAP bounds its size: wires per minor
+expansion, and the base-2 logarithm of the subset tuples a multicycle
+enumeration may try.  The Pfaffian oracles share it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb, prod
 from typing import Mapping
 
 from .circuit import Circuit, _is_exact, transfer_matrix, wiring_matrix
-from .errors import ConfigError, LabelCollision, LabelMismatch, TooLarge
+from .errors import LabelCollision, LabelMismatch, TooLarge
 from .labeled import LabeledMatrix, Scalar, submatrix
 from .scalars import det_grid, scalars_equal
 
 Bits = tuple[int, ...]
 
-DEFAULT_ORACLE_CAP = 20
-
-
-def oracle_cap() -> int:
-    raw = os.environ.get("DETCIRC_ORACLE_CAP")
-    if raw is None:
-        return DEFAULT_ORACLE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"DETCIRC_ORACLE_CAP must be an integer, got {raw!r}") from None
+ORACLE_CAP = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +57,8 @@ def _subset_bits(n: int, positions: tuple[int, ...]) -> Bits:
 def sdet_expand(m: LabeledMatrix) -> Tensor:
     """Tensor of all minors of m.  Cost grows as 4^wires; capped."""
     r, c = m.shape
-    limit = oracle_cap()
-    if r + c > limit:
-        raise TooLarge(f"minor expansion of a {m.shape} matrix ({r + c} wires > {limit})")
+    if r + c > ORACLE_CAP:
+        raise TooLarge(f"minor expansion of a {m.shape} matrix ({r + c} wires > {ORACLE_CAP})")
     data: dict[tuple[Bits, Bits], Scalar] = {}
     for s in range(min(r, c) + 1):
         for ipos in combinations(range(r), s):
@@ -165,7 +155,7 @@ def enumerate_multicycles(circuit: Circuit) -> tuple[Multicycle, ...]:
     corresponding minors of the boundary-to-boundary transfer matrices.
     The weights sum to the circuit value, and a complex circuit's weights
     are complex.  Refuses (TooLarge) when the number of subset tuples to
-    try exceeds 2 ** oracle_cap().
+    try exceeds 2 ** ORACLE_CAP.
     """
     m = len(circuit.stacks)
     if m == 0:
@@ -173,9 +163,8 @@ def enumerate_multicycles(circuit: Circuit) -> tuple[Multicycle, ...]:
     boundary = [circuit.stacks[k].in_labels for k in range(m)]
     max_size = min(len(b) for b in boundary)
     tuples = sum(prod(comb(len(b), s) for b in boundary) for s in range(max_size + 1))
-    cap = oracle_cap()
-    if (tuples - 1).bit_length() > cap:  # tuples > 2**cap, without building 2**cap
-        raise TooLarge(f"multicycle enumeration over {tuples} subset tuples > 2**{cap}")
+    if (tuples - 1).bit_length() > ORACLE_CAP:  # tuples > 2**cap, without building 2**cap
+        raise TooLarge(f"multicycle enumeration over {tuples} subset tuples > 2**{ORACLE_CAP}")
     # transfer[k] maps the wires entering stack k to the wires entering stack k+1
     transfer = [transfer_matrix(circuit, k) for k in range(m)]
     one = 1 if _is_exact(circuit) else 1 + 0j

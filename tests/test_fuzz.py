@@ -8,7 +8,6 @@ allocate gigabytes for its n x n matrix.
 
 import contextlib
 import io
-import os
 from unittest import mock
 
 import pytest
@@ -16,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detcircuits import ParseError, ValidationError, parse_circuit, parse_graph, parse_pfaffian
+from detcircuits import tensor
 from detcircuits.cli import main
 
 small_int = st.integers(-2, 99).map(str)
@@ -178,7 +178,7 @@ def _exit_code(workdir, text, argv):
     path = workdir / "input"
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, {"DETCIRC_ORACLE_CAP": "8"}), \
+    with mock.patch.object(tensor, "ORACLE_CAP", 8), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([a.replace("{}", str(path)) for a in argv])
     if code == 2:

@@ -96,6 +96,17 @@ def test_pfaffian_oracle_cap():
         pfaffian_oracle([[Fraction(0)] * 14 for _ in range(14)])
 
 
+def test_sub_pfaffian_caps_are_20():
+    big = zero_skew(range(1, 22))
+    with pytest.raises(TooLarge):
+        spf(big)
+    with pytest.raises(TooLarge):
+        spf_dual(big)
+    pc = PfaffianCircuit((PfGate("state", big), PfGate("costate", big)))
+    with pytest.raises(TooLarge, match="21 edges"):
+        eval_pfaffian_oracle(pc)
+
+
 @given(st.integers(0, 3).flatmap(
     lambda h: st.lists(rat, min_size=h * (2 * h - 1) if h else 0,
                        max_size=h * (2 * h - 1) if h else 0).map(

@@ -25,6 +25,7 @@ from detcircuits import (
     tensor_trace,
     tensors_equal,
 )
+from detcircuits import tensor
 from circgen import rand_grid
 
 
@@ -63,6 +64,11 @@ def test_sdet_expand_cap():
                    [[0] * 10 for _ in range(11)])
     with pytest.raises(TooLarge):
         sdet_expand(wide)
+    # The cap is 20 wires: a 1x19 matrix expands, a 1x20 one is refused.
+    row = labeled((1,), tuple(range(2, 21)), [[1] * 19])
+    assert len(sdet_expand(row).data) == 20  # the empty minor and 19 entries
+    with pytest.raises(TooLarge):
+        sdet_expand(labeled((1,), tuple(range(2, 22)), [[1] * 20]))
 
 
 def test_braiding_expansion_signs():
@@ -146,10 +152,19 @@ def test_multicycle_enumeration_cap(monkeypatch):
     rng = random.Random(3)
     gate = labeled((1, 2, 3, 4, 5), (6, 7, 8, 9, 10), rand_grid(rng, 5, 5))
     c = Circuit((Stack((gate,)),), (tuple(zip(gate.rows, gate.cols)),))
-    monkeypatch.setenv("DETCIRC_ORACLE_CAP", "5")
+    monkeypatch.setattr(tensor, "ORACLE_CAP", 5)
     assert sum(mc.weight for mc in enumerate_multicycles(c)) == evaluate(c)
-    monkeypatch.setenv("DETCIRC_ORACLE_CAP", "4")
+    monkeypatch.setattr(tensor, "ORACLE_CAP", 4)
     with pytest.raises(TooLarge):
+        enumerate_multicycles(c)
+
+
+def test_multicycle_cap_is_2_to_the_20_tuples():
+    # One width-21 stack closed on itself: 2**21 subset tuples, refused
+    # before any of them is tried.
+    gate = labeled(tuple(range(1, 22)), tuple(range(31, 52)), rand_grid(random.Random(5), 21, 21))
+    c = Circuit((Stack((gate,)),), (tuple(zip(gate.rows, gate.cols)),))
+    with pytest.raises(TooLarge, match=r"2097152 subset tuples > 2\*\*20"):
         enumerate_multicycles(c)
 
 
