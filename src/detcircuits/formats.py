@@ -31,12 +31,23 @@ def _parse_int(tok: str, lineno: int, what: str) -> int:
         raise ParseError(lineno, f"expected integer {what}, got {tok!r}") from None
 
 
+# The field's zero for the token "0", which fills most of a .pf grid: int 0
+# is an exact scalar and a cached singleton, so reading it allocates nothing,
+# and bool, -, == and str on it run in C.
+_ZEROS = {"rational": 0, "complex": 0j}
+
+
 def _parse_grid(lines, r: int, c: int, field: str, lineno: int) -> tuple[tuple[Scalar, ...], ...]:
-    """Read r rows of c scalars.  parse_scalar returns one type per field
-    (Fraction or complex), so the grid needs no further normalization.
+    """Read r rows of c scalars.  The token "0" reads as the field's zero
+    (int 0 or 0j) and every other token through parse_scalar, which returns
+    Fraction or complex.  So a rational grid holds ints and Fractions, a
+    complex grid only complex values, and neither needs normalization.
     Empty rows (c = 0) read no lines: write_circuit writes them blank."""
     if c == 0:
         return ((),) * r
+    # For an unknown field no token matches (split() yields no empty
+    # token), so parse_scalar sees every token and rejects the field.
+    zero_tok, zero = ("0", _ZEROS[field]) if field in _ZEROS else ("", None)
     grid = []
     for _ in range(r):
         try:
@@ -47,7 +58,8 @@ def _parse_grid(lines, r: int, c: int, field: str, lineno: int) -> tuple[tuple[S
         if len(toks) != c:
             raise ParseError(no, f"expected {c} entries, got {len(toks)}")
         try:
-            grid.append(tuple(parse_scalar(tok, field) for tok in toks))
+            grid.append(tuple([zero if tok == zero_tok else parse_scalar(tok, field)
+                               for tok in toks]))
         except ValueError as exc:
             raise ParseError(no, str(exc)) from None
     return tuple(grid)
@@ -196,8 +208,11 @@ def write_pfaffian(pc: PfaffianCircuit) -> str:
         n = g.matrix.size
         out.append("pfgate {} {} {}".format(
             g.kind, n, " ".join(str(e) for e in g.matrix.labels)).rstrip())
+        # format_scalar prints an int as str does; the zeros that fill
+        # most gadgets are ints, so calling str on them skips a Python call.
         for row in g.matrix.entries:
-            out.append(" ".join(format_scalar(x) for x in row))
+            out.append(" ".join([str(x) if type(x) is int else format_scalar(x)
+                                 for x in row]))
     return "\n".join(out) + "\n" if out else ""
 
 

@@ -195,12 +195,16 @@ class SkewMatrix:
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValueError("skew matrix grid is not square on its labels")
         # Checked once here: pfaffian() and the edge matrix read only i < j.
-        for i, row in enumerate(self.entries):
-            if not scalars_equal(row[i], 0):
+        # Zeros need no check.  A pair whose sum is exactly zero passes
+        # before scalars_equal is called: that sum is the difference
+        # scalars_equal measures, and it is nan, not zero, for infinite
+        # entries, which scalars_equal rejects.
+        for i, (row, col) in enumerate(zip(self.entries, zip(*self.entries))):
+            if row[i] and not scalars_equal(row[i], 0):
                 raise NotSkew(f"nonzero diagonal at {self.labels[i]}")
             for j in range(i + 1, n):
-                x, y = row[j], self.entries[j][i]
-                if (x or y) and not scalars_equal(x, -y):
+                x, y = row[j], col[j]
+                if (x or y) and x + y and not scalars_equal(x, -y):
                     raise NotSkew(
                         f"entry ({self.labels[i]},{self.labels[j]}) not "
                         "antisymmetric"

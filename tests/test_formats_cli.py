@@ -1,8 +1,12 @@
+import contextlib
+import io
 import random
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detcircuits import (
     Circuit,
@@ -579,6 +583,68 @@ def test_cli_pfeval_complex_grid_skew_within_tolerance(tmp_path, capsys):
     path.write_text("pfgate state 6 1 2 3 4 5 6\n" + "\n".join(rows) + "\n" + costates)
     assert main(["pfeval", "--field", "complex", str(path)]) == 0
     assert capsys.readouterr().out == "0+0i\n"
+
+
+ZERO_SPELLINGS = {
+    "rational": ("0", "-0", "+0", "00", "0/7"),
+    "complex": ("0", "0+0i", "-0+0i"),
+}
+DIRECTIVES = ("stack", "gate", "wiring", "pfgate")
+
+
+def _map_grid_tokens(text, fn):
+    """text with fn applied to each token of its grid rows."""
+    out = []
+    for line in text.splitlines():
+        toks = line.split()
+        out.append(line if not toks or toks[0] in DIRECTIVES else " ".join(map(fn, toks)))
+    return "\n".join(out) + "\n"
+
+
+def _grid_entries(obj):
+    if isinstance(obj, Circuit):
+        return [x for s in obj.stacks for g in s.gates for row in g.entries for x in row]
+    return [x for g in obj.gates for row in g.matrix.entries for x in row]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def spelling_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("spellings")
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(("rational", "complex")))
+@settings(max_examples=80, deadline=None)
+def test_zero_spellings_read_and_evaluate_alike(spelling_dir, seed, field):
+    # The token 0 is read without parse_scalar; every other spelling of
+    # zero goes through it.  All must give equal grids, all-complex ones in
+    # the complex field, and the same eval and pfeval output byte for byte.
+    rng = random.Random(seed)
+    c = rand_circuit(rng, max_stacks=3, max_wires=3, field=field, lo=-2, hi=2)
+    # Half the entries zero, then each zero token spelled at random.
+    circuit = _map_grid_tokens(write_circuit(c), lambda t: "0" if rng.random() < 0.5 else t)
+    compiled = write_pfaffian(compile_circuit(parse_circuit(circuit, field)).target)
+    for text, parse, verb, ext in ((circuit, parse_circuit, "eval", "circuit"),
+                                   (compiled, parse_pfaffian, "pfeval", "pf")):
+        spelled = _map_grid_tokens(
+            text, lambda t: rng.choice(ZERO_SPELLINGS[field]) if t == "0" else t)
+        got, want = parse(spelled, field), parse(text, field)
+        assert got == want
+        if field == "complex":
+            assert all(type(x) is complex for x in _grid_entries(got) + _grid_entries(want))
+        results = []
+        for body in (text, spelled):
+            path = spelling_dir / f"input.{ext}"
+            path.write_text(body)
+            results.append(_run([verb, str(path), "--field", field]))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
 
 
 @pytest.mark.parametrize("n", [2, 6])

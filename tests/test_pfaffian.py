@@ -29,11 +29,12 @@ from detcircuits import (
     skew_restrict,
     spf,
     spf_dual,
+    SkewMatrix,
     Stack,
     validate_pfaffian,
     zero_skew,
 )
-from detcircuits.scalars import det_grid
+from detcircuits.scalars import det_grid, scalars_equal
 from circgen import rand_circuit, rand_ring, rand_skew_grid
 
 rat = st.integers(-9, 9).map(Fraction)
@@ -174,6 +175,98 @@ def test_skew_validation():
     skew((1, 2), [[0, 1 + 2j], [-1 - 2j + 1e-12, 0]])
     with pytest.raises(NotSkew):
         skew((1, 2), [[0, 1 + 2j], [-1 - 2j + 1e-6, 0]])
+
+
+def _reference_skew_check(labels, entries):
+    """SkewMatrix's check as it was before zeros were skipped and exact zero
+    sums passed early: every pair through scalars_equal."""
+    n = len(labels)
+    for i, row in enumerate(entries):
+        if not scalars_equal(row[i], 0):
+            raise NotSkew(f"nonzero diagonal at {labels[i]}")
+        for j in range(i + 1, n):
+            x, y = row[j], entries[j][i]
+            if (x or y) and not scalars_equal(x, -y):
+                raise NotSkew(f"entry ({labels[i]},{labels[j]}) not antisymmetric")
+
+
+def _outcome(check):
+    try:
+        check()
+    except Exception as exc:  # the verdict includes which error, and where
+        return type(exc).__name__, str(exc)
+    return "ok"
+
+
+def _retyped(x):
+    """x as the other exact type: an int as a Fraction, an integral Fraction as an int."""
+    if type(x) is int:
+        return Fraction(x)
+    return int(x) if x.denominator == 1 else x
+
+
+# Relative offsets around scalars_equal's 1e-9 tolerance, on both sides.
+TOL_STEPS = (1e-12, 0.5e-9, 0.999e-9, 1.001e-9, 2e-9, 1e-6)
+
+
+@st.composite
+def exact_near_skew_grids(draw):
+    """Grids of mixed ints and Fractions, each pair skew, retyped, or off:
+    another value, or the same numerator over another denominator."""
+    n = draw(st.integers(0, 5))
+    value = st.one_of(st.integers(-3, 3), st.just(Fraction(0)), pq)
+    g = [[draw(st.sampled_from((0, Fraction(0))))] * n for _ in range(n)]
+    for i in range(n):
+        if draw(st.integers(0, 9)) == 0:
+            g[i][i] = draw(value)
+        for j in range(i + 1, n):
+            x = draw(value)
+            mode = draw(st.sampled_from(("skew",) * 4 + ("retyped", "other", "denominator")))
+            if mode == "skew":
+                y = -x
+            elif mode == "retyped":
+                y = _retyped(-x)
+            elif mode == "other":
+                y = draw(value)
+            else:
+                x = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 5)))
+                y = Fraction(-x.numerator, x.denominator + draw(st.integers(1, 3)))
+            g[i][j], g[j][i] = x, y
+    return g
+
+
+@st.composite
+def complex_near_skew_grids(draw):
+    """Complex grids (with some int zeros, as compile writes them) whose
+    pairs and diagonal entries sit just inside or just outside scalars_equal's
+    tolerance, at small and large magnitudes, some of them infinite or nan."""
+    n = draw(st.integers(0, 5))
+    part = st.one_of(st.floats(-3, 3), st.floats(allow_nan=True, allow_infinity=True))
+    value = st.one_of(st.just(0j), st.just(0), st.builds(complex, part, part))
+    step = st.sampled_from(TOL_STEPS)
+    pair_step = st.sampled_from((0.0,) * len(TOL_STEPS) + TOL_STEPS)  # half exactly skew
+    g = [[draw(st.sampled_from((0, 0j, -0j)))] * n for _ in range(n)]
+    for i in range(n):
+        if draw(st.integers(0, 4)) == 0:
+            g[i][i] = draw(step) * draw(st.sampled_from((1, -1j)))
+        for j in range(i + 1, n):
+            x, off = draw(value), draw(pair_step)
+            if off:
+                scale = max(1.0, abs(x)) if x == x else 1.0
+                x_off = x + off * scale * draw(st.sampled_from((1, -1, 1j, -1j)))
+            else:
+                x_off = x  # -x exactly, infinite parts included
+            g[i][j], g[j][i] = x, -x_off
+    return g
+
+
+@given(st.one_of(exact_near_skew_grids(), complex_near_skew_grids()))
+@settings(max_examples=600, deadline=None)
+def test_skew_check_matches_the_reference_check(g):
+    labels = tuple(range(1, len(g) + 1))
+    grid = tuple(tuple(row) for row in g)
+    want = _outcome(lambda: _reference_skew_check(labels, grid))
+    assert _outcome(lambda: SkewMatrix(labels, grid)) == want
 
 
 def test_anti_transpose_preserves_pfaffian():
