@@ -15,14 +15,9 @@ from .circuit import (
     identity_wiring,
     transfer_matrix,
     validate,
-    width_depth,
     wiring_matrix,
 )
-from .compiler import (
-    CompiledCircuit,
-    compile_circuit,
-    skew_embed,
-)
+from .compiler import CompiledCircuit, compile_circuit
 from .errors import (
     DanglingWire,
     DuplicateLabel,
@@ -31,7 +26,6 @@ from .errors import (
     LabelMismatch,
     NotEndomorphism,
     NotSkew,
-    NotSquare,
     ParseError,
     SizeMismatch,
     TooLarge,
@@ -52,9 +46,7 @@ from .graphs import (
     count_spanning_trees,
     enumerate_forests,
     enumerate_trees,
-    forest_histogram,
     forest_polynomial,
-    graph_to_circuit,
     incidence_matrix,
     laplacian,
     laplacian_cofactor,
@@ -62,10 +54,7 @@ from .graphs import (
 )
 from .labeled import (
     LabeledMatrix,
-    braiding,
     compose,
-    dagger,
-    determinant,
     direct_sum,
     identity,
     labeled,
@@ -77,17 +66,14 @@ from .pfaffian import (
     PfaffianCircuit,
     PfGate,
     SkewMatrix,
-    anti_transpose,
     eval_pfaffian_circuit,
     eval_pfaffian_oracle,
     pfaffian,
     pfaffian_oracle,
     skew,
-    skew_restrict,
     spf,
     spf_dual,
     validate_pfaffian,
-    zero_skew,
 )
 from .scalars import Scalar, format_scalar, parse_scalar, scalars_equal
 from .tensor import (
@@ -100,5 +86,4 @@ from .tensor import (
     tensor_compose,
     tensor_product,
     tensor_trace,
-    tensors_equal,
 )

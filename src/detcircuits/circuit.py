@@ -24,7 +24,6 @@ from .errors import DanglingWire, DuplicateLabel, SizeMismatch
 from .labeled import (
     LabeledMatrix,
     Scalar,
-    direct_sum,
     labeled,
     permutation_matrix,
     principal_minor_sum,
@@ -45,13 +44,6 @@ class Stack:
     @property
     def out_labels(self) -> tuple[int, ...]:
         return tuple(lab for g in self.gates for lab in g.rows)
-
-    def matrix(self) -> LabeledMatrix:
-        m = labeled((), (), ())
-        for g in self.gates:
-            m = direct_sum(m, g)
-        return m
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -196,12 +188,6 @@ def evaluate(circuit: Circuit) -> Scalar:
     if min(widths, default=0) == 0 and not _is_exact(circuit):
         value = complex(value)  # the 0x0 determinant is the exact 1 in any field
     return value
-
-
-def width_depth(circuit: Circuit) -> tuple[int, int]:
-    """(max wires crossing any stack boundary, number of stacks)."""
-    width = max((len(s.in_labels) for s in circuit.stacks), default=0)
-    return width, len(circuit.stacks)
 
 
 def identity_wiring(src: tuple[int, ...], dst: tuple[int, ...]) -> Wiring:

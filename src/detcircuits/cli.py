@@ -6,8 +6,8 @@ tensor contraction), check (fast vs oracle vs multicycle total), multicycles
 pfeval.  On graph files: forests, trees, poly.
 
 Exit codes: 0 success, 1 usage error, 2 parse, validation, I/O or size
-failure or a non-finite complex result, 3 value mismatch in check.  All
-output is deterministic.
+failure, a non-finite complex result or an exact result too long to print,
+3 value mismatch in check.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -135,9 +135,12 @@ def _run(ns) -> int:
         print("\n".join(lines))
     elif ns.verb == "compile":
         compiled = compile_circuit(c)
+        # Formatted before the file is opened: an entry too long to print
+        # raises, and no output file is created or truncated.
+        text = write_pfaffian(compiled.target)
         out_path = ns.output if ns.output else ns.path + ".pf"
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(write_pfaffian(compiled.target))
+            fh.write(text)
         print(f"size_ratio {format_scalar(compiled.size_ratio)}")
     elif ns.verb == "pfeval":
         print(format_scalar(eval_pfaffian_circuit(pc)))

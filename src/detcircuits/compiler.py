@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuit import Circuit, transfer_matrix
-from .errors import LabelCollision, NotSquare
 from .labeled import LabeledMatrix, identity, labeled
 from .pfaffian import PfaffianCircuit, PfGate, SkewMatrix
 from .scalars import Scalar
@@ -35,21 +34,6 @@ def _skew_grid(grid, c: int) -> tuple[tuple[Scalar, ...], ...]:
     top = [[0] * r + list(reversed(row)) for row in grid]
     bottom = [[-grid[i][c - 1 - t] for i in range(r)] + [0] * c for t in range(c)]
     return tuple(tuple(row) for row in top + bottom)
-
-
-def skew_embed(m: LabeledMatrix) -> SkewMatrix:
-    """The block skew matrix [[0, m̃], [-m̃ᵀ, 0]] on labels rows ++ reversed cols.
-
-    Its Pfaffian is det(m), and every principal sub-Pfaffian on a slot
-    subset I ∪ J̃ is the minor det(m_{I,J}); the column reversal is what
-    cancels the block form's intrinsic sign.
-    """
-    r, c = m.shape
-    if r != c:
-        raise NotSquare(f"skew embedding needs a square matrix, got {m.shape}")
-    if set(m.rows) & set(m.cols):
-        raise LabelCollision("skew embedding needs disjoint row and column labels")
-    return SkewMatrix(m.rows + tuple(reversed(m.cols)), _skew_grid(m.entries, c))
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,6 @@ class NotEndomorphism(ValidationError):
     """Row and column label sets differ where an endomorphism is required."""
 
 
-class NotSquare(ValidationError):
-    """A square matrix is required."""
-
-
 class NotSkew(ValidationError):
     """Entries fail the skew-symmetry condition."""
 

@@ -3,9 +3,10 @@
 With L = BᵀB the Laplacian of an oriented incidence matrix B, det(I+L)
 counts rooted spanning forests (Sylvester: it equals det(I+BBᵀ)),
 det(Ix+L) is their generating polynomial in the number of roots, and any
-cofactor of L counts spanning trees.  A three-stack closed circuit built
-from edge and vertex nodes collapses to BBᵀ, tying the counts to circuit
-evaluation.  Brute-force enumerators double as oracles for all of it.
+cofactor of L counts spanning trees.  Brute-force enumerators double as
+oracles for all of it.  The three-stack closed circuit that collapses to
+BBᵀ and ties the counts to circuit evaluation (Chung-Langlands) is
+graph_to_circuit in tests/paper.py, where the tests check it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
 
-from .circuit import Circuit, Stack
 from .errors import TooLarge, ValidationError
 from .labeled import LabeledMatrix, labeled
 from .scalars import det_grid
@@ -67,56 +67,6 @@ def laplacian(g: Graph) -> list[list[int]]:
         grid[u - 1][v - 1] -= 1
         grid[v - 1][u - 1] -= 1
     return grid
-
-
-def graph_to_circuit(g: Graph) -> Circuit:
-    """Closed three-stack circuit whose value is the rooted forest count.
-
-    Stack 0 splits each edge wire into its two incidences with incidence
-    signs, stack 1 is an all-ones gate per vertex joining its incidences,
-    stack 2 recombines incidences into edge wires; the loop closes edge
-    wires onto themselves, and the collapsed matrix is exactly BBᵀ.
-    """
-    n, m = g.vertex_count, len(g.edges)
-
-    def inc(i: int, s: int) -> int:  # boundary-1 incidence wire
-        return m + 2 * i + s + 1
-
-    def out_inc(i: int, s: int) -> int:  # boundary-2 incidence wire
-        return 3 * m + 2 * i + s + 1
-
-    split_gates = []
-    join_gates = []
-    for i, (u, v) in enumerate(g.edges):
-        split_gates.append(labeled(
-            (inc(i, 0), inc(i, 1)), (i + 1,),
-            [[1], [-1]]))
-        join_gates.append(labeled(
-            (i + 1,), (out_inc(i, 0), out_inc(i, 1)),
-            [[1, -1]]))
-
-    at_vertex: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for i, (u, v) in enumerate(g.edges):
-        at_vertex[u].append(2 * i)      # incidence index of (i, tail)
-        at_vertex[v].append(2 * i + 1)  # incidence index of (i, head)
-    vertex_gates = []
-    for v in range(1, n + 1):
-        slots = at_vertex[v]
-        cols = tuple(m + s + 1 for s in slots)
-        rows = tuple(3 * m + s + 1 for s in slots)
-        d = len(slots)
-        vertex_gates.append(labeled(rows, cols,
-                                    [[1] * d for _ in range(d)]))
-
-    stacks = (Stack(tuple(split_gates)),
-              Stack(tuple(vertex_gates)),
-              Stack(tuple(join_gates)))
-    wirings = tuple(
-        tuple((lab, lab) for lab in stacks[k].out_labels)
-        for k in range(3)
-    )
-    # the loop-closing wiring maps edge-out wires back to edge-in wires
-    return Circuit(stacks, wirings)
 
 
 def _without_isolated(g: Graph) -> Graph:
@@ -236,11 +186,3 @@ def enumerate_trees(g: Graph) -> list[frozenset[int]]:
            if n > 0 and len(subset) == n - 1 and len(comps) == 1]
     out.sort(key=sorted)
     return out
-
-
-def forest_histogram(g: Graph) -> list[int]:
-    """Count of rooted forests by number of roots; index k = k roots."""
-    hist = [0] * (g.vertex_count + 1)
-    for _, roots in enumerate_forests(g):
-        hist[len(roots)] += 1
-    return hist

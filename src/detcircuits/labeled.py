@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    DuplicateLabel,
-    LabelCollision,
-    LabelMismatch,
-    NotEndomorphism,
-    NotSquare,
-)
+from .errors import DuplicateLabel, LabelCollision, LabelMismatch, NotEndomorphism
 from .scalars import Scalar, det_grid, normalize_grid
 
 WireLabel = int
@@ -92,30 +86,6 @@ def direct_sum(a: LabeledMatrix, b: LabeledMatrix) -> LabeledMatrix:
     return labeled(a.rows + b.rows, a.cols + b.cols, ent)
 
 
-def dagger(m: LabeledMatrix) -> LabeledMatrix:
-    """Transpose with the label lists swapped."""
-    ent = [[m.entries[i][j] for i in range(len(m.rows))] for j in range(len(m.cols))]
-    return labeled(m.cols, m.rows, ent)
-
-
-def braiding(a: Sequence[int], b: Sequence[int]) -> LabeledMatrix:
-    """Crossing of wire bundles a and b.
-
-    As a labeled matrix this is just the block anti-diagonal 0/1
-    permutation (rows b++a, columns a++b, ones where labels agree); the
-    sign that distinguishes it from a plain swap only appears in its
-    minor expansion.
-    """
-    a = tuple(a)
-    b = tuple(b)
-    if set(a) & set(b):
-        raise LabelCollision("braiding requires disjoint bundles")
-    rows = b + a
-    cols = a + b
-    ent = [[int(r == c) for c in cols] for r in rows]
-    return labeled(rows, cols, ent)
-
-
 def permutation_matrix(mapping: Mapping[int, int],
                        cols: Sequence[int],
                        rows: Sequence[int]) -> LabeledMatrix:
@@ -124,12 +94,6 @@ def permutation_matrix(mapping: Mapping[int, int],
     cols = tuple(cols)
     ent = [[int(mapping[c] == r) for c in cols] for r in rows]
     return labeled(rows, cols, ent)
-
-
-def determinant(m: LabeledMatrix) -> Scalar:
-    if len(m.rows) != len(m.cols):
-        raise NotSquare(f"determinant of a {m.shape} matrix")
-    return det_grid([list(row) for row in m.entries])
 
 
 def principal_minor_sum(m: LabeledMatrix) -> Scalar:

@@ -219,27 +219,6 @@ def skew(labels: Sequence[int], entries: Sequence[Sequence]) -> SkewMatrix:
     return SkewMatrix(tuple(labels), normalize_grid(entries))
 
 
-def zero_skew(labels: Sequence[int]) -> SkewMatrix:
-    n = len(labels)
-    return skew(labels, [[0] * n for _ in range(n)])
-
-
-def skew_restrict(sk: SkewMatrix, keep: Sequence[int]) -> SkewMatrix:
-    """Principal submatrix on a label subset, in sk's own order."""
-    kset = set(keep)
-    pos = [i for i, lab in enumerate(sk.labels) if lab in kset]
-    ent = [[sk.entries[i][j] for j in pos] for i in pos]
-    return SkewMatrix(tuple(sk.labels[i] for i in pos), tuple(tuple(r) for r in ent))
-
-
-def anti_transpose(sk: SkewMatrix) -> SkewMatrix:
-    """Flip across the anti-diagonal, keeping the label list."""
-    n = sk.size
-    ent = tuple(tuple(sk.entries[n - 1 - j][n - 1 - i] for j in range(n))
-                for i in range(n))
-    return SkewMatrix(sk.labels, ent)
-
-
 def _sub_pfaffians(sk: SkewMatrix):
     """(bits, Pf) for every even subset of sk's indices whose Pfaffian is nonzero."""
     n = sk.size

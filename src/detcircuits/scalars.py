@@ -13,6 +13,7 @@ order 1, relative above).
 
 from __future__ import annotations
 
+import sys
 from cmath import isfinite
 from fractions import Fraction
 from math import lcm, prod
@@ -138,22 +139,19 @@ def _det_complex(a: list[list[complex]]) -> complex:
     return det
 
 
-def det_cofactor(grid: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Cofactor-expansion determinant; the slow cross-check for det_grid."""
-    if not grid:
-        return 1
-    return sum((-x if j % 2 else x) * det_cofactor([r[:j] + r[j + 1:] for r in grid[1:]])
-               for j, x in enumerate(grid[0]))
-
-
 # --- text round-trip --------------------------------------------------------
 
 def format_scalar(x: Scalar) -> str:
     """Rationals print as p/q (bare integers without /1); complex as a+bi.
-    A complex value that is not finite (a result that overflowed) raises
-    OverflowError."""
+    A complex value that is not finite (a result that overflowed), or a
+    rational with more digits than sys.get_int_max_str_digits() allows,
+    raises OverflowError."""
     if is_exact(x):
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # str refuses an int over the limit
+            raise OverflowError("exact value too long to print (over the "
+                                f"{sys.get_int_max_str_digits()}-digit limit)") from None
     z = complex(x)
     if not isfinite(z):
         raise OverflowError(f"complex value {z} is not finite")

@@ -21,7 +21,7 @@ from typing import Mapping
 from .circuit import Circuit, _is_exact, transfer_matrix, wiring_matrix
 from .errors import LabelCollision, LabelMismatch, TooLarge
 from .labeled import LabeledMatrix, Scalar, submatrix
-from .scalars import det_grid, scalars_equal
+from .scalars import det_grid
 
 Bits = tuple[int, ...]
 
@@ -36,15 +36,6 @@ class Tensor:
 
     def component(self, ket: Bits, bra: Bits) -> Scalar:
         return self.data.get((ket, bra), 0)
-
-
-def tensors_equal(a: Tensor, b: Tensor) -> bool:
-    if a.out_wires != b.out_wires or a.in_wires != b.in_wires:
-        return False
-    for key in set(a.data) | set(b.data):
-        if not scalars_equal(a.component(*key), b.component(*key)):
-            return False
-    return True
 
 
 def _subset_bits(n: int, positions: tuple[int, ...]) -> Bits:

@@ -15,20 +15,16 @@ from detcircuits import (
     Circuit,
     Graph,
     Stack,
-    anti_transpose,
     compile_circuit,
     compose,
     contract_circuit,
     count_rooted_forests,
     count_spanning_trees,
-    dagger,
-    determinant,
     enumerate_forests,
     enumerate_multicycles,
     enumerate_trees,
     eval_pfaffian_circuit,
     evaluate,
-    forest_histogram,
     forest_polynomial,
     labeled,
     laplacian_cofactor,
@@ -38,14 +34,12 @@ from detcircuits import (
     principal_minor_sum,
     reorient,
     sdet_expand,
-    skew_embed,
-    skew_restrict,
     submatrix,
     tensor_compose,
-    tensors_equal,
 )
 from detcircuits.scalars import det_grid
 from circgen import rand_circuit, rand_grid, rand_skew_grid
+from paper import determinant, forest_histogram, skew_embed, skew_restrict, tensors_equal
 
 
 def close(a, b, tol=1e-9):

@@ -24,10 +24,10 @@ from detcircuits import (
     multicycle_total,
     transfer_matrix,
     validate,
-    width_depth,
     wiring_matrix,
 )
-from circgen import rand_circuit, rand_grid
+from circgen import rand_circuit
+from paper import stack_matrix
 
 
 def loop_gate(entries, n):
@@ -42,7 +42,6 @@ def test_empty_circuit_evaluates_to_one():
     assert evaluate(c) == 1
     assert contract_circuit(c) == 1
     assert multicycle_total(c) == 1
-    assert width_depth(c) == (0, 0)
 
 
 def test_single_gate_loop_value():
@@ -252,14 +251,6 @@ def test_multicycle_supports_are_consistent():
         assert mc.weight != 0
 
 
-def test_width_depth():
-    g = labeled((1, 2), (3, 4, 5), rand_grid(random.Random(6), 2, 3))
-    g2 = labeled((6, 7, 8), (9, 10), rand_grid(random.Random(7), 3, 2))
-    c = Circuit((Stack((g,)), Stack((g2,))),
-                (identity_wiring((1, 2), (9, 10)), identity_wiring((6, 7, 8), (3, 4, 5))))
-    assert width_depth(c) == (3, 2)
-
-
 def test_identity_wiring_size_mismatch():
     with pytest.raises(SizeMismatch):
         identity_wiring((1, 2), (3,))
@@ -312,7 +303,7 @@ def _compose_chain(c: Circuit, start: int):
     acc = None
     for i in range(m):
         k = (start + i) % m
-        step = compose(wiring_matrix(c, k), c.stacks[k].matrix())
+        step = compose(wiring_matrix(c, k), stack_matrix(c.stacks[k]))
         acc = step if acc is None else compose(step, acc)
     return acc
 
@@ -321,7 +312,7 @@ def _check_collapse_matches_chain(c: Circuit) -> None:
     exact = not any(isinstance(x, complex) for s in c.stacks for g in s.gates
                     for row in g.entries for x in row)
     for k in range(len(c.stacks)):
-        assert transfer_matrix(c, k) == compose(wiring_matrix(c, k), c.stacks[k].matrix())
+        assert transfer_matrix(c, k) == compose(wiring_matrix(c, k), stack_matrix(c.stacks[k]))
     for start in range(len(c.stacks)):
         got = collapse(c, start)
         want = _compose_chain(c, start)

@@ -6,11 +6,8 @@ import pytest
 
 from detcircuits import (
     Circuit,
-    LabelCollision,
-    NotSquare,
     Stack,
     compile_circuit,
-    determinant,
     eval_pfaffian_circuit,
     eval_pfaffian_oracle,
     evaluate,
@@ -18,16 +15,14 @@ from detcircuits import (
     labeled,
     parse_circuit,
     pfaffian,
-    sdet_expand,
     skew,
-    skew_embed,
-    skew_restrict,
     spf,
     spf_dual,
     submatrix,
     validate_pfaffian,
 )
 from circgen import rand_circuit, rand_grid
+from paper import determinant, skew_embed, skew_restrict
 
 
 def test_skew_embed_1x1():
@@ -35,13 +30,6 @@ def test_skew_embed_1x1():
     assert [list(r) for r in s.entries] == [[Fraction(0), Fraction(3)],
                                             [Fraction(-3), Fraction(0)]]
     assert pfaffian([list(r) for r in s.entries]) == 3
-
-
-def test_skew_embed_requires_square_and_disjoint():
-    with pytest.raises(NotSquare):
-        skew_embed(labeled((1,), (2, 3), [[1, 2]]))
-    with pytest.raises(LabelCollision):
-        skew_embed(labeled((1,), (1,), [[1]]))
 
 
 def test_skew_embed_pfaffian_is_determinant():
@@ -57,7 +45,6 @@ def test_skew_embed_pfaffian_is_determinant():
 def test_skew_embed_subpfaffians_are_minors():
     # Pf(S(M)_K) = det(M_{I,J}) for every K = I together with reflected J
     rng = random.Random(1)
-    from detcircuits import skew_restrict
     for _ in range(5):
         n = 3
         m = labeled((1, 2, 3), (11, 12, 13), rand_grid(rng, n, n))

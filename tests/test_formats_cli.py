@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from detcircuits import (
     Circuit,
-    Graph,
     ParseError,
     Stack,
     ValidationError,
@@ -563,6 +563,35 @@ def test_cli_non_finite_complex_result_exits_2(tmp_path, capsys, verb):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ") and "not finite" in out.err
+
+
+@pytest.mark.parametrize("verb", ["eval", "oracle", "check", "multicycles", "compile", "pfeval"])
+def test_cli_exact_result_past_the_digit_limit_exits_2(tmp_path, capsys, verb):
+    # 10**limit has limit + 1 digits, one more than str may print: the verb
+    # exits 2 with nothing on stdout, and compile writes no file.
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    token = f"1e{limit}"
+    if verb == "pfeval":
+        path = tmp_path / "big.pf"
+        path.write_text(f"pfgate state 2 1 2\n0 {token}\n-{token} 0\n"
+                        "pfgate costate 2 1 2\n0 0\n0 0\n")
+    else:
+        path = tmp_path / "big.circuit"
+        path.write_text(f"stack\ngate 1 1 1 / 1\n{token}\n")
+    kept = tmp_path / "kept.pf"
+    kept.write_text("kept\n")
+    runs = [[verb, str(path)]]
+    if verb == "compile":
+        runs.append([verb, str(path), "-o", str(kept)])
+    for argv in runs:
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and "too long to print" in out.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted((path.name, kept.name))
+    assert kept.read_text() == "kept\n"
 
 
 def test_format_scalar_refuses_non_finite_complex():

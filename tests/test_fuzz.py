@@ -23,7 +23,7 @@ label_list = st.lists(st.integers(0, 12).map(str), max_size=4).map(" ".join)
 scalar = st.one_of(
     st.integers(-3, 3).map(str),
     st.sampled_from(["1/2", "-3/4", "1/0", "0/5", "i", "-i", "1+2i", "2.5-1i",
-                     "2.5", "1e99", "1e-99", "-1e-99i", "nan", "inf", "-infi",
+                     "2.5", "1e99", "1e5000", "1e-99", "-1e-99i", "nan", "inf", "-infi",
                      "x", "/", "+", "->"]),
 )
 entry_row = st.lists(scalar, max_size=4).map(" ".join)

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -12,14 +11,11 @@ from detcircuits import (
     contract_circuit,
     count_rooted_forests,
     count_spanning_trees,
-    dagger,
     enumerate_forests,
     enumerate_multicycles,
     enumerate_trees,
     evaluate,
-    forest_histogram,
     forest_polynomial,
-    graph_to_circuit,
     incidence_matrix,
     laplacian,
     laplacian_cofactor,
@@ -28,6 +24,7 @@ from detcircuits import (
 )
 from detcircuits.graphs import ENUM_EDGE_CAP
 from detcircuits.scalars import det_grid
+from paper import dagger, forest_histogram, graph_to_circuit
 
 K3 = Graph(3, ((1, 2), (2, 3), (3, 1)))
 K4 = Graph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))

@@ -15,9 +15,7 @@ from detcircuits import (
     PfaffianCircuit,
     PfGate,
     TooLarge,
-    anti_transpose,
     compile_circuit,
-    determinant,
     eval_pfaffian_circuit,
     eval_pfaffian_oracle,
     evaluate,
@@ -26,16 +24,15 @@ from detcircuits import (
     pfaffian,
     pfaffian_oracle,
     skew,
-    skew_restrict,
     spf,
     spf_dual,
     SkewMatrix,
     Stack,
     validate_pfaffian,
-    zero_skew,
 )
 from detcircuits.scalars import det_grid, scalars_equal
 from circgen import rand_circuit, rand_ring, rand_skew_grid
+from paper import anti_transpose, determinant, skew_restrict
 
 rat = st.integers(-9, 9).map(Fraction)
 pq = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -49,6 +46,10 @@ def rand_pq_skew_grid(rng, n, zeros=0.0):
                 g[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                 g[j][i] = -g[i][j]
     return g
+
+
+def zero_grid(n):
+    return [[0] * n for _ in range(n)]
 
 
 def test_pfaffian_degenerate_sizes():
@@ -98,7 +99,7 @@ def test_pfaffian_oracle_cap():
 
 
 def test_sub_pfaffian_caps_are_20():
-    big = zero_skew(range(1, 22))
+    big = skew(range(1, 22), zero_grid(21))
     with pytest.raises(TooLarge):
         spf(big)
     with pytest.raises(TooLarge):
@@ -336,7 +337,7 @@ def test_spf_dual_of_two_by_two():
 def test_spf_dual_of_single_zero():
     # the 1x1 zero skew matrix: complement of {} is {1}, Pf of 1x1 block is 0,
     # so only the full bra survives
-    z = zero_skew((1,))
+    z = skew((1,), zero_grid(1))
     t = spf_dual(z)
     assert t.data == {((), (1,)): Fraction(1)}
 
@@ -384,7 +385,8 @@ def test_validate_pfaffian_coverage():
 def test_edge_count_is_the_largest_edge_id():
     assert PfaffianCircuit(()).edge_count == 0
     gates = (("state", (3, 4)), ("state", (1, 2)), ("costate", (4, 1)), ("costate", (2, 3)))
-    pc = PfaffianCircuit(tuple(PfGate(kind, zero_skew(edges)) for kind, edges in gates))
+    pc = PfaffianCircuit(tuple(PfGate(kind, skew(edges, zero_grid(len(edges))))
+                               for kind, edges in gates))
     assert pc.edge_count == 4
     rng = random.Random(8)
     for _ in range(30):
@@ -406,7 +408,8 @@ def test_edge_count_is_the_largest_edge_id():
 ])
 def test_invalid_pfaffian_circuit_raises_when_built(gates, error, message):
     with pytest.raises(error) as e:
-        PfaffianCircuit(tuple(PfGate(kind, zero_skew(edges)) for kind, edges in gates))
+        PfaffianCircuit(tuple(PfGate(kind, skew(edges, zero_grid(len(edges))))
+                              for kind, edges in gates))
     assert str(e.value) == message
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from detcircuits.labeled import labeled
 from detcircuits.scalars import (
-    det_cofactor,
     det_grid,
     format_scalar,
     normalize_grid,
@@ -15,6 +14,7 @@ from detcircuits.scalars import (
     parse_scalar,
     scalars_equal,
 )
+from paper import det_cofactor
 
 rationals = st.fractions(max_denominator=20).map(
     lambda f: Fraction(f.numerator, f.denominator))

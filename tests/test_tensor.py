@@ -9,24 +9,23 @@ from detcircuits import (
     LabelMismatch,
     Stack,
     TooLarge,
-    braiding,
     compose,
     contract_circuit,
-    determinant,
     enumerate_multicycles,
     evaluate,
     identity,
     labeled,
+    permutation_matrix,
     principal_minor_sum,
     sdet_expand,
     submatrix,
     tensor_compose,
     tensor_product,
     tensor_trace,
-    tensors_equal,
 )
 from detcircuits import tensor
 from circgen import rand_grid
+from paper import determinant, tensors_equal
 
 
 def test_sdet_expand_1x1():
@@ -72,8 +71,9 @@ def test_sdet_expand_cap():
 
 
 def test_braiding_expansion_signs():
-    # sDet of the 1|1 braiding: |00><00| + |01><10| + |10><01| - |11><11|
-    t = sdet_expand(braiding((1,), (2,)))
+    # sDet of the 1|1 braiding, the crossing with rows (2, 1) and columns
+    # (1, 2): |00><00| + |01><10| + |10><01| - |11><11|
+    t = sdet_expand(permutation_matrix({1: 1, 2: 2}, (1, 2), (2, 1)))
     assert t.data == {
         ((0, 0), (0, 0)): Fraction(1),
         ((0, 1), (1, 0)): Fraction(1),
