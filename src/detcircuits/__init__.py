@@ -21,7 +21,6 @@ from .compiler import CompiledCircuit, compile_circuit
 from .errors import (
     DanglingWire,
     DuplicateLabel,
-    EdgeMultiplicity,
     LabelCollision,
     LabelMismatch,
     NotEndomorphism,
@@ -64,7 +63,6 @@ from .labeled import (
 )
 from .pfaffian import (
     PfaffianCircuit,
-    PfGate,
     SkewMatrix,
     eval_pfaffian_circuit,
     eval_pfaffian_oracle,

@@ -87,6 +87,10 @@ def _build_parser() -> _Parser:
 # tree costs more than a small eval.
 _PARSER = _build_parser()
 
+# Every run reads and prints integers of up to this many digits, whatever
+# limit the interpreter started with (PYTHONINTMAXSTRDIGITS, -X option).
+INT_MAX_STR_DIGITS = 4300
+
 
 def _read(path: str) -> str:
     with open(path, "rb") as fh:
@@ -105,24 +109,26 @@ def _run(ns) -> int:
         g = parse_graph(text)
         if ns.orientation_seed is not None:
             g = reorient(g, ns.orientation_seed)
-    elif ns.verb == "pfeval":
-        pc = parse_pfaffian(text, ns.field)
     else:
-        c = parse_circuit(text, ns.field)
+        if ns.verb == "pfeval":
+            pc = parse_pfaffian(text, ns.field)
+        else:
+            c = parse_circuit(text, ns.field)
+        # A complex run prints every value complex, the exact 1 of no entries too.
+        show = format_scalar if ns.field == "rational" else lambda x: format_scalar(complex(x))
     if ns.verb == "eval":
-        print(format_scalar(evaluate(c)))
+        print(show(evaluate(c)))
     elif ns.verb == "oracle":
-        print(format_scalar(contract_circuit(c)))
+        print(show(contract_circuit(c)))
     elif ns.verb == "check":
         fast = evaluate(c)
         slow = contract_circuit(c)
         cyc = multicycle_total(c)
         if not (scalars_equal(fast, slow) and scalars_equal(fast, cyc)):
             print("mismatch: eval={} oracle={} multicycles={}".format(
-                format_scalar(fast), format_scalar(slow), format_scalar(cyc)),
-                file=sys.stderr)
+                show(fast), show(slow), show(cyc)), file=sys.stderr)
             return 3
-        print(f"ok {format_scalar(fast)}")
+        print(f"ok {show(fast)}")
     elif ns.verb == "multicycles":
         cycles = enumerate_multicycles(c)
         # Every line is formatted before any is printed: a non-finite weight
@@ -130,8 +136,8 @@ def _run(ns) -> int:
         lines = []
         for mc in cycles:
             sup = " ".join(f"{k}:{lab}" for k, lab in sorted(mc.support))
-            lines.append(f"({sup}) {format_scalar(mc.weight)}")
-        lines.append(f"total {format_scalar(sum(mc.weight for mc in cycles))}")
+            lines.append(f"({sup}) {show(mc.weight)}")
+        lines.append(f"total {show(sum(mc.weight for mc in cycles))}")
         print("\n".join(lines))
     elif ns.verb == "compile":
         compiled = compile_circuit(c)
@@ -143,7 +149,7 @@ def _run(ns) -> int:
             fh.write(text)
         print(f"size_ratio {format_scalar(compiled.size_ratio)}")
     elif ns.verb == "pfeval":
-        print(format_scalar(eval_pfaffian_circuit(pc)))
+        print(show(eval_pfaffian_circuit(pc)))
     elif ns.verb == "forests":
         print(count_rooted_forests(g))
     elif ns.verb == "trees":
@@ -156,19 +162,23 @@ def _run(ns) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The digit limit decides which integers parse, arguments included, and
+    # which exact values print: a run sets its own, then the caller's again.
+    caller_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(INT_MAX_STR_DIGITS)
     try:
-        ns = _PARSER.parse_args(argv)
-    except _UsageError as exc:
+        return _run(_PARSER.parse_args(argv))
+    except _UsageError as exc:  # raised by parse_args only, as is SystemExit
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # -h/--help: argparse printed the help to stdout
         return exc.code
-    try:
-        return _run(ns)
     except (ParseError, ValidationError, OSError, OverflowError,
             MemoryError) as exc:  # only a MemoryError has no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(caller_limit)
 
 
 def console_main() -> None:

@@ -5,10 +5,11 @@ holding its skew embedding [[0, g̃], [-g̃ᵀ, 0]], g̃ = g with its columns
 reversed.  Its sub-Pfaffian on rows I and reflected columns J̃ is the
 minor det(g_{I,J}), and 0 when |I| != |J|, so a rectangular gate needs no
 padding.  Every stack boundary becomes a pass-through costate gadget.
-Edge ids are issued in one scan around the ring, so the global edge
-order is the geometric one; the one remaining degree of freedom is an
-overall sign, which is read off the emitted order and absorbed by an
-extra constant gadget pair when negative.
+The states are the target's ket and the costates its bra.  Edge ids are
+issued in one scan around the ring, so the global edge order is the
+geometric one; the one remaining degree of freedom is an overall sign,
+which is read off the costates' label lists and absorbed by an extra
+constant gadget pair when negative.
 
 The ring is first normalized to one gate per stack, its transfer matrix.
 An odd number of stacks is required for a consistent edge order to exist
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from .circuit import Circuit, transfer_matrix
 from .labeled import LabeledMatrix, identity, labeled
-from .pfaffian import PfaffianCircuit, PfGate, SkewMatrix
+from .pfaffian import PfaffianCircuit, SkewMatrix
 from .scalars import Scalar
 
 
@@ -81,9 +82,9 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
 
     nxt = 1
     row_ids: list[tuple[int, ...]] = []  # per gate, ids of its row slots
-    col_ids: list[tuple[int, ...]] = []  # per gate, ids of its col slots (col order)
-    states: list[PfGate] = []
-    costates: list[PfGate] = []
+    col_ids: list[tuple[int, ...]] = []  # per gate, ids of its column slots, ascending
+    states: list[SkewMatrix] = []
+    costates: list[SkewMatrix] = []
 
     for g in gates:
         r, c = g.shape
@@ -91,37 +92,33 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         slots = tuple(range(nxt, nxt + r + c))
         nxt += r + c
         row_ids.append(slots[:r])
-        col_ids.append(slots[::-1][:c])
-        states.append(PfGate("state", SkewMatrix(slots, _skew_grid(g.entries, c))))
+        col_ids.append(slots[r:])
+        states.append(SkewMatrix(slots, _skew_grid(g.entries, c)))
 
     # Pass-through gadget at each boundary: the embedded identity pairing
     # the previous gate's row edges with this gate's column edges.
-    costate_listing: list[int] = []
     for k, this_cols in enumerate(col_ids):
-        p = len(this_cols)
-        if p == 0:
-            continue
-        labels = row_ids[k - 1] + this_cols[::-1]
-        eye = [[int(i == j) for j in range(p)] for i in range(p)]
-        costates.append(PfGate("costate", SkewMatrix(labels, _skew_grid(eye, p))))
-        costate_listing.extend(labels)
+        if this_cols:
+            p = len(this_cols)
+            eye = [[int(i == j) for j in range(p)] for i in range(p)]
+            costates.append(SkewMatrix(row_ids[k - 1] + this_cols, _skew_grid(eye, p)))
 
     # The emitted order fixes every term's sign up to one global constant;
-    # read it off the all-edges-idle configuration and cancel a -1 with a
-    # constant gadget pair.  The costate is listed (y, x), so its own
-    # Pfaffian is +1 while its edge-matrix entry a_xy is -1: the oracle,
-    # which reads each gate in its own order, sees no extra sign.
-    if _perm_sign(costate_listing) < 0:
+    # read it off the all-edges-idle configuration, the costates' label
+    # lists, and cancel a -1 with a constant gadget pair.  The costate is
+    # listed (y, x), so its own Pfaffian is +1 while its edge-matrix entry
+    # a_xy is -1: the oracle, which reads each gadget in its own order,
+    # sees no extra sign.
+    if _perm_sign([e for g in costates for e in g.labels]) < 0:
         x, y = nxt, nxt + 1
-        states.append(PfGate("state", SkewMatrix((x, y), _skew_grid([[0]], 1))))
-        costates.append(PfGate("costate", SkewMatrix((y, x), _skew_grid([[1]], 1))))
+        states.append(SkewMatrix((x, y), _skew_grid([[0]], 1)))
+        costates.append(SkewMatrix((y, x), _skew_grid([[1]], 1)))
 
-    target = PfaffianCircuit(tuple(states + costates))
     source_entries = sum(len(g.rows) * len(g.cols)
                          for s in circuit.stacks for g in s.gates)
-    target_entries = sum(g.matrix.size ** 2 for g in target.gates)
+    target_entries = sum(g.size ** 2 for g in states + costates)
     return CompiledCircuit(
-        target=target,
-        gadget_count=len(target.gates),
+        target=PfaffianCircuit(tuple(states), tuple(costates)),
+        gadget_count=len(states) + len(costates),
         size_ratio=Fraction(target_entries, max(source_entries, 1)),
     )

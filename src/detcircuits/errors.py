@@ -37,10 +37,6 @@ class SizeMismatch(ValidationError):
     """Adjacent interfaces have different wire counts."""
 
 
-class EdgeMultiplicity(ValidationError):
-    """An edge id occurs more than once on the same side of a Pfaffian circuit."""
-
-
 class ParseError(Exception):
     """A text input could not be parsed.  Carries the 1-based line number."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .circuit import Circuit, Stack, identity_wiring
 from .errors import ParseError, SizeMismatch, ValidationError
 from .labeled import LabeledMatrix
-from .pfaffian import PfaffianCircuit, PfGate, SkewMatrix
+from .pfaffian import PfaffianCircuit, SkewMatrix
 from .graphs import Graph
 from .scalars import Scalar, format_scalar, parse_scalar
 
@@ -174,9 +174,10 @@ def write_circuit(c: Circuit) -> str:
 # ------------------------------------------------------- pfaffian circuits
 
 def parse_pfaffian(text: str, field: str = "rational") -> PfaffianCircuit:
-    """Parse `pfgate state|costate n <n edge ids>` blocks with n x n grids."""
+    """Parse `pfgate state|costate n <n edge ids>` blocks with n x n grids.
+    The blocks may come in any order; each side keeps its blocks' order."""
     lines = _significant(text)
-    gates: list[PfGate] = []
+    sides: dict[str, list[SkewMatrix]] = {"state": [], "costate": []}
     for no, line in lines:
         toks = line.split()
         if toks[0] != "pfgate":
@@ -184,7 +185,7 @@ def parse_pfaffian(text: str, field: str = "rational") -> PfaffianCircuit:
         if len(toks) < 3:
             raise ParseError(no, "pfgate needs: pfgate state|costate n <edges>")
         kind = toks[1]
-        if kind not in ("state", "costate"):
+        if kind not in sides:
             raise ParseError(no, f"pfgate kind must be state or costate, got {kind!r}")
         n = _parse_int(toks[2], no, "size")
         edge_toks = toks[3:]
@@ -196,23 +197,23 @@ def parse_pfaffian(text: str, field: str = "rational") -> PfaffianCircuit:
                 raise ParseError(no, f"edge ids are positive, got {e}")
         grid = _parse_grid(lines, n, n, field, no)
         try:
-            gates.append(PfGate(kind, SkewMatrix(edges, grid)))
+            sides[kind].append(SkewMatrix(edges, grid))
         except (ValidationError, ValueError) as exc:
             raise ParseError(no, str(exc)) from None
-    return PfaffianCircuit(tuple(gates))
+    return PfaffianCircuit(tuple(sides["state"]), tuple(sides["costate"]))
 
 
 def write_pfaffian(pc: PfaffianCircuit) -> str:
     out = []
-    for g in pc.gates:
-        n = g.matrix.size
-        out.append("pfgate {} {} {}".format(
-            g.kind, n, " ".join(str(e) for e in g.matrix.labels)).rstrip())
-        # format_scalar prints an int as str does; the zeros that fill
-        # most gadgets are ints, so calling str on them skips a Python call.
-        for row in g.matrix.entries:
-            out.append(" ".join([str(x) if type(x) is int else format_scalar(x)
-                                 for x in row]))
+    for kind, gates in (("state", pc.states), ("costate", pc.costates)):
+        for g in gates:
+            out.append("pfgate {} {} {}".format(
+                kind, g.size, " ".join(str(e) for e in g.labels)).rstrip())
+            # format_scalar prints an int as str does; the zeros that fill
+            # most gadgets are ints, so calling str on them skips a Python call.
+            for row in g.entries:
+                out.append(" ".join([str(x) if type(x) is int else format_scalar(x)
+                                     for x in row]))
     return "\n".join(out) + "\n" if out else ""
 
 

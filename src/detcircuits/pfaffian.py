@@ -1,17 +1,18 @@
 """Pfaffians, skew matrices, and Pfaffian circuits.
 
-A Pfaffian circuit assigns each edge id to exactly one state gate and
-exactly one costate gate; both carry skew matrices over their edge
-lists.  Its value is the full contraction of the sub-Pfaffian tensors,
-and the fast path computes it as a single Pfaffian of an edge-indexed
-matrix: the state entries and the costate entries, the latter with a
-checkerboard sign twist, add into one skew matrix, and the value is its
-Pfaffian.  That Pfaffian equals the contraction (eval_pfaffian_oracle)
-only for suitable edge numberings, such as the compiler's; for others, as
-in a hand-written .pf file, it can be the contraction's negative or
-another value.  Of 1000 random circuits of 2-8 edges, with gates of at
-most 4 edges, shuffled label lists and a nonzero contraction, 273 matched
-and 284 came out negated.
+A Pfaffian circuit is a ket of states and a bra of costates, each a
+skew matrix over its edge list, and each edge id lies on exactly one
+state and exactly one costate.  Its value is the bra contracted with the
+ket, the product of the states' sub-Pfaffian tensors against the product
+of the costates' (eval_pfaffian_oracle).  The fast path computes it as a
+single Pfaffian of an edge-indexed matrix: the state entries and the
+costate entries, the latter with a checkerboard sign twist, add into one
+skew matrix, and the value is its Pfaffian.  That Pfaffian equals the
+contraction only for suitable edge numberings, such as the compiler's;
+for others, as in a hand-written .pf file, it can be the contraction's
+negative or another value.  Of 1000 random circuits of 2-8 edges, with
+gates of at most 4 edges, shuffled label lists and a nonzero
+contraction, 273 matched and 284 came out negated.
 
 Both Pfaffian kernels store a skew matrix as its upper triangle in
 sparse rows: rows[i] maps each j > i to a nonzero a_ij.  The rational
@@ -31,9 +32,9 @@ from itertools import combinations
 from math import prod
 from typing import Sequence
 
-from .errors import DanglingWire, EdgeMultiplicity, NotSkew, TooLarge
+from .errors import DanglingWire, DuplicateLabel, NotSkew, TooLarge
 from .scalars import Scalar, clear_denominators, grid_is_exact, normalize_grid, scalars_equal
-from .tensor import ORACLE_CAP, Tensor, _subset_bits, tensor_compose, tensor_product
+from .tensor import ORACLE_CAP, Tensor, _subset_bits, tensor_compose, tensor_product_all
 
 PF_ORACLE_MAX = 12
 
@@ -81,7 +82,12 @@ def _pfaffian_complex(a: list[dict]) -> complex:
         rk, q = a[k], k + 1
         # The update divides by the pivot, so take row k's largest entry
         # (the lowest index on ties).
-        p = min(rk, key=lambda j: (-abs(rk[j]), j), default=q)
+        try:
+            p = min(rk, key=lambda j: (-abs(rk[j]), j), default=q)
+        except OverflowError:  # a modulus past the largest float: index k / 4, Pf * 4
+            rk = a[k] = {j: x * 0.25 for j, x in rk.items()}
+            pf = pf * 4
+            p = min(rk, key=lambda j: (-abs(rk[j]), j))
         if not rk.get(p):
             return 0j
         if p != q:
@@ -191,7 +197,7 @@ class SkewMatrix:
     def __post_init__(self):
         n = len(self.labels)
         if len(set(self.labels)) != n:
-            raise EdgeMultiplicity(f"repeated label in {self.labels}")
+            raise DuplicateLabel(f"repeated label in {self.labels}")
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValueError("skew matrix grid is not square on its labels")
         # Checked once here: pfaffian() and the edge matrix read only i < j.
@@ -243,44 +249,30 @@ def spf_dual(sk: SkewMatrix) -> Tensor:
 
 
 @dataclass(frozen=True)
-class PfGate:
-    kind: str  # "state" or "costate"
-    matrix: SkewMatrix
-
-    def __post_init__(self):
-        if self.kind not in ("state", "costate"):
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-
-    @property
-    def edges(self) -> tuple[int, ...]:
-        return self.matrix.labels
-
-
-@dataclass(frozen=True)
 class PfaffianCircuit:
-    """edge_count is the largest edge id (0 for no gates); checked when built."""
-    gates: tuple[PfGate, ...]
+    """States (the ket) and costates (the bra), each a tuple of gadgets;
+    edge_count is the largest edge id (0 for none).  Checked when built."""
+    states: tuple[SkewMatrix, ...]
+    costates: tuple[SkewMatrix, ...]
     edge_count: int = field(init=False)
 
     def __post_init__(self):
-        last = max((e for g in self.gates for e in g.edges), default=0)
+        last = max((e for g in self.states + self.costates for e in g.labels), default=0)
         object.__setattr__(self, "edge_count", last)
         validate_pfaffian(self)
 
 
 def validate_pfaffian(pc: PfaffianCircuit) -> None:
-    """Every edge id 1..edge_count once in a state and once in a costate.
-    Runs once, in PfaffianCircuit.__post_init__."""
-    for side in ("state", "costate"):
+    """Every edge id 1..edge_count once among the states and once among the
+    costates.  Runs once, in PfaffianCircuit.__post_init__."""
+    for side, gates in (("state", pc.states), ("costate", pc.costates)):
         seen: set[int] = set()
-        for g in pc.gates:
-            if g.kind != side:
-                continue
-            for e in g.edges:
+        for g in gates:
+            for e in g.labels:
                 if not 1 <= e <= pc.edge_count:
                     raise DanglingWire(f"edge id {e} outside 1..{pc.edge_count}")
                 if e in seen:
-                    raise EdgeMultiplicity(f"edge {e} used twice on the {side} side")
+                    raise DuplicateLabel(f"edge {e} used twice on the {side} side")
                 seen.add(e)
         if len(seen) != pc.edge_count:
             first = next(e for e in range(1, pc.edge_count + 1) if e not in seen)
@@ -291,37 +283,34 @@ def validate_pfaffian(pc: PfaffianCircuit) -> None:
 def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
     """Fast evaluation: one Pfaffian of the assembled edge matrix.
 
-    The costate block enters with the sign twist (-1)**(i+j+1) on entry
-    (i, j) in 1-based edge ids; that twist is what turns the sum over
-    edge subsets of products of sub-Pfaffians into a single Pfaffian.
-    Both sides add their nonzero entries into sparse upper-triangle rows.
-    The gates, not the rows, say which field's kernel runs, so an all-zero
-    complex circuit still evaluates to 0j.
+    The costates enter with the sign twist (-1)**(i+j+1) on entry (i, j)
+    in 1-based edge ids; that twist is what turns the sum over edge
+    subsets of products of sub-Pfaffians into a single Pfaffian.  Both
+    sides add their nonzero entries into sparse upper-triangle rows; an
+    entry gets at most one term from each side, so the order of the gadgets
+    does not change the sum.  The gadgets, not the rows, say which field's
+    kernel runs, so an all-zero complex circuit still evaluates to 0j.
     """
     rows: list[dict] = [{} for _ in range(pc.edge_count)]
-    for g in pc.gates:
-        for ea, row in zip(g.edges, g.matrix.entries):
-            out = rows[ea - 1]
-            for eb, x in zip(g.edges, row):
-                if x and ea < eb:
-                    j = eb - 1
-                    if g.kind == "costate" and (ea + eb) % 2 == 0:
-                        x = -x
-                    out[j] = out[j] + x if j in out else x
-    if all(grid_is_exact(g.matrix.entries) for g in pc.gates):
+    for twist, gates in ((False, pc.states), (True, pc.costates)):
+        for g in gates:
+            for ea, row in zip(g.labels, g.entries):
+                out = rows[ea - 1]
+                for eb, x in zip(g.labels, row):
+                    if x and ea < eb:
+                        j = eb - 1
+                        if twist and (ea + eb) % 2 == 0:
+                            x = -x
+                        out[j] = out[j] + x if j in out else x
+    if all(grid_is_exact(g.entries) for g in pc.states + pc.costates):
         return _pfaffian_exact(rows)
     return _pfaffian_complex(rows)
 
 
 def eval_pfaffian_oracle(pc: PfaffianCircuit) -> Scalar:
-    """Oracle evaluation by contracting sub-Pfaffian tensors edge by edge."""
+    """Oracle evaluation: ⟨⊗ spf_dual(costates) | ⊗ spf(states)⟩, edge by edge."""
     if pc.edge_count > ORACLE_CAP:
         raise TooLarge(f"oracle contraction over {pc.edge_count} edges")
-    ket = Tensor((), (), {((), ()): 1})
-    bra = Tensor((), (), {((), ()): 1})
-    for g in pc.gates:
-        if g.kind == "state":
-            ket = tensor_product(ket, spf(g.matrix))
-        else:
-            bra = tensor_product(bra, spf_dual(g.matrix))
+    ket = tensor_product_all(map(spf, pc.states))
+    bra = tensor_product_all(map(spf_dual, pc.costates))
     return tensor_compose(bra, ket).component((), ())

@@ -64,7 +64,10 @@ def scalars_equal(a: Scalar, b: Scalar) -> bool:
     if is_exact(a) and is_exact(b):
         return a == b
     a, b = complex(a), complex(b)
-    return abs(a - b) <= COMPLEX_TOL * max(1.0, abs(a), abs(b))
+    try:
+        return abs(a - b) <= COMPLEX_TOL * max(1.0, abs(a), abs(b))
+    except OverflowError:  # a modulus past the largest float: compare a quarter of each
+        return scalars_equal(a * 0.25, b * 0.25)
 
 
 # --- determinants -----------------------------------------------------------
@@ -125,8 +128,14 @@ def _det_complex(a: list[list[complex]]) -> complex:
     n = len(a)
     det = 1 + 0j
     for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if abs(a[piv][k]) == 0.0:
+        try:
+            piv = max(range(k, n), key=lambda i: abs(a[i][k]))
+        except OverflowError:  # a modulus past the largest float: column k / 4, det * 4
+            for i in range(k, n):
+                a[i][k] *= 0.25
+            det *= 4
+            piv = max(range(k, n), key=lambda i: abs(a[i][k]))
+        if not a[piv][k]:
             return 0j
         if piv != k:
             a[k], a[piv] = a[piv], a[k]

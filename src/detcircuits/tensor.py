@@ -14,9 +14,10 @@ enumeration may try.  The Pfaffian oracles share it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, product
 from math import comb, prod
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .circuit import Circuit, _is_exact, transfer_matrix, wiring_matrix
 from .errors import LabelCollision, LabelMismatch, TooLarge
@@ -103,11 +104,9 @@ def tensor_trace(t: Tensor) -> Scalar:
                if all(ket[i] == bra[reorder[i]] for i in range(len(ket))))
 
 
-def _stack_tensor(gates: tuple[LabeledMatrix, ...]) -> Tensor:
-    t = Tensor((), (), {((), ()): 1})
-    for g in gates:
-        t = tensor_product(t, sdet_expand(g))
-    return t
+def tensor_product_all(tensors: Iterable[Tensor]) -> Tensor:
+    """Product of the tensors in order, from the unit tensor (1 at the empty pair)."""
+    return reduce(tensor_product, tensors, Tensor((), (), {((), ()): 1}))
 
 
 def contract_circuit(circuit: Circuit) -> Scalar:
@@ -123,8 +122,8 @@ def contract_circuit(circuit: Circuit) -> Scalar:
         return 1
     acc: Tensor | None = None
     for k in range(m):
-        step = tensor_compose(sdet_expand(wiring_matrix(circuit, k)),
-                              _stack_tensor(circuit.stacks[k].gates))
+        stack = tensor_product_all(map(sdet_expand, circuit.stacks[k].gates))
+        step = tensor_compose(sdet_expand(wiring_matrix(circuit, k)), stack)
         acc = step if acc is None else tensor_compose(step, acc)
     assert acc is not None
     value = tensor_trace(acc)

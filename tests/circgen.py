@@ -1,4 +1,5 @@
-"""Shared random generators for the test suite.
+"""Shared random generators for the test suite, and pf_blocks, which
+cuts a .pf text into the blocks they can shuffle.
 
 Everything takes an explicit random.Random so tests stay reproducible.
 """
@@ -92,3 +93,13 @@ def _close(rng, stacks):
         rng.shuffle(dst)
         wirings.append(tuple(zip(src, dst)))
     return Circuit(tuple(stacks), tuple(wirings))
+
+
+def pf_blocks(text):
+    """The pfgate blocks of a .pf text, each with its grid rows."""
+    blocks = []
+    for line in text.splitlines(keepends=True):
+        if line.startswith("pfgate"):
+            blocks.append("")
+        blocks[-1] += line
+    return blocks

@@ -112,7 +112,7 @@ def test_compile_single_looped_gate():
     assert evaluate(c) == 6
     assert eval_pfaffian_circuit(out.target) == 6
     assert eval_pfaffian_oracle(out.target) == 6
-    assert out.gadget_count == len(out.target.gates)
+    assert out.gadget_count == len(out.target.states) + len(out.target.costates)
     assert out.size_ratio > 0
 
 
@@ -172,8 +172,9 @@ def has_sign_gadget(target):
     the last two edges alone.  Past two edges no ring gate's state and no
     pass-through costate share such a pair."""
     e = target.edge_count
-    kinds = sorted(g.kind for g in target.gates if set(g.edges) == {e - 1, e})
-    return e > 2 and kinds == ["costate", "state"]
+    counts = [sum(set(g.labels) == {e - 1, e} for g in side)
+              for side in (target.states, target.costates)]
+    return e > 2 and counts == [1, 1]
 
 
 def agree(got, want):
@@ -270,13 +271,13 @@ def test_rectangular_state_gadget_carries_every_minor(r, c):
     h = labeled(tuple(range(21, 21 + c)), tuple(range(31, 31 + r)), rand_grid(rng, c, r))
     ring = Circuit((Stack((g,)), Stack((h,))),
                    (identity_wiring(g.rows, h.cols), identity_wiring(h.rows, g.cols)))
-    state = compile_circuit(ring).target.gates[0]
-    assert (state.kind, state.edges) == ("state", tuple(range(1, r + c + 1)))
+    state = compile_circuit(ring).target.states[0]
+    assert state.labels == tuple(range(1, r + c + 1))
     for ibits in product((0, 1), repeat=r):
         for jbits in product((0, 1), repeat=c):
             rows = [i for i in range(r) if ibits[i]]
             cols = [j for j in range(c) if jbits[j]]
-            block = skew_restrict(state.matrix, [i + 1 for i in rows] + [r + c - j for j in cols])
+            block = skew_restrict(state, [i + 1 for i in rows] + [r + c - j for j in cols])
             got = pfaffian([list(row) for row in block.entries])
             if len(rows) != len(cols):
                 assert got == 0

@@ -1,6 +1,8 @@
 import contextlib
 import io
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -12,24 +14,27 @@ from hypothesis import strategies as st
 from detcircuits import (
     Circuit,
     ParseError,
+    PfaffianCircuit,
     Stack,
     ValidationError,
     collapse,
     compile_circuit,
     contract_circuit,
+    eval_pfaffian_oracle,
     evaluate,
     labeled,
     parse_circuit,
     parse_graph,
     parse_pfaffian,
     principal_minor_sum,
+    skew,
     write_circuit,
     write_graph,
     write_pfaffian,
 )
-from detcircuits.cli import main
-from detcircuits.scalars import format_scalar
-from circgen import rand_circuit, rand_grid
+from detcircuits.cli import INT_MAX_STR_DIGITS, main
+from detcircuits.scalars import format_scalar, scalars_equal
+from circgen import pf_blocks, rand_circuit, rand_grid, rand_skew_grid
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -456,6 +461,55 @@ def test_cli_complex_oracle_verbs_frozen(tmp_path, capsys, verb, name, want):
     assert (out.out, out.err) == (want, "")
 
 
+NO_ENTRIES_OUTPUT = {
+    "eval": "{}\n", "oracle": "{}\n", "check": "ok {}\n",
+    "multicycles": "() {}\ntotal {}\n", "pfeval": "{}\n",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(NO_ENTRIES_OUTPUT))
+def test_cli_value_without_entries_prints_in_the_field(tmp_path, capsys, verb):
+    # A file with no matrix entries has the exact value 1 in either field,
+    # and a complex run prints it as 1+0i.  pfeval reads the file compile
+    # writes for it, a state gadget on no edges.
+    path = tmp_path / "empty.circuit"
+    path.write_text("stack\n")
+    if verb == "pfeval":
+        pf = tmp_path / "empty.pf"
+        assert main(["compile", str(path), "-o", str(pf)]) == 0
+        assert pf.read_text() == "pfgate state 0\n"
+        capsys.readouterr()
+        path = pf
+    for field, one in (("complex", "1+0i"), ("rational", "1")):
+        assert main([verb, str(path), "--field", field]) == 0
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (NO_ENTRIES_OUTPUT[verb].format(one, one), "")
+
+
+# Finite, but its modulus passes the largest float, so abs() raises on it.
+HUGE_TOKEN = "1.2711610061536462e+308+1.2711610061536464e+308i"
+
+
+@pytest.mark.parametrize("verb, want", [
+    ("eval", "{v}\n"), ("oracle", "{v}\n"), ("check", "ok {v}\n"),
+    ("multicycles", "() 1+0i\n(0:1) {x}\ntotal {v}\n"), ("pfeval", "{v}\n"),
+])
+def test_cli_entry_past_the_largest_modulus(tmp_path, capsys, verb, want):
+    # The value 1 + x is finite; the pivot searches and scalars_equal must
+    # not call abs() on x where it overflows.
+    path = tmp_path / "huge.circuit"
+    path.write_text(f"stack\ngate 1 1 1 / 1\n{HUGE_TOKEN}\n")
+    if verb == "pfeval":
+        pf = tmp_path / "huge.pf"
+        assert main(["compile", str(path), "--field", "complex", "-o", str(pf)]) == 0
+        capsys.readouterr()
+        path = pf
+    assert main([verb, str(path), "--field", "complex"]) == 0
+    x = complex(HUGE_TOKEN.replace("i", "j"))
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (want.format(x=format_scalar(x), v=format_scalar(1 + x)), "")
+
+
 def test_cli_check_uses_relative_tolerance(monkeypatch, capsys):
     # Circuit #50 of this stream has |value| ~ 5.6e5, where evaluate and the
     # contraction oracle differ by 1.7e-8: a rounding gap, not a mismatch.
@@ -569,10 +623,7 @@ def test_cli_non_finite_complex_result_exits_2(tmp_path, capsys, verb):
 def test_cli_exact_result_past_the_digit_limit_exits_2(tmp_path, capsys, verb):
     # 10**limit has limit + 1 digits, one more than str may print: the verb
     # exits 2 with nothing on stdout, and compile writes no file.
-    limit = sys.get_int_max_str_digits()
-    if limit == 0:
-        pytest.skip("this interpreter has no int-to-str digit limit")
-    token = f"1e{limit}"
+    token = f"1e{INT_MAX_STR_DIGITS}"
     if verb == "pfeval":
         path = tmp_path / "big.pf"
         path.write_text(f"pfgate state 2 1 2\n0 {token}\n-{token} 0\n"
@@ -592,6 +643,53 @@ def test_cli_exact_result_past_the_digit_limit_exits_2(tmp_path, capsys, verb):
         assert out.err.startswith("error: ") and "too long to print" in out.err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted((path.name, kept.name))
     assert kept.read_text() == "kept\n"
+
+
+DIGIT_FILES = {
+    "digits_1000.circuit": "stack\ngate 1 1 1 / 1\n1" + "0" * 999 + "\n",
+    "digits_5001.circuit": "stack\ngate 1 1 1 / 1\n1e5000\n",
+    "token_5000.circuit": "stack\ngate 1 1 1 / 1\n1" + "0" * 4999 + "\n",
+}
+
+
+def test_cli_digit_limit_is_the_same_in_every_shell(tmp_path):
+    # PYTHONINTMAXSTRDIGITS sets the interpreter's limit: at 640 it refused
+    # the 1000-digit token, and at 0 it printed the 5001-digit value and
+    # took the 5000-digit token and orientation seed.
+    for name, text in DIGIT_FILES.items():
+        (tmp_path / name).write_text(text)
+    runs = [["eval", name] for name in DIGIT_FILES]
+    runs.append(["forests", str(DATA / "triangle.graph"), "--orientation-seed", "7" * 5000])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = {}
+    for setting in (None, "0", "640"):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env["PYTHONPATH"] = src
+        if setting is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = setting
+        outputs[setting] = [
+            (run.returncode, run.stdout, run.stderr) for run in (
+                subprocess.run([sys.executable, "-m", "detcircuits"] + argv, cwd=tmp_path,
+                               env=env, capture_output=True, text=True) for argv in runs)]
+    assert outputs["0"] == outputs[None] == outputs["640"]
+    digits_1000, digits_5001, token_5000, seed = outputs[None]
+    assert digits_1000 == (0, "1" + "0" * 998 + "1\n", "")
+    assert digits_5001[0] == 2 and "too long to print" in digits_5001[2]
+    assert token_5000[0] == 2 and token_5000[2].startswith("error: line 3: ")
+    assert seed[0] == 1 and seed[2].startswith("usage error: ")
+
+
+def test_cli_restores_the_callers_digit_limit(tmp_path, capsys):
+    path = tmp_path / "digits_1000.circuit"
+    path.write_text(DIGIT_FILES[path.name])
+    caller = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert main(["eval", str(path)]) == 0
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(caller)
+    assert capsys.readouterr().out == "1" + "0" * 998 + "1\n"
 
 
 def test_format_scalar_refuses_non_finite_complex():
@@ -633,7 +731,7 @@ def _map_grid_tokens(text, fn):
 def _grid_entries(obj):
     if isinstance(obj, Circuit):
         return [x for s in obj.stacks for g in s.gates for row in g.entries for x in row]
-    return [x for g in obj.gates for row in g.matrix.entries for x in row]
+    return [x for g in obj.states + obj.costates for row in g.entries for x in row]
 
 
 def _run(argv):
@@ -674,6 +772,64 @@ def test_zero_spellings_read_and_evaluate_alike(spelling_dir, seed, field):
             results.append(_run([verb, str(path), "--field", field]))
         assert results[0] == results[1]
         assert results[0][0] == 0
+
+
+def _rand_pfaffian(rng, field):
+    """Edges 1..e in shuffled order, cut into state gadgets of up to four
+    edges, and again into costate gadgets, each with a random skew grid."""
+    edges = list(range(1, rng.randint(0, 8) + 1))
+    sides = []
+    for _ in range(2):
+        rng.shuffle(edges)
+        side, rest = [], edges[:]
+        while rest:
+            n = rng.randint(1, 4)
+            side.append(skew(rest[:n], rand_skew_grid(rng, len(rest[:n]), field, -3, 3)))
+            rest = rest[n:]
+        sides.append(tuple(side))
+    return PfaffianCircuit(*sides)
+
+
+@pytest.fixture(scope="module")
+def shuffle_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("shuffles")
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(("rational", "complex")),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_gate_block_order_changes_no_value(shuffle_dir, seed, field, compiled):
+    # An edge-matrix entry gets at most one term from the states and one
+    # from the costates, so the order of the blocks in a .pf file changes
+    # neither what pfeval prints nor the oracle's value; the writer puts
+    # the states first, each side in its file order.
+    rng = random.Random(seed)
+    if compiled:
+        c = rand_circuit(rng, max_stacks=3, max_wires=3, field=field, lo=-3, hi=3)
+        pc = compile_circuit(c).target
+    else:
+        pc = _rand_pfaffian(rng, field)
+    # Read once, so the text is in the field's spelling, as write_pfaffian
+    # writes it back.
+    text = write_pfaffian(parse_pfaffian(write_pfaffian(pc), field))
+    blocks = pf_blocks(text)
+    rng.shuffle(blocks)
+    shuffled = "".join(blocks)
+    kinds = [b.split()[1] for b in blocks]
+    assert write_pfaffian(parse_pfaffian(shuffled, field)) == "".join(
+        [b for b, k in zip(blocks, kinds) if k == "state"] +
+        [b for b, k in zip(blocks, kinds) if k == "costate"])
+    results = []
+    for body in (text, shuffled):
+        path = shuffle_dir / "input.pf"
+        path.write_text(body)
+        results.append(_run(["pfeval", str(path), "--field", field]))
+    assert results[0] == results[1]
+    assert results[0][0] == 0
+    if pc.edge_count <= 12:
+        want = eval_pfaffian_oracle(parse_pfaffian(text, field))
+        got = eval_pfaffian_oracle(parse_pfaffian(shuffled, field))
+        assert scalars_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [2, 6])

@@ -4,16 +4,15 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detcircuits import (
     Circuit,
     DanglingWire,
-    EdgeMultiplicity,
+    DuplicateLabel,
     NotSkew,
     PfaffianCircuit,
-    PfGate,
     TooLarge,
     compile_circuit,
     eval_pfaffian_circuit,
@@ -104,7 +103,7 @@ def test_sub_pfaffian_caps_are_20():
         spf(big)
     with pytest.raises(TooLarge):
         spf_dual(big)
-    pc = PfaffianCircuit((PfGate("state", big), PfGate("costate", big)))
+    pc = PfaffianCircuit((big,), (big,))
     with pytest.raises(TooLarge, match="21 edges"):
         eval_pfaffian_oracle(pc)
 
@@ -176,6 +175,18 @@ def test_skew_validation():
     skew((1, 2), [[0, 1 + 2j], [-1 - 2j + 1e-12, 0]])
     with pytest.raises(NotSkew):
         skew((1, 2), [[0, 1 + 2j], [-1 - 2j + 1e-6, 0]])
+
+
+# Finite, but its modulus passes the largest float, so abs() raises on it.
+HUGE = 1.2711610061536462e+308 + 1.2711610061536464e+308j
+
+
+def test_pfaffian_of_an_entry_past_the_largest_modulus():
+    assert pfaffian([[0, HUGE], [-HUGE, 0]]) == HUGE
+    grid = [[0j, HUGE, 0j, 0j], [-HUGE, 0j, 1, 0j], [0j, -1, 0j, 1], [0j, 0j, -1, 0j]]
+    assert pfaffian(grid) == HUGE  # a12 * a34
+    grid[0][1], grid[1][0], grid[1][2], grid[2][1] = 1, -1, HUGE, -HUGE
+    assert pfaffian(grid) == 1
 
 
 def _reference_skew_check(labels, entries):
@@ -253,8 +264,10 @@ def complex_near_skew_grids(draw):
         for j in range(i + 1, n):
             x, off = draw(value), draw(pair_step)
             if off:
-                scale = max(1.0, abs(x)) if x == x else 1.0
-                x_off = x + off * scale * draw(st.sampled_from((1, -1, 1j, -1j)))
+                # max(1, abs(x)) / 4: abs(x) overflows on a finite x whose
+                # modulus passes the largest float, a quarter of it does not.
+                quarter = max(0.25, abs(complex(x.real / 4, x.imag / 4))) if x == x else 0.25
+                x_off = x + off * 4 * quarter * draw(st.sampled_from((1, -1, 1j, -1j)))
             else:
                 x_off = x  # -x exactly, infinite parts included
             g[i][j], g[j][i] = x, -x_off
@@ -262,6 +275,9 @@ def complex_near_skew_grids(draw):
 
 
 @given(st.one_of(exact_near_skew_grids(), complex_near_skew_grids()))
+@example([[0j, HUGE], [-HUGE, 0j]])
+@example([[0j, HUGE], [-HUGE * (1 + 1e-12), 0j]])
+@example([[0j, HUGE], [HUGE, 0j]])
 @settings(max_examples=600, deadline=None)
 def test_skew_check_matches_the_reference_check(g):
     labels = tuple(range(1, len(g) + 1))
@@ -369,47 +385,46 @@ def test_pfaffian_splitting_identity():
 
 
 def two_edge_circuit():
-    state = PfGate("state", skew((1, 2), [[0, 2], [-2, 0]]))
-    costate = PfGate("costate", skew((1, 2), [[0, 1], [-1, 0]]))
-    return PfaffianCircuit((state, costate))
+    state = skew((1, 2), [[0, 2], [-2, 0]])
+    costate = skew((1, 2), [[0, 1], [-1, 0]])
+    return PfaffianCircuit((state,), (costate,))
 
 
 def test_validate_pfaffian_coverage():
     validate_pfaffian(two_edge_circuit())
     # edge 2 missing on the costate side
     with pytest.raises(DanglingWire):
-        PfaffianCircuit((PfGate("state", skew((1, 2), [[0, 2], [-2, 0]])),
-                         PfGate("costate", skew((1,), [[0]]))))
+        PfaffianCircuit((skew((1, 2), [[0, 2], [-2, 0]]),), (skew((1,), [[0]]),))
+
+
+def zero_circuit(states, costates):
+    """The PfaffianCircuit of all-zero gadgets on the given label lists."""
+    return PfaffianCircuit(*(tuple(skew(edges, zero_grid(len(edges))) for edges in side)
+                             for side in (states, costates)))
 
 
 def test_edge_count_is_the_largest_edge_id():
-    assert PfaffianCircuit(()).edge_count == 0
-    gates = (("state", (3, 4)), ("state", (1, 2)), ("costate", (4, 1)), ("costate", (2, 3)))
-    pc = PfaffianCircuit(tuple(PfGate(kind, skew(edges, zero_grid(len(edges))))
-                               for kind, edges in gates))
+    assert PfaffianCircuit((), ()).edge_count == 0
+    pc = zero_circuit([(3, 4), (1, 2)], [(4, 1), (2, 3)])
     assert pc.edge_count == 4
     rng = random.Random(8)
     for _ in range(30):
         target = compile_circuit(rand_circuit(rng, max_stacks=4, max_wires=3)).target
-        for side in ("state", "costate"):
-            edges = sorted(e for g in target.gates if g.kind == side for e in g.edges)
+        for side in (target.states, target.costates):
+            edges = sorted(e for g in side for e in g.labels)
             assert edges == list(range(1, target.edge_count + 1))
 
 
 @pytest.mark.parametrize("gates,error,message", [
-    ((("state", (1, 3)), ("costate", (3, 1))),
-     DanglingWire, "1 edges have no state gate, the first is 2"),
-    ((("state", (1, 2)), ("costate", (2,))),
-     DanglingWire, "1 edges have no costate gate, the first is 1"),
-    ((("state", (1, 2)), ("state", (1,)), ("costate", (2, 1))),
-     EdgeMultiplicity, "edge 1 used twice on the state side"),
-    ((("state", (0, 2)), ("costate", (2, 0))),
-     DanglingWire, "edge id 0 outside 1..2"),
+    (([(1, 3)], [(3, 1)]), DanglingWire, "1 edges have no state gate, the first is 2"),
+    (([(1, 2)], [(2,)]), DanglingWire, "1 edges have no costate gate, the first is 1"),
+    (([(1, 2), (1,)], [(2, 1)]), DuplicateLabel, "edge 1 used twice on the state side"),
+    (([(0, 2)], [(2, 0)]), DanglingWire, "edge id 0 outside 1..2"),
 ])
 def test_invalid_pfaffian_circuit_raises_when_built(gates, error, message):
+    # gates: the label lists of the states, then of the costates.
     with pytest.raises(error) as e:
-        PfaffianCircuit(tuple(PfGate(kind, skew(edges, zero_grid(len(edges))))
-                              for kind, edges in gates))
+        zero_circuit(*gates)
     assert str(e.value) == message
 
 
@@ -420,17 +435,14 @@ def test_eval_pfaffian_tiny():
 
 
 def test_eval_pfaffian_empty():
-    pc = PfaffianCircuit(())
+    pc = PfaffianCircuit((), ())
     assert eval_pfaffian_circuit(pc) == 1
     assert eval_pfaffian_oracle(pc) == 1
 
 
 def renumber(pc, sigma):
-    gates = []
-    for g in pc.gates:
-        labs = tuple(sigma[e] for e in g.matrix.labels)
-        gates.append(PfGate(g.kind, skew(labs, [list(r) for r in g.matrix.entries])))
-    return PfaffianCircuit(tuple(gates))
+    return PfaffianCircuit(*(tuple(skew([sigma[e] for e in g.labels], g.entries) for g in side)
+                             for side in (pc.states, pc.costates)))
 
 
 def test_multiple_valid_edge_orderings_exist():
@@ -546,14 +558,13 @@ def test_eval_pfaffian_adds_state_and_costate_on_a_shared_pair():
     d = skew((3, 4, 5, 6), [[0, Fraction(7, 2), 1, -2], [Fraction(-7, 2), 0, 5, 3],
                             [-1, -5, 0, Fraction(1, 3)], [2, -3, Fraction(-1, 3), 0]])
     e = skew((7, 8), [[0, Fraction(-9, 4)], [Fraction(9, 4), 0]])
-    pc = PfaffianCircuit((PfGate("state", a), PfGate("state", b), PfGate("costate", c),
-                          PfGate("costate", d), PfGate("costate", e)))
+    pc = PfaffianCircuit((a, b), (c, d, e))
     want = eval_pfaffian_oracle(pc)
     assert want != 0
     assert eval_pfaffian_circuit(pc) == want
-    zc = PfaffianCircuit(tuple(
-        PfGate(g.kind, skew(g.edges, [[complex(x) for x in row] for row in g.matrix.entries]))
-        for g in pc.gates))
+    zc = PfaffianCircuit(*(
+        tuple(skew(g.labels, [[complex(x) for x in row] for row in g.entries]) for g in side)
+        for side in (pc.states, pc.costates)))
     got = eval_pfaffian_circuit(zc)
     assert type(got) is complex and abs(got - want) <= 1e-9 * abs(want)
 

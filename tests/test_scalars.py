@@ -187,6 +187,25 @@ def test_scalars_equal_is_relative_at_large_magnitude():
     assert not scalars_equal(-1e12j, -1e12j + 1100)
 
 
+# Finite, but its modulus passes the largest float, so abs() raises on it.
+HUGE = 1.2711610061536462e+308 + 1.2711610061536464e+308j
+
+
+def test_complex_values_past_the_largest_modulus():
+    with pytest.raises(OverflowError):
+        abs(HUGE)
+    assert scalars_equal(HUGE, HUGE)
+    assert scalars_equal(HUGE, HUGE * (1 + 1e-12))
+    assert not scalars_equal(HUGE, -HUGE)
+    assert not scalars_equal(HUGE, HUGE * (1 + 1e-6))
+    assert not scalars_equal(HUGE, 0j) and not scalars_equal(1, HUGE)
+    # The pivot search takes the largest entry even so, and the elimination
+    # divides by it without overflowing.
+    assert det_grid([[HUGE]]) == HUGE
+    assert det_grid([[0j, 1 + 0j], [HUGE, 2 + 0j]]) == -HUGE
+    assert scalars_equal(det_grid([[1 + 0j, 0j], [HUGE, 2 + 0j]]), 2)
+
+
 # Signs, separators, ASCII and Arabic-Indic digits, superscripts (isdigit
 # but not decimal), exponents, fractions, points, whitespace and junk.
 _TOKEN_CHARS = "0123456789+-_/.eE \t\u0663\u0661\u00b3\u00b2xj"
