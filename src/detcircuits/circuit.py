@@ -39,11 +39,11 @@ class Stack:
 
     @property
     def in_labels(self) -> tuple[int, ...]:
-        return tuple(lab for g in self.gates for lab in g.cols)
+        return tuple([lab for g in self.gates for lab in g.cols])
 
     @property
     def out_labels(self) -> tuple[int, ...]:
-        return tuple(lab for g in self.gates for lab in g.rows)
+        return tuple([lab for g in self.gates for lab in g.rows])
 
 @dataclass(frozen=True)
 class Circuit:
@@ -154,7 +154,7 @@ def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
     for k in range(start, start + m):
         rows = _stack_rows(circuit, k % m)
         if exact:
-            d = lcm(*(x.denominator for _, terms in rows for _, x in terms))
+            d = lcm(*[x.denominator for _, terms in rows for _, x in terms])
             scale *= d
         nxt = {}
         for lab, terms in rows:
@@ -167,9 +167,9 @@ def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
             nxt[lab] = out or [0] * w
         acc = nxt
     if exact:
-        entries = tuple(tuple(Fraction(v, scale) for v in acc[lab]) for lab in labels)
+        entries = tuple([tuple([Fraction(v, scale) for v in acc[lab]]) for lab in labels])
     else:
-        entries = tuple(tuple(complex(v) for v in acc[lab]) for lab in labels)
+        entries = tuple([tuple([complex(v) for v in acc[lab]]) for lab in labels])
     return LabeledMatrix(labels, labels, entries)
 
 
@@ -194,4 +194,4 @@ def identity_wiring(src: tuple[int, ...], dst: tuple[int, ...]) -> Wiring:
     """Pair off sorted source labels with sorted target labels."""
     if len(src) != len(dst):
         raise SizeMismatch(f"cannot wire {len(src)} outputs to {len(dst)} inputs")
-    return tuple(zip(sorted(src), sorted(dst)))
+    return tuple(list(zip(sorted(src), sorted(dst))))

@@ -34,7 +34,7 @@ def _skew_grid(grid, c: int) -> tuple[tuple[Scalar, ...], ...]:
     r = len(grid)
     top = [[0] * r + list(reversed(row)) for row in grid]
     bottom = [[-grid[i][c - 1 - t] for i in range(r)] + [0] * c for t in range(c)]
-    return tuple(tuple(row) for row in top + bottom)
+    return tuple([tuple(row) for row in top + bottom])
 
 
 @dataclass(frozen=True)

@@ -31,17 +31,19 @@ def _parse_int(tok: str, lineno: int, what: str) -> int:
         raise ParseError(lineno, f"expected integer {what}, got {tok!r}") from None
 
 
-# The field's zero for the token "0", which fills most of a .pf grid: int 0
-# is an exact scalar and a cached singleton, so reading it allocates nothing,
-# and bool, -, == and str on it run in C.
+# The field's zero for the token "0", which fills most of a .pf grid.  It is
+# what parse_scalar would give in the rational field (integer tokens read as
+# int), but the cached singleton skips the call; in the complex field it keeps
+# the grid all complex.
 _ZEROS = {"rational": 0, "complex": 0j}
 
 
 def _parse_grid(lines, r: int, c: int, field: str, lineno: int) -> tuple[tuple[Scalar, ...], ...]:
     """Read r rows of c scalars.  The token "0" reads as the field's zero
-    (int 0 or 0j) and every other token through parse_scalar, which returns
-    Fraction or complex.  So a rational grid holds ints and Fractions, a
-    complex grid only complex values, and neither needs normalization.
+    (int 0 or 0j) and every other token through parse_scalar, which reads
+    integer tokens as int, other rationals as Fraction and complex tokens as
+    complex.  So a rational grid holds ints and Fractions, a complex grid
+    only complex values, and neither needs normalization.
     Empty rows (c = 0) read no lines: write_circuit writes them blank."""
     if c == 0:
         return ((),) * r
@@ -104,8 +106,8 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
                 raise ParseError(
                     no, f"expected {r} row labels and {c} column labels, "
                         f"got {len(row_toks)} and {len(col_toks)}")
-            rows = tuple(_parse_int(t, no, "row label") for t in row_toks)
-            cols = tuple(_parse_int(t, no, "column label") for t in col_toks)
+            rows = tuple([_parse_int(t, no, "row label") for t in row_toks])
+            cols = tuple([_parse_int(t, no, "column label") for t in col_toks])
             grid = _parse_grid(lines, r, c, field, no)
             stacks[-1].append(LabeledMatrix(rows, cols, grid))
         elif head == "wiring":
@@ -136,7 +138,7 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
         if not (0 <= k < m):
             raise ParseError(wiring_lines[k],
                              f"wiring {k} out of range for {m} stacks")
-    built_stacks = tuple(Stack(tuple(gates)) for gates in stacks)
+    built_stacks = tuple([Stack(tuple(gates)) for gates in stacks])
     full_wirings = []
     for k in range(m):
         if k in wirings:
@@ -191,7 +193,7 @@ def parse_pfaffian(text: str, field: str = "rational") -> PfaffianCircuit:
         edge_toks = toks[3:]
         if len(edge_toks) != n:
             raise ParseError(no, f"expected {n} edge ids, got {len(edge_toks)}")
-        edges = tuple(_parse_int(t, no, "edge id") for t in edge_toks)
+        edges = tuple([_parse_int(t, no, "edge id") for t in edge_toks])
         for e in edges:
             if e < 1:
                 raise ParseError(no, f"edge ids are positive, got {e}")

@@ -39,7 +39,7 @@ class Graph:
 def reorient(g: Graph, seed: int) -> Graph:
     """Flip each edge direction with probability 1/2 (counts must not move)."""
     rng = random.Random(seed)
-    flipped = tuple((v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges)
+    flipped = tuple([(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges])
     return Graph(g.vertex_count, flipped)
 
 
@@ -72,7 +72,7 @@ def laplacian(g: Graph) -> list[list[int]]:
 def _without_isolated(g: Graph) -> Graph:
     """g less its isolated vertices, the rest renumbered in order: at most 2|E| vertices."""
     at = {v: i for i, v in enumerate(sorted({v for e in g.edges for v in e}), 1)}
-    return Graph(len(at), tuple((at[u], at[v]) for u, v in g.edges))
+    return Graph(len(at), tuple([(at[u], at[v]) for u, v in g.edges]))
 
 
 def count_rooted_forests(g: Graph) -> int:
@@ -107,7 +107,7 @@ def forest_polynomial(g: Graph) -> ForestPolynomial:
         mk = am
         for i, row in enumerate(mk):  # M_k = A M_{k-1} + c I
             row[i] += c
-        am = [list(map(sum, zip([-len(ts) * x for x in mk[i]], *(mk[t] for t in ts))))
+        am = [list(map(sum, zip([-len(ts) * x for x in mk[i]], *[mk[t] for t in ts])))
               for i, ts in enumerate(nbrs)]
         c = -sum(row[i] for i, row in enumerate(am)) // k
         coeffs[n - k] = c

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import isinf, prod
 from typing import Sequence
 
 from .errors import DanglingWire, DuplicateLabel, NotSkew, TooLarge
@@ -84,7 +84,11 @@ def _pfaffian_complex(a: list[dict]) -> complex:
         # (the lowest index on ties).
         try:
             p = min(rk, key=lambda j: (-abs(rk[j]), j), default=q)
-        except OverflowError:  # a modulus past the largest float: index k / 4, Pf * 4
+            piv = rk.get(p, 0j)
+            big = isinf(abs(piv.real) + abs(piv.imag))
+        except OverflowError:  # a modulus past the largest float
+            big = True
+        if big:  # dividing by the pivot would overflow: index k / 4, Pf * 4
             rk = a[k] = {j: x * 0.25 for j, x in rk.items()}
             pf = pf * 4
             p = min(rk, key=lambda j: (-abs(rk[j]), j))
@@ -244,7 +248,7 @@ def spf(sk: SkewMatrix) -> Tensor:
 
 def spf_dual(sk: SkewMatrix) -> Tensor:
     """Costate tensor: subset I carries Pf on the complement of I."""
-    return Tensor((), sk.labels, {((), tuple(1 - b for b in bits)): v
+    return Tensor((), sk.labels, {((), tuple([1 - b for b in bits])): v
                                   for bits, v in _sub_pfaffians(sk)})
 
 

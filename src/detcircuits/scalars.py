@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from cmath import isfinite
 from fractions import Fraction
-from math import lcm, prod
+from math import isinf, lcm, prod
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction, complex]
@@ -53,7 +53,7 @@ def normalize_grid(rows: Sequence[Sequence]) -> tuple[tuple[Scalar, ...], ...]:
     grid = [[normalize_scalar(x) for x in row] for row in rows]
     if not grid_is_exact(grid):
         grid = [[complex(x) for x in row] for row in grid]
-    return tuple(tuple(row) for row in grid)
+    return tuple([tuple(row) for row in grid])
 
 
 def grid_is_exact(grid) -> bool:
@@ -130,7 +130,10 @@ def _det_complex(a: list[list[complex]]) -> complex:
     for k in range(n):
         try:
             piv = max(range(k, n), key=lambda i: abs(a[i][k]))
-        except OverflowError:  # a modulus past the largest float: column k / 4, det * 4
+            big = isinf(abs(a[piv][k].real) + abs(a[piv][k].imag))
+        except OverflowError:  # a modulus past the largest float
+            big = True
+        if big:  # dividing by the pivot would overflow: column k / 4, det * 4
             for i in range(k, n):
                 a[i][k] *= 0.25
             det *= 4
@@ -171,7 +174,11 @@ def format_scalar(x: Scalar) -> str:
 
 
 def parse_scalar(token: str, field: str = "rational") -> Scalar:
-    """Parse one scalar token in the given field ("rational" or "complex")."""
+    """Parse one scalar token in the given field ("rational" or "complex").
+
+    In the rational field an integer token (an optional sign, then decimal
+    digits) reads as an int and any other rational token as a Fraction; both
+    are exact scalars.  The complex field reads every token as complex."""
     token = token.strip()
     if field == "rational":
         # Plain integers skip Fraction's regex.  isdecimal() is the set of
@@ -179,7 +186,7 @@ def parse_scalar(token: str, field: str = "rational") -> Scalar:
         # through superscripts, which both reject).
         digits = token[1:] if token[:1] in "+-" else token
         if digits.isdecimal():
-            return Fraction(int(token))
+            return int(token)
         try:
             return Fraction(token)
         except (ValueError, ZeroDivisionError) as exc:

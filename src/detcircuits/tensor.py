@@ -82,7 +82,7 @@ def tensor_compose(a: Tensor, b: Tensor) -> Tensor:
 
     by_mid: dict[Bits, list[tuple[Bits, Scalar]]] = {}
     for (kb, bb), vb in b.data.items():
-        mid = tuple(kb[p] for p in reorder)  # kb re-read in a.in_wires order
+        mid = tuple([kb[p] for p in reorder])  # kb re-read in a.in_wires order
         by_mid.setdefault(mid, []).append((bb, vb))
 
     data: dict[tuple[Bits, Bits], Scalar] = {}

@@ -774,6 +774,45 @@ def test_zero_spellings_read_and_evaluate_alike(spelling_dir, seed, field):
         assert results[0][0] == 0
 
 
+@pytest.fixture(scope="module")
+def integer_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("integers")
+
+
+def _as_fraction_tokens(text):
+    """text with each integer grid token n spelled n/1, which parses to Fraction."""
+    return _map_grid_tokens(text, lambda t: f"{t}/1" if t.lstrip("+-").isdecimal() else t)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_integer_tokens_read_as_int_or_fraction_alike(integer_dir, seed, hand_written):
+    # Integer tokens read as int, n/1 as Fraction; every printed value,
+    # compiled file and exit code must be the same either way.
+    rng = random.Random(seed)
+    c = rand_circuit(rng, max_stacks=3, max_wires=3, lo=-3, hi=3)
+    circuit = _map_grid_tokens(
+        write_circuit(c), lambda t: f"{t}/{rng.randint(2, 4)}" if rng.random() < 0.2 else t)
+    runs = []
+    for text in (circuit, _as_fraction_tokens(circuit)):
+        src, out = integer_dir / "input.circuit", integer_dir / "input.pf"
+        src.write_text(text)
+        runs.append((_run(["eval", str(src)]), _run(["compile", str(src), "-o", str(out)]),
+                     out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0][0] == 0 and runs[0][1][0] == 0
+    pc = _rand_pfaffian(rng, "rational") if hand_written else compile_circuit(
+        parse_circuit(circuit)).target
+    pf = write_pfaffian(pc)
+    results = []
+    for text in (pf, _as_fraction_tokens(pf)):
+        path = integer_dir / "input.pf"
+        path.write_text(text)
+        results.append(_run(["pfeval", str(path)]))
+    assert results[0] == results[1]
+    assert results[0][0] == 0
+
+
 def _rand_pfaffian(rng, field):
     """Edges 1..e in shuffled order, cut into state gadgets of up to four
     edges, and again into costate gadgets, each with a random skew grid."""

@@ -189,6 +189,18 @@ def test_pfaffian_of_an_entry_past_the_largest_modulus():
     assert pfaffian(grid) == 1
 
 
+def test_pfaffian_divides_by_a_pivot_whose_parts_sum_past_the_largest_float():
+    # abs(wide) is finite, but the denominator of CPython's complex
+    # division, about the sum of its parts, is not.
+    wide = 1.2e308 + 1.2e308j
+    assert 1 / wide == 0
+    grid = [[0j] * 4 for _ in range(4)]
+    for i, j, x in ((0, 1, wide), (0, 2, 1), (1, 3, 1)):
+        grid[i][j], grid[j][i] = x, -x
+    assert scalars_equal(pfaffian(grid), -1)  # a12 a34 - a13 a24 + a14 a23
+    assert pfaffian([[0, wide], [-wide, 0]]) == wide
+
+
 def _reference_skew_check(labels, entries):
     """SkewMatrix's check as it was before zeros were skipped and exact zero
     sums passed early: every pair through scalars_equal."""

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,15 +39,17 @@ def test_normalize_grid_demotes_to_complex():
     assert all(type(x) is int for row in grid for x in row)
 
 
-def test_ints_stay_ints_and_parsed_integers_stay_fractions():
+def test_ints_stay_ints_and_parsed_integers_become_ints():
     assert normalize_scalar(-3) == -3 and type(normalize_scalar(-3)) is int
     half = Fraction(1, 2)
     assert normalize_scalar(half) is half
     m = labeled((1, 2), (3, 4), [[0, 7], [half, -2]])
     assert [[type(x) for x in row] for row in m.entries] == [[int, int], [Fraction, int]]
     assert m.entries == ((0, 7), (half, -2))
-    # The parser keeps its own rule: integer tokens become Fraction.
-    assert type(parse_scalar("3")) is Fraction and parse_scalar("3") == 3
+    # The parser reads integer tokens as int and p/q tokens as Fraction.
+    assert type(parse_scalar("3")) is int and parse_scalar("3") == 3
+    assert type(parse_scalar("-3")) is int and parse_scalar("-3") == -3
+    assert type(parse_scalar("6/2")) is Fraction and parse_scalar("6/2") == 3
 
 
 def test_int_subclasses_become_int():
@@ -206,6 +209,18 @@ def test_complex_values_past_the_largest_modulus():
     assert scalars_equal(det_grid([[1 + 0j, 0j], [HUGE, 2 + 0j]]), 2)
 
 
+# abs() of this is finite (1.7e308), but its parts sum past the largest
+# float, and that sum is the denominator of CPython's complex division.
+WIDE = 1.2e308 + 1.2e308j
+
+
+def test_det_divides_by_a_pivot_whose_parts_sum_past_the_largest_float():
+    assert abs(WIDE) < 1.8e308 and 1 / WIDE == 0
+    assert scalars_equal(det_grid([[1, 0], [WIDE, 2]]), 2)
+    assert scalars_equal(det_grid([[WIDE, 1], [1, 0]]), -1)
+    assert det_grid([[WIDE]]) == WIDE
+
+
 # Signs, separators, ASCII and Arabic-Indic digits, superscripts (isdigit
 # but not decimal), exponents, fractions, points, whitespace and junk.
 _TOKEN_CHARS = "0123456789+-_/.eE \t\u0663\u0661\u00b3\u00b2xj"
@@ -232,4 +247,7 @@ def test_parse_scalar_rational_matches_fraction(token):
             parse_scalar(token, "rational")
     else:
         got = parse_scalar(token, "rational")
-        assert type(got) is Fraction and got == want
+        # An integer token (a sign, then decimal digits) reads as int; any
+        # other rational spelling (p/q, 1e3, 1_000) as Fraction.
+        integer = re.fullmatch(r"[+-]?\d+", token.strip()) is not None
+        assert type(got) is (int if integer else Fraction) and got == want
