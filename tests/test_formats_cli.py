@@ -923,3 +923,67 @@ def test_cli_poly_on_a_huge_vertex_count_exits_2(tmp_path, capsys, n, message):
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert message is None or out.err == message
+
+
+# Exact stderr of a bad label, edge id, wiring pair or entry, and of the
+# accepted spellings next to them.  The first bad token on a line is the one
+# reported, whatever else is wrong further along.
+PARSE_ERROR_TEXT = [
+    ("row-label", "eval", "stack\ngate 1 1 x / 1\n5\n", [],
+     2, "", "error: line 2: expected integer row label, got 'x'\n"),
+    ("column-label", "eval", "stack\ngate 1 1 1 / x\n5\n", [],
+     2, "", "error: line 2: expected integer column label, got 'x'\n"),
+    ("row-before-column-label", "eval", "stack\ngate 1 1 x / y\n5\n", [],
+     2, "", "error: line 2: expected integer row label, got 'x'\n"),
+    ("edge-id", "pfeval", "pfgate state 2 1 x\n0 1\n-1 0\n", [],
+     2, "", "error: line 1: expected integer edge id, got 'x'\n"),
+    ("edge-id-before-sign", "pfeval", "pfgate state 2 0 x\n0 1\n-1 0\n", [],
+     2, "", "error: line 1: expected integer edge id, got 'x'\n"),
+    ("edge-id-zero", "pfeval", "pfgate state 2 1 0\n0 1\n-1 0\n", [],
+     2, "", "error: line 1: edge ids are positive, got 0\n"),
+    ("graph-endpoint", "forests", "3 2\n1 2\nq z\n", [],
+     2, "", "error: line 3: expected integer endpoint, got 'q'\n"),
+    ("wiring-no-arrow", "eval", "stack\ngate 1 1 1 / 1\n5\nwiring 0: 1 1\n", [],
+     2, "", "error: line 4: bad wiring pair '1 1', expected a->b\n"),
+    ("wiring-two-arrows", "eval", "stack\ngate 1 1 1 / 1\n5\nwiring 0: 1->2->1\n", [],
+     2, "", "error: line 4: expected integer wire label, got '2->1'\n"),
+    ("wiring-non-integer-end", "eval", "stack\ngate 1 1 1 / 1\n5\nwiring 0: 1->y\n", [],
+     2, "", "error: line 4: expected integer wire label, got 'y'\n"),
+    ("wiring-trailing-comma", "eval", "stack\ngate 1 1 1 / 1\n5\nwiring 0: 1->1,\n", [],
+     2, "", "error: line 4: bad wiring pair '', expected a->b\n"),
+    ("wiring-bad-end-before-bad-pair", "eval",
+     "stack\ngate 2 2 1 2 / 1 2\n1 0\n0 1\nwiring 0: x->1, 2\n", [],
+     2, "", "error: line 5: expected integer wire label, got 'x'\n"),
+    ("wiring-bad-pair-before-bad-end", "eval",
+     "stack\ngate 2 2 1 2 / 1 2\n1 0\n0 1\nwiring 0: 1->1, 2, y->2\n", [],
+     2, "", "error: line 5: bad wiring pair '2', expected a->b\n"),
+    ("wiring-spaced-arrow", "eval", "stack\ngate 1 1 1 / 1\n5\nwiring 0: 1 -> 1\n", [],
+     0, "6\n", ""),
+    ("signed-and-underscored-labels", "eval",
+     "stack\ngate 1 1 +1 / 0_1\n5\nwiring 0: +1 ->  1\n", [], 0, "6\n", ""),
+    ("bad-entry-after-seen-tokens", "eval",
+     "stack\ngate 2 2 1 2 / 1 2\n5 1/2\n1/2 5q\n", [],
+     2, "", "error: line 4: bad rational '5q': Invalid literal for Fraction: '5q'\n"),
+    ("unknown-field", "eval", "stack\ngate 1 1 1 / 1\n5\n", ["--field", "integer"],
+     1, "", "usage error: argument --field: invalid choice: 'integer' "
+            "(choose from 'rational', 'complex')\n"),
+]
+
+
+@pytest.mark.parametrize("verb, text, flags, code, out, err",
+                         [case[1:] for case in PARSE_ERROR_TEXT],
+                         ids=[case[0] for case in PARSE_ERROR_TEXT])
+def test_cli_parse_error_text(tmp_path, verb, text, flags, code, out, err):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert _run([verb, str(path)] + flags) == (code, out, err)
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_circuit, "stack\ngate 1 1 1 / 1\n0\n", 3),
+    (parse_pfaffian, "pfgate state 2 1 2\n0 1\n-1 0\n", 2),
+])
+def test_parse_unknown_field_names_the_first_grid_line(parse, text, line):
+    with pytest.raises(ParseError) as e:
+        parse(text, "integer")
+    assert (e.value.line, e.value.reason) == (line, "unknown field 'integer'")
