@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import mul
 
 from .errors import DanglingWire, DuplicateLabel, SizeMismatch
 from .labeled import (
@@ -31,6 +33,8 @@ from .labeled import (
 from .scalars import grid_is_exact
 
 Wiring = tuple[tuple[int, int], ...]  # (source output label, target input label)
+
+_INT = frozenset((int,))
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ def transfer_matrix(circuit: Circuit, k: int) -> LabeledMatrix:
 
 
 def _is_exact(circuit: Circuit) -> bool:
-    return all(grid_is_exact(g.entries) for s in circuit.stacks for g in s.gates)
+    return grid_is_exact([row for s in circuit.stacks for g in s.gates for row in g.entries])
 
 
 def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
@@ -134,12 +138,12 @@ def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
     collapses to the 0x0 matrix.
 
     Each wire at the current boundary is carried as a row over the w_s
-    start wires.  A gate multiplies only the rows it reads, skipping zero
-    entries, and a wiring renames rows, so one turn costs
-    O(depth * w^2 * w_s).  Exact circuits run on Python ints: each stack's
-    denominators are cleared once with their lcm, and one running scale
-    divides out at the end.  Complex circuits run the same loop with
-    scale 1.
+    start wires.  A gate multiplies only the rows it reads and a wiring
+    renames rows, so one turn costs O(depth * w^2 * w_s).  Exact circuits
+    run on Python ints: each stack's denominators are cleared once with
+    their lcm, one running scale divides out at the end, and each row is
+    one packed int (see _collapse_exact).  Complex circuits carry each row
+    as a list of complex values.
     """
     m = len(circuit.stacks)
     if m == 0:
@@ -147,30 +151,92 @@ def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
     if not 0 <= start < m:
         raise IndexError(f"start {start} out of range for {m} stacks")
     labels = circuit.stacks[start].in_labels
+    if _is_exact(circuit):
+        return _collapse_exact(circuit, start, labels)
     w = len(labels)
-    exact = _is_exact(circuit)
     acc = {lab: [int(i == j) for j in range(w)] for i, lab in enumerate(labels)}
-    scale = 1
     for k in range(start, start + m):
-        rows = _stack_rows(circuit, k % m)
-        if exact:
-            d = lcm(*[x.denominator for _, terms in rows for _, x in terms])
-            scale *= d
         nxt = {}
-        for lab, terms in rows:
+        for lab, terms in _stack_rows(circuit, k % m):
             out = None
             for c, x in terms:
-                x = x.numerator * (d // x.denominator) if exact else complex(x)
+                x = complex(x)
                 src = acc[c]
                 out = ([x * b for b in src] if out is None
                        else [a + x * b for a, b in zip(out, src)])
             nxt[lab] = out or [0] * w
         acc = nxt
-    if exact:
-        entries = tuple([tuple([Fraction(v, scale) for v in acc[lab]]) for lab in labels])
-    else:
-        entries = tuple([tuple([complex(v) for v in acc[lab]]) for lab in labels])
+    entries = tuple([tuple([complex(v) for v in acc[lab]]) for lab in labels])
     return LabeledMatrix(labels, labels, entries)
+
+
+def _collapse_exact(circuit: Circuit, start: int, labels: tuple[int, ...]) -> LabeledMatrix:
+    """collapse() of an exact circuit, each row packed into one int.
+
+    Row (v_0, ..., v_{w-1}) over the w start wires is the int
+    sum(v_i << (i * bits)): a slot of `bits` bits per start wire, signed.
+    Sums and integer multiples of packed rows are the packed sums and
+    multiples, so a gate term is one bigint multiply-add.  The packing reads
+    back uniquely while every |v_i| < 2**(bits - 1).  `bound` caps every
+    |v_i|: a stack multiplies it by its largest absolute row sum.  When the
+    next stack could push it past the slot, the rows are unpacked, the
+    bound drops to their true largest |v_i|, and they are repacked with
+    twice the bits that the new bound times the stack's growth needs, plus 64.
+    """
+    m = len(circuit.stacks)
+    w = len(labels)
+    bits = 64
+    acc = {lab: 1 << (i * bits) for i, lab in enumerate(labels)}
+    bound = 1
+    scale = 1
+    for k in range(start, start + m):
+        stack = circuit.stacks[k % m]
+        ints = [g.entries for g in stack.gates]
+        # A stack of ints is its own integer form; any other clears its
+        # denominators.
+        if not _INT.issuperset(map(type, chain.from_iterable(chain.from_iterable(ints)))):
+            d = lcm(*[x.denominator for rows in ints for row in rows for x in row])
+            scale *= d
+            ints = [[[x.numerator * (d // x.denominator) for x in row] for row in rows]
+                    for rows in ints]
+        grow = max([sum(map(abs, row)) for rows in ints for row in rows], default=0)
+        if bound * grow >> (bits - 1):
+            vals = {lab: _unpack(p, w, bits) for lab, p in acc.items()}
+            bound = max([abs(v) for row in vals.values() for v in row], default=0)
+            bits = 2 * (bound * grow).bit_length() + 64
+            acc = {lab: _pack(row, bits) for lab, row in vals.items()}
+        bound *= grow
+        wire = dict(circuit.wirings[k % m])
+        nxt = {}
+        for g, rows in zip(stack.gates, ints):
+            srcs = [acc[c] for c in g.cols]
+            for r, row in zip(g.rows, rows):
+                nxt[wire[r]] = sum(map(mul, row, srcs))
+        acc = nxt
+    entries = tuple([tuple([Fraction(v, scale) for v in _unpack(acc[lab], w, bits)])
+                     for lab in labels])
+    return LabeledMatrix(labels, labels, entries)
+
+
+def _pack(row: list[int], bits: int) -> int:
+    p = 0
+    for v in reversed(row):
+        p = (p << bits) + v
+    return p
+
+
+def _unpack(p: int, w: int, bits: int) -> list[int]:
+    """The w signed slots of a packed row, lowest first."""
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    row = []
+    for _ in range(w):
+        v = p & mask
+        if v >= half:
+            v -= mask + 1
+        row.append(v)
+        p = (p - v) >> bits
+    return row
 
 
 def evaluate(circuit: Circuit) -> Scalar:

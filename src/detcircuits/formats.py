@@ -31,25 +31,26 @@ def _parse_int(tok: str, lineno: int, what: str) -> int:
         raise ParseError(lineno, f"expected integer {what}, got {tok!r}") from None
 
 
-# The field's zero for the token "0", which fills most of a .pf grid.  It is
-# what parse_scalar would give in the rational field (integer tokens read as
-# int), but the cached singleton skips the call; in the complex field it keeps
-# the grid all complex.
-_ZEROS = {"rational": 0, "complex": 0j}
+def _parse_ints(toks: list[str], lineno: int, what: str) -> list[int]:
+    """All tokens as ints in one C-level pass; only on a bad token does it
+    go token by token, so the error names the first bad one."""
+    try:
+        return list(map(int, toks))
+    except ValueError:
+        return [_parse_int(tok, lineno, what) for tok in toks]
 
 
-def _parse_grid(lines, r: int, c: int, field: str, lineno: int) -> tuple[tuple[Scalar, ...], ...]:
-    """Read r rows of c scalars.  The token "0" reads as the field's zero
-    (int 0 or 0j) and every other token through parse_scalar, which reads
-    integer tokens as int, other rationals as Fraction and complex tokens as
-    complex.  So a rational grid holds ints and Fractions, a complex grid
-    only complex values, and neither needs normalization.
+def _parse_grid(lines, r: int, c: int, field: str, lineno: int,
+                memo: dict[str, Scalar]) -> tuple[tuple[Scalar, ...], ...]:
+    """Read r rows of c scalars.  parse_scalar reads integer tokens as int,
+    other rationals as Fraction and complex tokens as complex, so a rational
+    grid holds ints and Fractions, a complex grid only complex values, and
+    neither needs normalization.  `memo` maps each token already read in
+    this file to its value, so parse_scalar runs once per distinct token
+    (a file has few: mostly 0 and small integers).
     Empty rows (c = 0) read no lines: write_circuit writes them blank."""
     if c == 0:
         return ((),) * r
-    # For an unknown field no token matches (split() yields no empty
-    # token), so parse_scalar sees every token and rejects the field.
-    zero_tok, zero = ("0", _ZEROS[field]) if field in _ZEROS else ("", None)
     grid = []
     for _ in range(r):
         try:
@@ -60,7 +61,10 @@ def _parse_grid(lines, r: int, c: int, field: str, lineno: int) -> tuple[tuple[S
         if len(toks) != c:
             raise ParseError(no, f"expected {c} entries, got {len(toks)}")
         try:
-            grid.append(tuple([zero if tok == zero_tok else parse_scalar(tok, field)
+            # A miss tests membership and falls through, with no KeyError
+            # raised: complex tokens seldom repeat, so misses are common there.
+            grid.append(tuple([memo[tok] if tok in memo
+                               else memo.setdefault(tok, parse_scalar(tok, field))
                                for tok in toks]))
         except ValueError as exc:
             raise ParseError(no, str(exc)) from None
@@ -78,6 +82,7 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
     with no wiring line default to the sorted-label identity pairing.
     """
     lines = _significant(text)
+    memo: dict[str, Scalar] = {}
     stacks: list[list[LabeledMatrix]] = []
     stack_lines: list[int] = []
     wirings: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -106,9 +111,9 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
                 raise ParseError(
                     no, f"expected {r} row labels and {c} column labels, "
                         f"got {len(row_toks)} and {len(col_toks)}")
-            rows = tuple([_parse_int(t, no, "row label") for t in row_toks])
-            cols = tuple([_parse_int(t, no, "column label") for t in col_toks])
-            grid = _parse_grid(lines, r, c, field, no)
+            rows = tuple(_parse_ints(row_toks, no, "row label"))
+            cols = tuple(_parse_ints(col_toks, no, "column label"))
+            grid = _parse_grid(lines, r, c, field, no, memo)
             stacks[-1].append(LabeledMatrix(rows, cols, grid))
         elif head == "wiring":
             body = line[len("wiring"):].strip()
@@ -118,17 +123,8 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
             k = _parse_int(k_part.strip(), no, "wiring index")
             if k in wirings:
                 raise ParseError(no, f"duplicate wiring {k}")
-            pairs = []
             pairs_part = pairs_part.strip()
-            if pairs_part:
-                for chunk in pairs_part.split(","):
-                    chunk = chunk.strip()
-                    if "->" not in chunk:
-                        raise ParseError(no, f"bad wiring pair {chunk!r}, expected a->b")
-                    a_tok, _, b_tok = chunk.partition("->")
-                    pairs.append((_parse_int(a_tok.strip(), no, "wire label"),
-                                  _parse_int(b_tok.strip(), no, "wire label")))
-            wirings[k] = tuple(pairs)
+            wirings[k] = tuple(_parse_wiring_pairs(pairs_part, no) if pairs_part else [])
             wiring_lines[k] = no
         else:
             raise ParseError(no, f"unknown directive {head!r}")
@@ -155,6 +151,27 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
     return Circuit(built_stacks, tuple(full_wirings))
 
 
+def _parse_wiring_pairs(body: str, lineno: int) -> list[tuple[int, int]]:
+    """The `a->b, c->d` pairs of a wiring line.  int() skips the spaces
+    around each end, and an end that holds no arrow or a second one is no
+    integer, so the fast path fails on every malformed pair; the pair by
+    pair pass then names the first one."""
+    try:
+        return [(int(a), int(b)) for a, _, b in
+                [chunk.partition("->") for chunk in body.split(",")]]
+    except ValueError:
+        pass
+    pairs = []
+    for chunk in body.split(","):
+        chunk = chunk.strip()
+        if "->" not in chunk:
+            raise ParseError(lineno, f"bad wiring pair {chunk!r}, expected a->b")
+        a_tok, _, b_tok = chunk.partition("->")
+        pairs.append((_parse_int(a_tok.strip(), lineno, "wire label"),
+                      _parse_int(b_tok.strip(), lineno, "wire label")))
+    return pairs
+
+
 def write_circuit(c: Circuit) -> str:
     out = []
     for stack in c.stacks:
@@ -179,6 +196,7 @@ def parse_pfaffian(text: str, field: str = "rational") -> PfaffianCircuit:
     """Parse `pfgate state|costate n <n edge ids>` blocks with n x n grids.
     The blocks may come in any order; each side keeps its blocks' order."""
     lines = _significant(text)
+    memo: dict[str, Scalar] = {}
     sides: dict[str, list[SkewMatrix]] = {"state": [], "costate": []}
     for no, line in lines:
         toks = line.split()
@@ -193,11 +211,11 @@ def parse_pfaffian(text: str, field: str = "rational") -> PfaffianCircuit:
         edge_toks = toks[3:]
         if len(edge_toks) != n:
             raise ParseError(no, f"expected {n} edge ids, got {len(edge_toks)}")
-        edges = tuple([_parse_int(t, no, "edge id") for t in edge_toks])
+        edges = tuple(_parse_ints(edge_toks, no, "edge id"))
         for e in edges:
             if e < 1:
                 raise ParseError(no, f"edge ids are positive, got {e}")
-        grid = _parse_grid(lines, n, n, field, no)
+        grid = _parse_grid(lines, n, n, field, no, memo)
         try:
             sides[kind].append(SkewMatrix(edges, grid))
         except (ValidationError, ValueError) as exc:
@@ -244,8 +262,7 @@ def parse_graph(text: str) -> Graph:
         toks = line.split()
         if len(toks) != 2:
             raise ParseError(no, "edge line must be: u v")
-        edges.append((_parse_int(toks[0], no, "endpoint"),
-                      _parse_int(toks[1], no, "endpoint")))
+        edges.append(tuple(_parse_ints(toks, no, "endpoint")))
     try:
         no, line = next(lines)
     except StopIteration:

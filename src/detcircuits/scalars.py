@@ -16,6 +16,7 @@ from __future__ import annotations
 import sys
 from cmath import isfinite
 from fractions import Fraction
+from itertools import chain
 from math import isinf, lcm, prod
 from typing import Sequence, Union
 
@@ -57,7 +58,7 @@ def normalize_grid(rows: Sequence[Sequence]) -> tuple[tuple[Scalar, ...], ...]:
 
 
 def grid_is_exact(grid) -> bool:
-    return all(_EXACT_TYPES.issuperset(map(type, row)) for row in grid)
+    return _EXACT_TYPES.issuperset(map(type, chain.from_iterable(grid)))
 
 
 def scalars_equal(a: Scalar, b: Scalar) -> bool:

@@ -266,16 +266,21 @@ def _parts(draw, n: int, g: int) -> list[int]:
 
 
 @st.composite
-def ring_circuits(draw, field: str):
+def ring_circuits(draw, field: str, max_depth: int = 4, min_width: int = 0, big: bool = False):
     """Closed rings with p/q or complex entries, rectangular and empty
-    gates, several gates per stack, and boundaries of width 0 to 4."""
-    if field == "rational":
-        entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    gates, several gates per stack, and boundaries of width min_width to 4.
+    Rational entries are ints or Fractions, so some stacks hold only ints;
+    `big` draws them up to 10**12, over denominators up to 12."""
+    if big:
+        entry = (st.integers(-10 ** 12, 10 ** 12)
+                 | st.fractions(min_value=-10 ** 12, max_value=10 ** 12, max_denominator=12))
+    elif field == "rational":
+        entry = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
     else:
         entry = st.complex_numbers(max_magnitude=2, allow_nan=False,
                                    allow_infinity=False)
-    m = draw(st.integers(1, 4))
-    widths = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    m = draw(st.integers(1, max_depth))
+    widths = draw(st.lists(st.integers(min_width, 4), min_size=m, max_size=m))
     stacks = []
     label = 1
     for k in range(m):
@@ -308,12 +313,12 @@ def _compose_chain(c: Circuit, start: int):
     return acc
 
 
-def _check_collapse_matches_chain(c: Circuit) -> None:
+def _check_collapse_matches_chain(c: Circuit, starts=None) -> None:
     exact = not any(isinstance(x, complex) for s in c.stacks for g in s.gates
                     for row in g.entries for x in row)
     for k in range(len(c.stacks)):
         assert transfer_matrix(c, k) == compose(wiring_matrix(c, k), stack_matrix(c.stacks[k]))
-    for start in range(len(c.stacks)):
+    for start in range(len(c.stacks)) if starts is None else starts:
         got = collapse(c, start)
         want = _compose_chain(c, start)
         assert (got.rows, got.cols) == (want.rows, want.cols)
@@ -338,6 +343,42 @@ def test_collapse_equals_compose_chain_rational(c):
 @settings(max_examples=100, deadline=None)
 def test_collapse_equals_compose_chain_complex(c):
     _check_collapse_matches_chain(c)
+
+
+@given(ring_circuits("rational", max_depth=40, min_width=1, big=True))
+@settings(max_examples=40, deadline=None)
+def test_collapse_equals_compose_chain_deep_big_entries(c):
+    # Entries of 40 bits over denominators up to 12 grow every packed row
+    # by up to 60 bits a stack, so the rows outgrow their slots and are
+    # repacked several times in one turn.  No boundary is empty, since an
+    # empty one zeroes every row after it.
+    widths = [len(s.in_labels) for s in c.stacks]
+    _check_collapse_matches_chain(c, starts=sorted({0, len(widths) // 2,
+                                                    widths.index(max(widths))}))
+
+
+def _cancelling_ring(depth: int) -> Circuit:
+    """[[1, 5], [0, 1]] and [[1, -5], [0, 1]] alternating: every pair of
+    stacks multiplies to the identity."""
+    stacks = tuple([Stack((labeled((1, 2), (3, 4), [[1, 5 if k % 2 else -5], [0, 1]]),))
+                    for k in range(depth)])
+    return Circuit(stacks, (((1, 3), (2, 4)),) * depth)
+
+
+def test_collapse_of_a_cancelling_ring():
+    # The entries never pass 5, but each stack's largest absolute row sum
+    # is 6, so the bound on them passes any slot and the rows are
+    # unpacked and repacked again and again.
+    c = _cancelling_ring(2000)
+    for start in (0, 1):
+        got = collapse(c, start)
+        assert got.entries == ((1, 0), (0, 1))
+        assert all(type(x) is Fraction for row in got.entries for x in row)
+    assert evaluate(c) == 4
+    odd = _cancelling_ring(2001)  # one [[1, -5], [0, 1]] is left over
+    for start in (0, 1):
+        assert collapse(odd, start).entries == ((1, -5), (0, 1))
+    assert evaluate(odd) == 4
 
 
 def test_collapse_start_out_of_range():

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,8 @@ from detcircuits import (
     write_pfaffian,
 )
 from detcircuits.cli import INT_MAX_STR_DIGITS, main
-from detcircuits.scalars import format_scalar, scalars_equal
+import detcircuits.formats as formats
+from detcircuits.scalars import format_scalar, parse_scalar, scalars_equal
 from circgen import pf_blocks, rand_circuit, rand_grid, rand_skew_grid
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -749,9 +751,8 @@ def spelling_dir(tmp_path_factory):
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(("rational", "complex")))
 @settings(max_examples=80, deadline=None)
 def test_zero_spellings_read_and_evaluate_alike(spelling_dir, seed, field):
-    # The token 0 is read without parse_scalar; every other spelling of
-    # zero goes through it.  All must give equal grids, all-complex ones in
-    # the complex field, and the same eval and pfeval output byte for byte.
+    # Every spelling of zero must give equal grids, all-complex ones in the
+    # complex field, and the same eval and pfeval output byte for byte.
     rng = random.Random(seed)
     c = rand_circuit(rng, max_stacks=3, max_wires=3, field=field, lo=-2, hi=2)
     # Half the entries zero, then each zero token spelled at random.
@@ -772,6 +773,76 @@ def test_zero_spellings_read_and_evaluate_alike(spelling_dir, seed, field):
             results.append(_run([verb, str(path), "--field", field]))
         assert results[0] == results[1]
         assert results[0][0] == 0
+
+
+# Spellings of a few values, so that a grid repeats tokens and repeats
+# values under different tokens.  1/1 and 2/2 read as Fraction, 1 and 01 as
+# int; -0 and -0+0i keep their sign of zero in the complex field.
+MEMO_TOKENS = {
+    "rational": ("0", "1", "+1", "01", "1/1", "2/2", "-0", "0/7", "1e0"),
+    "complex": ("0", "1", "+1", "01", "-0", "1e0", "1+0i", "-0+0i"),
+}
+
+
+def _negated(tok):
+    return tok[1:] if tok.startswith("-") else "-" + tok.lstrip("+")
+
+
+@st.composite
+def memo_files(draw):
+    """(field, .circuit or .pf text, its grid tokens in reading order).
+    The .pf grids are skew: the tokens below the diagonal negate those above."""
+    field = draw(st.sampled_from(sorted(MEMO_TOKENS)))
+    pool = st.sampled_from(MEMO_TOKENS[field])
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        grids = [[[draw(pool) for _ in range(n)] for _ in range(n)]
+                 for _ in range(draw(st.integers(1, 3)))]
+        lines = []
+        for grid in grids:
+            lines.append(f"stack\ngate {n} {n} {' '.join(map(str, range(1, n + 1)))}"
+                         f" / {' '.join(map(str, range(n + 1, 2 * n + 1)))}")
+            lines += [" ".join(row) for row in grid]
+    else:
+        zero = st.sampled_from([t for t in MEMO_TOKENS[field] if parse_scalar(t, field) == 0])
+        grids, lines = [], []
+        for kind in ("state", "costate"):
+            grid = [[None] * n for _ in range(n)]
+            for i in range(n):
+                grid[i][i] = draw(zero)
+                for j in range(i + 1, n):
+                    grid[i][j] = draw(pool)
+                    grid[j][i] = _negated(grid[i][j])
+            grids.append(grid)
+            lines.append(f"pfgate {kind} {n} {' '.join(map(str, range(1, n + 1)))}")
+            lines += [" ".join(row) for row in grid]
+    return field, "\n".join(lines) + "\n", [t for g in grids for row in g for t in row]
+
+
+@given(memo_files())
+@settings(max_examples=150, deadline=None)
+def test_each_distinct_token_is_parsed_once_per_file(case):
+    # Entries read through the per-file memo must be what parse_scalar
+    # gives for their own token, in type and value (and sign of zero), and
+    # parse_scalar must run once per distinct token in each parse.
+    field, text, toks = case
+    parse = parse_pfaffian if text.startswith("pfgate") else parse_circuit
+    calls = Counter()
+
+    def counting(tok, fld):
+        calls[tok] += 1
+        return parse_scalar(tok, fld)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "parse_scalar", counting)
+        got = _grid_entries(parse(text, field))
+        assert calls == Counter(set(toks))
+        parse(text, field)
+        assert calls == Counter({tok: 2 for tok in toks})  # nothing kept between files
+    assert len(got) == len(toks)
+    for x, tok in zip(got, toks):
+        want = parse_scalar(tok, field)
+        assert type(x) is type(want) and repr(x) == repr(want)
 
 
 @pytest.fixture(scope="module")
