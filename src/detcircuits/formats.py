@@ -153,9 +153,10 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
 
 def _parse_wiring_pairs(body: str, lineno: int) -> list[tuple[int, int]]:
     """The `a->b, c->d` pairs of a wiring line.  int() skips the spaces
-    around each end, and an end that holds no arrow or a second one is no
-    integer, so the fast path fails on every malformed pair; the pair by
-    pair pass then names the first one."""
+    around each end.  A pair with no arrow leaves an empty second end and
+    one with two arrows leaves an arrow in it, so neither reads as an int
+    and the one-pass read fails on every malformed pair; the pair by pair
+    pass then names the first one."""
     try:
         return [(int(a), int(b)) for a, _, b in
                 [chunk.partition("->") for chunk in body.split(",")]]
