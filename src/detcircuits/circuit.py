@@ -30,7 +30,7 @@ from .labeled import (
     permutation_matrix,
     principal_minor_sum,
 )
-from .scalars import grid_is_exact
+from .scalars import det_grid, grid_is_exact
 
 Wiring = tuple[tuple[int, int], ...]  # (source output label, target input label)
 
@@ -152,7 +152,15 @@ def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
         raise IndexError(f"start {start} out of range for {m} stacks")
     labels = circuit.stacks[start].in_labels
     if _is_exact(circuit):
-        return _collapse_exact(circuit, start, labels)
+        rows, scale = _collapse_exact(circuit, start, labels)
+        return LabeledMatrix(labels, labels, tuple([tuple([Fraction(v, scale) for v in row])
+                                                    for row in rows]))
+    return _collapse_complex(circuit, start, labels)
+
+
+def _collapse_complex(circuit: Circuit, start: int, labels: tuple[int, ...]) -> LabeledMatrix:
+    """collapse() of a complex circuit, each row a list of complex values."""
+    m = len(circuit.stacks)
     w = len(labels)
     acc = {lab: [int(i == j) for j in range(w)] for i, lab in enumerate(labels)}
     for k in range(start, start + m):
@@ -170,8 +178,10 @@ def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
     return LabeledMatrix(labels, labels, entries)
 
 
-def _collapse_exact(circuit: Circuit, start: int, labels: tuple[int, ...]) -> LabeledMatrix:
-    """collapse() of an exact circuit, each row packed into one int.
+def _collapse_exact(circuit: Circuit, start: int,
+                    labels: tuple[int, ...]) -> tuple[list[list[int]], int]:
+    """collapse() of an exact circuit as integer rows and one scale s > 0: the
+    collapse is rows / s.  While it runs, each row is packed into one int.
 
     Row (v_0, ..., v_{w-1}) over the w start wires is the int
     sum(v_i << (i * bits)): a slot of `bits` bits per start wire, signed.
@@ -195,7 +205,8 @@ def _collapse_exact(circuit: Circuit, start: int, labels: tuple[int, ...]) -> La
         # A stack of ints is its own integer form; any other clears its
         # denominators.
         if not _INT.issuperset(map(type, chain.from_iterable(chain.from_iterable(ints)))):
-            d = lcm(*[x.denominator for rows in ints for row in rows for x in row])
+            # A set, as in scalars.clear_denominators.
+            d = lcm(*{x.denominator for rows in ints for row in rows for x in row})
             scale *= d
             ints = [[[x.numerator * (d // x.denominator) for x in row] for row in rows]
                     for rows in ints]
@@ -213,9 +224,7 @@ def _collapse_exact(circuit: Circuit, start: int, labels: tuple[int, ...]) -> La
             for r, row in zip(g.rows, rows):
                 nxt[wire[r]] = sum(map(mul, row, srcs))
         acc = nxt
-    entries = tuple([tuple([Fraction(v, scale) for v in _unpack(acc[lab], w, bits)])
-                     for lab in labels])
-    return LabeledMatrix(labels, labels, entries)
+    return [_unpack(acc[lab], w, bits) for lab in labels], scale
 
 
 def _pack(row: list[int], bits: int) -> int:
@@ -244,16 +253,23 @@ def evaluate(circuit: Circuit) -> Scalar:
 
     The collapse is read at the narrowest boundary (det(I + XY) =
     det(I + YX) makes every boundary give the same value), so the cost is
-    O(depth * w^2 * w_min) plus one w_min x w_min determinant.  A complex
-    circuit gives a complex value even when w_min is 0 and the determinant
-    is the empty one.
+    O(depth * w^2 * w_min) plus one w_min x w_min determinant.  An exact
+    collapse A / s stays in ints: det(I + A / s) = det(sI + A) / s^w.  A
+    complex circuit gives a complex value even when w_min is 0 and the
+    determinant is the empty one.
     """
     widths = [len(s.in_labels) for s in circuit.stacks]
-    start = widths.index(min(widths)) if widths else 0
-    value = principal_minor_sum(collapse(circuit, start))
-    if min(widths, default=0) == 0 and not _is_exact(circuit):
-        value = complex(value)  # the 0x0 determinant is the exact 1 in any field
-    return value
+    if not widths:
+        return 1  # the empty circuit: the 0x0 determinant
+    start = widths.index(min(widths))
+    labels = circuit.stacks[start].in_labels
+    if not _is_exact(circuit):
+        return complex(principal_minor_sum(_collapse_complex(circuit, start, labels)))
+    rows, scale = _collapse_exact(circuit, start, labels)
+    for i, row in enumerate(rows):
+        row[i] += scale
+    value = det_grid(rows)
+    return value / scale ** len(rows) if rows else value  # 1 / 1 would be a float
 
 
 def identity_wiring(src: tuple[int, ...], dst: tuple[int, ...]) -> Wiring:

@@ -2,11 +2,12 @@
 
 With L = BᵀB the Laplacian of an oriented incidence matrix B, det(I+L)
 counts rooted spanning forests (Sylvester: it equals det(I+BBᵀ)),
-det(Ix+L) is their generating polynomial in the number of roots, and any
-cofactor of L counts spanning trees.  Brute-force enumerators double as
-oracles for all of it.  The three-stack closed circuit that collapses to
-BBᵀ and ties the counts to circuit evaluation (Chung-Langlands) is
-graph_to_circuit in tests/paper.py, where the tests check it.
+det(Ix+L) is their generating polynomial in the number of roots (integer
+Faddeev-LeVerrier on packed rows), and any cofactor of L counts spanning
+trees.  Brute-force enumerators double as oracles for all of it.  The
+three-stack closed circuit that collapses to BBᵀ and ties the counts to
+circuit evaluation (Chung-Langlands) is graph_to_circuit in
+tests/paper.py, where the tests check it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 from typing import Iterator
 
 from .errors import TooLarge, ValidationError
@@ -89,27 +91,48 @@ class ForestPolynomial:
         return sum(c * x ** k for k, c in enumerate(self.coefficients))
 
 
+def _slot_bits(degrees: list[int]) -> int:
+    """Bits per column slot of a packed row in forest_polynomial.
+
+    M_k's entries are coefficients of adj(xI + L), each a forest count
+    (all-minors matrix-tree theorem), so |M_k| <= |adj(I + L)| <= prod(1 + d)
+    (Hadamard; I + L is positive definite), and |A M_k| <= 2 max(d) times
+    that.  Two more bits keep every entry under a quarter of its slot's range,
+    so adding half the range to a slot never carries out of it."""
+    return (prod([d + 1 for d in degrees]) * 2 * max(degrees, default=0)).bit_length() + 2
+
+
 def forest_polynomial(g: Graph) -> ForestPolynomial:
     """det(Ix + L) by Faddeev-LeVerrier over ints; its coefficients are integers,
-    so each division by k is exact.  A = -L is applied as neighbour row sums: row
-    i of A M is the sum of M[t] over i's neighbours t (once per edge) less
-    deg(i) M[i], at O(n²(n + 2m)) in all.  An isolated vertex is a factor x."""
+    so each division by k is exact.  An isolated vertex is a factor x.
+
+    Each row of M_k and of A M_k (A = -L) is one int with a signed slot of
+    `bits` bits per column, as in circuit._collapse_exact.  Row i of A M_k is
+    the sum of M_k[t] over i's neighbours t (once per edge) less deg(i) M_k[i],
+    and c I adds c to one slot of each row.  A diagonal slot is read after
+    adding `half` to every slot, so no borrow crosses a slot.  That is
+    O(n(n + 2m)) bigint adds of n-slot rows in all."""
     h = _without_isolated(g)
     n = h.vertex_count
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in h.edges:
         nbrs[u - 1].append(v - 1)
         nbrs[v - 1].append(u - 1)
+    deg = [len(ts) for ts in nbrs]
+    bits = _slot_bits(deg)
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    shifts = range(0, n * bits, bits)
+    offset = sum([half << s for s in shifts])
+    rows = list(zip(nbrs, deg, range(n)))
     coeffs = [0] * n + [1]
-    am = [[0] * n for _ in range(n)]  # A M_{k-1}, with M_0 = 0
+    am = [0] * n  # A M_{k-1}, with M_0 = 0
     c = 1
     for k in range(1, n + 1):
-        mk = am
-        for i, row in enumerate(mk):  # M_k = A M_{k-1} + c I
-            row[i] += c
-        am = [list(map(sum, zip([-len(ts) * x for x in mk[i]], *[mk[t] for t in ts])))
-              for i, ts in enumerate(nbrs)]
-        c = -sum(row[i] for i, row in enumerate(am)) // k
+        mk = [r + (c << s) for r, s in zip(am, shifts)]  # M_k = A M_{k-1} + c I
+        get = mk.__getitem__
+        am = [sum(map(get, ts)) - d * mk[i] for ts, d, i in rows]
+        c = (n * half - sum([(r + offset) >> s & mask for r, s in zip(am, shifts)])) // k
         coeffs[n - k] = c
     return ForestPolynomial((0,) * (g.vertex_count - n) + tuple(coeffs))
 

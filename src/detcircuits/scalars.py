@@ -92,7 +92,9 @@ def det_grid(grid: Sequence[Sequence[Scalar]]) -> Scalar:
 
 def clear_denominators(grid) -> tuple[list[list[int]], list[int]]:
     """Each row times d_i, the lcm of its denominators, as ints; and the d_i."""
-    factors = [lcm(*[x.denominator for x in row]) for row in grid]
+    # A set keeps lcm's argument tuple short: CPython 3.11 frees a 20-entry
+    # tuple onto a free list it never takes from.
+    factors = [lcm(*{x.denominator for x in row}) for row in grid]
     return [[x.numerator for x in row] if d == 1 else
             [x.numerator * (d // x.denominator) for x in row]
             for row, d in zip(grid, factors)], factors
@@ -179,7 +181,10 @@ def parse_scalar(token: str, field: str = "rational") -> Scalar:
 
     In the rational field an integer token (an optional sign, then decimal
     digits) reads as an int and any other rational token as a Fraction; both
-    are exact scalars.  The complex field reads every token as complex."""
+    are exact scalars.  A rational token whose exponent is past ten times
+    sys.get_int_max_str_digits() in magnitude is refused, since Fraction
+    would build 10**exponent first.  The complex field reads every token
+    as complex."""
     token = token.strip()
     if field == "rational":
         # Plain integers skip Fraction's regex.  isdecimal() is the set of
@@ -188,6 +193,7 @@ def parse_scalar(token: str, field: str = "rational") -> Scalar:
         digits = token[1:] if token[:1] in "+-" else token
         if digits.isdecimal():
             return int(token)
+        _check_exponent(token)
         try:
             return Fraction(token)
         except (ValueError, ZeroDivisionError) as exc:
@@ -195,6 +201,22 @@ def parse_scalar(token: str, field: str = "rational") -> Scalar:
     if field == "complex":
         return _parse_complex(token)
     raise ValueError(f"unknown field {field!r}")
+
+
+def _check_exponent(token: str) -> None:
+    """Refuse a rational token whose exponent is past ten times the digit
+    limit (0 is no limit).  An exponent that int() cannot read is left for
+    Fraction to reject."""
+    limit = 10 * sys.get_int_max_str_digits()
+    _, e, exp = token.lower().rpartition("e")
+    if not (e and limit):
+        return
+    try:
+        big = abs(int(exp)) > limit
+    except ValueError:
+        return
+    if big:
+        raise ValueError(f"bad rational {token!r}: exponent past the {limit} limit")
 
 
 def _parse_complex(token: str) -> complex:

@@ -2,7 +2,8 @@
 
 Each is an oracle a fast path is checked against, or the object a claim
 of the paper is stated about: the Chung-Langlands circuit behind the
-forest count, and the skew embedding whose sub-Pfaffians are minors.
+forest count, the skew embedding whose sub-Pfaffians are minors, and the
+Faddeev-LeVerrier loop on lists of ints that graphs.forest_polynomial packs.
 They take well-formed arguments and do not check them.
 """
 
@@ -128,3 +129,35 @@ def forest_histogram(g: Graph) -> list[int]:
     for _, roots in enumerate_forests(g):
         hist[len(roots)] += 1
     return hist
+
+
+def faddeev_leverrier_rows(g: Graph):
+    """Faddeev-LeVerrier for det(Ix + L) with each row a list of ints: yield
+    (M_k, A M_k) for k = 1..n, where A = -L, M_1 = I and
+    M_k = A M_{k-1} + c_{n-k+1} I, each c read from the previous A M.
+
+    Row i of A M is the sum of M[t] over i's neighbours t (once per edge)
+    less deg(i) M[i].  Isolated vertices stay in, as zero rows of A."""
+    n = g.vertex_count
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        nbrs[u - 1].append(v - 1)
+        nbrs[v - 1].append(u - 1)
+    am = [[0] * n for _ in range(n)]  # A M_0 = 0
+    c = 1
+    for k in range(1, n + 1):
+        mk = [row[:] for row in am]
+        for i, row in enumerate(mk):
+            row[i] += c
+        am = [list(map(sum, zip([-len(ts) * x for x in mk[i]], *[mk[t] for t in ts])))
+              for i, ts in enumerate(nbrs)]
+        yield mk, am
+        c = -sum(row[i] for i, row in enumerate(am)) // k
+
+
+def forest_polynomial_rows(g: Graph) -> tuple[int, ...]:
+    """Ascending coefficients of det(Ix + L) from faddeev_leverrier_rows."""
+    coeffs = [1]
+    for k, (_, am) in enumerate(faddeev_leverrier_rows(g), 1):
+        coeffs.append(-sum(row[i] for i, row in enumerate(am)) // k)
+    return tuple(reversed(coeffs))

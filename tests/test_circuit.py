@@ -22,6 +22,7 @@ from detcircuits import (
     identity_wiring,
     labeled,
     multicycle_total,
+    principal_minor_sum,
     transfer_matrix,
     validate,
     wiring_matrix,
@@ -355,6 +356,18 @@ def test_collapse_equals_compose_chain_deep_big_entries(c):
     widths = [len(s.in_labels) for s in c.stacks]
     _check_collapse_matches_chain(c, starts=sorted({0, len(widths) // 2,
                                                     widths.index(max(widths))}))
+
+
+@given(ring_circuits("rational") | ring_circuits("rational", max_depth=12, big=True))
+@settings(max_examples=150, deadline=None)
+def test_exact_evaluate_is_the_minor_sum_of_the_collapse(c):
+    # evaluate takes det(sI + A) / s^w over the integer collapse A / s; the
+    # value and its type (int 1 at an empty boundary, else Fraction) are those
+    # of det(I + collapse) at the narrowest boundary.
+    widths = [len(s.in_labels) for s in c.stacks]
+    want = principal_minor_sum(collapse(c, widths.index(min(widths))))
+    got = evaluate(c)
+    assert got == want and type(got) is type(want)
 
 
 def _cancelling_ring(depth: int) -> Circuit:

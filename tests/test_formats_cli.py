@@ -647,6 +647,28 @@ def test_cli_exact_result_past_the_digit_limit_exits_2(tmp_path, capsys, verb):
     assert kept.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("token", ["1e10000000", "-1E+10000000", "1e-10000000"])
+def test_cli_refuses_an_exponent_past_ten_times_the_digit_limit(tmp_path, capsys, token):
+    # Fraction would build 10**10000000 before any check; the token is
+    # refused as it is read, at its line.
+    path = tmp_path / "exp.circuit"
+    path.write_text(f"stack\ngate 1 1 1 / 1\n{token}\n")
+    assert main(["eval", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: line 3: bad rational {token!r}: exponent past the "
+                       f"{10 * INT_MAX_STR_DIGITS} limit\n")
+
+
+def test_cli_reads_an_exponent_at_ten_times_the_digit_limit(tmp_path, capsys):
+    # 10**43000 and 10**-43000 are read and cancel round the loop: 1 + 1.
+    path = tmp_path / "exp.circuit"
+    path.write_text("stack\ngate 1 1 1 / 2\n1e43000\nstack\ngate 1 1 3 / 4\n1e-43000\n"
+                    "wiring 0: 1->4\nwiring 1: 3->2\n")
+    assert main(["eval", str(path)]) == 0
+    assert capsys.readouterr() == ("2\n", "")
+
+
 DIGIT_FILES = {
     "digits_1000.circuit": "stack\ngate 1 1 1 / 1\n1" + "0" * 999 + "\n",
     "digits_5001.circuit": "stack\ngate 1 1 1 / 1\n1e5000\n",

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detcircuits import (
     Graph,
@@ -22,9 +25,15 @@ from detcircuits import (
     principal_minor_sum,
     reorient,
 )
-from detcircuits.graphs import ENUM_EDGE_CAP
+from detcircuits.graphs import ENUM_EDGE_CAP, _slot_bits
 from detcircuits.scalars import det_grid
-from paper import dagger, forest_histogram, graph_to_circuit
+from paper import (
+    dagger,
+    faddeev_leverrier_rows,
+    forest_histogram,
+    forest_polynomial_rows,
+    graph_to_circuit,
+)
 
 K3 = Graph(3, ((1, 2), (2, 3), (3, 1)))
 K4 = Graph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
@@ -249,6 +258,72 @@ def test_forest_polynomial_matches_interpolated_determinant():
                             for r, row in enumerate(lap)]) for x in range(n + 1)]
         assert list(forest_polynomial(g).coefficients) == _interpolate(values)
     assert past_cap >= 10 and parallel >= 10 and with_isolated >= 10
+
+
+@st.composite
+def multigraphs(draw, max_n: int = 60):
+    """Graphs on up to max_n vertices whose edges join a random subset of them
+    (the rest are isolated), some edges repeated and some repeats reversed."""
+    n = draw(st.integers(0, max_n))
+    rng = draw(st.randoms(use_true_random=False))
+    used = rng.sample(range(1, n + 1), rng.randint(min(n, 2), n))
+    base = [tuple(rng.sample(used, 2)) for _ in range(rng.randint(0, 3 * len(used)))
+            ] if len(used) > 1 else []
+    repeats = rng.choices(base, k=rng.randint(0, len(base))) if base else []
+    edges = base + [(v, u) if rng.random() < 0.5 else (u, v) for u, v in repeats]
+    rng.shuffle(edges)
+    return Graph(n, tuple(edges))
+
+
+def _complete(n: int) -> Graph:
+    return Graph(n, tuple([(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]))
+
+
+# A pair of vertices joined by 1000 edges, half of them reversed, and a star
+# whose spokes repeat 1 to 6 times, some reversed, beside an isolated vertex.
+PARALLEL = Graph(2, tuple([(1, 2) if i % 2 else (2, 1) for i in range(1000)]))
+STAR = Graph(8, tuple([(1, v) if (v + j) % 3 else (v, 1)
+                       for v in range(2, 8) for j in range(v - 1)]))
+FIXED_GRAPHS = {"empty": Graph(0, ()), "isolated-only": Graph(6, ()),
+                "parallel": PARALLEL, "star": STAR,
+                **{f"K{n}": _complete(n) for n in (1, 2, 7, 40)}}
+
+
+def _check_against_the_list_oracle(g: Graph) -> None:
+    # Every entry of M_k and of A M_k fits a signed slot of forest_polynomial,
+    # with room for the half added before a diagonal read, and the packed
+    # coefficients are the list loop's.
+    limit = 1 << (_slot_bits([row[i] for i, row in enumerate(laplacian(g))]) - 1)
+    for mk, am in faddeev_leverrier_rows(g):
+        assert max([abs(x) for row in mk + am for x in row]) < limit
+    assert forest_polynomial(g).coefficients == forest_polynomial_rows(g)
+
+
+@given(multigraphs())
+@settings(max_examples=40, deadline=None)
+def test_forest_polynomial_matches_the_list_oracle(g):
+    _check_against_the_list_oracle(g)
+
+
+@pytest.mark.parametrize("name", FIXED_GRAPHS)
+def test_forest_polynomial_matches_the_list_oracle_fixed(name):
+    _check_against_the_list_oracle(FIXED_GRAPHS[name])
+
+
+def test_forest_polynomial_of_complete_graphs():
+    # det(xI + L(K_n)) = x (x + n)^(n-1): L has eigenvalue 0 once and n n-1 times.
+    for n in range(1, 41):
+        want = [0] + [comb(n - 1, j) * n ** (n - 1 - j) for j in range(n)]
+        assert list(forest_polynomial(_complete(n)).coefficients) == want
+
+
+def test_forest_polynomial_fixed_closed_forms():
+    assert forest_polynomial(PARALLEL).coefficients == (0, 2000, 1)  # x (x + 2000)
+    assert forest_polynomial(Graph(6, ())).coefficients == (0,) * 6 + (1,)
+    lap = laplacian(STAR)
+    values = [det_grid([[a + x * (r == s) for s, a in enumerate(row)]
+                        for r, row in enumerate(lap)]) for x in range(STAR.vertex_count + 1)]
+    assert list(forest_polynomial(STAR).coefficients) == _interpolate(values)
 
 
 def test_enumerate_forests_cap():

@@ -8,10 +8,13 @@ lists only grow until a full garbage collection empties them.  With few
 tracked objects allocated (integer tokens read as int) full collections are
 rare and the lists grow to thousands of tuples per size.  A list-backed
 form (`tuple([...])`, `f(*[...])`) allocates the tuple at its final size.
+CPython 3.11 also frees 20-entry tuples onto a free list that it never takes
+from, so `lcm(*row)` on 20-wide rows grew it by one tuple a row; the package
+passes lcm a set of distinct denominators instead.
 
 An ast scan, like tests/test_single_check_site.py, keeps the pattern out,
 and a tracemalloc run with the collector off checks that a parse and an
-evaluation leave no memory behind.
+evaluation, and the graph counts, leave no memory behind.
 """
 
 import ast
@@ -23,9 +26,13 @@ from pathlib import Path
 import pytest
 
 from detcircuits import (
+    Graph,
     compile_circuit,
+    count_rooted_forests,
+    count_spanning_trees,
     eval_pfaffian_circuit,
     evaluate,
+    forest_polynomial,
     parse_circuit,
     parse_pfaffian,
     write_circuit,
@@ -81,6 +88,16 @@ def test_no_module_builds_a_tuple_from_a_generator(path):
 RING = write_circuit(rand_ring(random.Random(12), 12, 24))
 SMALL = rand_ring(random.Random(6), 6, 6)
 SMALL_PF = write_pfaffian(compile_circuit(SMALL).target)
+_rng = random.Random(20)
+DENSE = Graph(12, tuple([(u, v) for u in range(1, 13) for v in range(u + 1, 13)
+                         if _rng.random() < 0.6]))
+SPARSE = Graph(20, tuple([(v, _rng.randint(1, v - 1)) for v in range(2, 21)]
+                         + [tuple(_rng.sample(range(1, 21), 2)) for _ in range(11)]))
+
+
+def _graph_counts():
+    for g in (DENSE, SPARSE):
+        forest_polynomial(g), count_rooted_forests(g), count_spanning_trees(g)
 
 
 def _traced_growth_kb(step, warm=10, calls=50) -> float:
@@ -108,6 +125,7 @@ def _traced_growth_kb(step, warm=10, calls=50) -> float:
 @pytest.mark.parametrize("step", [
     lambda: evaluate(parse_circuit(RING)),
     lambda: (eval_pfaffian_circuit(parse_pfaffian(SMALL_PF)), compile_circuit(SMALL)),
-], ids=["eval-w12-d24", "pfeval-and-compile-w6-d6"])
+    _graph_counts,
+], ids=["eval-w12-d24", "pfeval-and-compile-w6-d6", "graph-counts-n12-dense-n20-sparse"])
 def test_repeated_runs_leave_no_memory_behind(step):
     assert _traced_growth_kb(step) < 32
