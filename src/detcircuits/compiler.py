@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .circuit import Circuit, transfer_matrix
 from .labeled import LabeledMatrix, identity, labeled
-from .pfaffian import PfaffianCircuit, SkewMatrix
+from .pfaffian import PfaffianCircuit, SkewMatrix, _perm_sign
 from .scalars import Scalar
 
 
@@ -54,26 +54,6 @@ def _ring_gates(circuit: Circuit) -> list[LabeledMatrix]:
     if len(gates) % 2 == 0:
         gates.append(identity(circuit.stacks[0].in_labels))
     return gates
-
-
-def _perm_sign(seq: list[int]) -> int:
-    """Sign of the permutation sorting seq ascending (entries distinct)."""
-    index = {v: i for i, v in enumerate(sorted(seq))}
-    perm = [index[v] for v in seq]
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:

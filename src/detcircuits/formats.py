@@ -102,6 +102,9 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
                 raise ParseError(no, "gate needs dimensions: gate r c <rows> / <cols>")
             r = _parse_int(toks[1], no, "row count")
             c = _parse_int(toks[2], no, "column count")
+            if r < 0 or c < 0:
+                raise ParseError(no, f"row and column counts must be nonnegative, "
+                                     f"got {r} and {c}")
             rest = toks[3:]
             if rest.count("/") != 1:
                 raise ParseError(no, "gate labels need a single / separator")
@@ -209,6 +212,8 @@ def parse_pfaffian(text: str, field: str = "rational") -> PfaffianCircuit:
         if kind not in sides:
             raise ParseError(no, f"pfgate kind must be state or costate, got {kind!r}")
         n = _parse_int(toks[2], no, "size")
+        if n < 0:
+            raise ParseError(no, f"size must be nonnegative, got {n}")
         edge_toks = toks[3:]
         if len(edge_toks) != n:
             raise ParseError(no, f"expected {n} edge ids, got {len(edge_toks)}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import isinf, prod
 from typing import Sequence
 
@@ -284,6 +284,41 @@ def validate_pfaffian(pc: PfaffianCircuit) -> None:
                                f"gate, the first is {first}")
 
 
+def _perm_sign(seq: list[int]) -> int:
+    """Sign of seq, a permutation of 1..len(seq): -1 to the number of
+    entries less the number of cycles."""
+    seen = [False] * len(seq)
+    odd = len(seq) % 2
+    for start in range(len(seq)):
+        if not seen[start]:
+            odd ^= 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = seq[j] - 1
+    return -1 if odd else 1
+
+
+def _costate_rows(costates: Sequence[SkewMatrix]) -> tuple[list, list[int]]:
+    """For each costate, the positions of each row's nonzeros, and the
+    edges of the costates' unit pairs, two by two in pivot order.
+
+    A unit pair is a row and a column of one costate whose only nonzero
+    entries are +-1 at each other.  The pairs come in costate order, each
+    costate's in row order, and each pair lists its row first."""
+    rows, paired = [], []
+    for g in costates:
+        cols = range(g.size)
+        nonzeros = [list(compress(cols, row)) for row in g.entries]
+        for p, row in enumerate(nonzeros):
+            if len(row) == 1:
+                q = row[0]
+                if p < q and len(nonzeros[q]) == 1 and g.entries[p][q] in (1, -1):
+                    paired += (g.labels[p], g.labels[q])
+        rows.append(nonzeros)
+    return rows, paired
+
+
 def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
     """Fast evaluation: one Pfaffian of the assembled edge matrix.
 
@@ -294,20 +329,50 @@ def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
     entry gets at most one term from each side, so the order of the gadgets
     does not change the sum.  The gadgets, not the rows, say which field's
     kernel runs, so an all-zero complex circuit still evaluates to 0j.
+
+    An exact circuit is eliminated in another edge order: the costates'
+    unit pairs first, each pair one pivot pair, then the other edges in
+    their natural order, and the Pfaffian is multiplied by the sign of that
+    renumbering.  Every edge of a compiled circuit lies in a unit pair, so
+    each pivot joins two neighbouring gadgets, the way a wiring relabels,
+    and the entries stay minors of partial products around the ring.  The
+    complex kernel keeps the natural order: on i-gauged rings the pair
+    order loses every digit.
     """
-    rows: list[dict] = [{} for _ in range(pc.edge_count)]
-    for twist, gates in ((False, pc.states), (True, pc.costates)):
-        for g in gates:
-            for ea, row in zip(g.labels, g.entries):
-                out = rows[ea - 1]
-                for eb, x in zip(g.labels, row):
-                    if x and ea < eb:
-                        j = eb - 1
-                        if twist and (ea + eb) % 2 == 0:
-                            x = -x
-                        out[j] = out[j] + x if j in out else x
-    if all(grid_is_exact(g.entries) for g in pc.states + pc.costates):
-        return _pfaffian_exact(rows)
+    n = pc.edge_count
+    exact = all(grid_is_exact(g.entries) for g in pc.states + pc.costates)
+    costate_rows, paired = _costate_rows(pc.costates)
+    at = list(range(-1, n))  # at[e]: the index edge e is eliminated at
+    sign = 1
+    if exact and paired:
+        seen = set(paired)
+        order = paired + [e for e in range(1, n + 1) if e not in seen]
+        sign = _perm_sign(order)
+        for k, e in enumerate(order):
+            at[e] = k
+    rows: list[dict] = [{} for _ in range(n)]
+    for g in pc.states:
+        new = [at[e] for e in g.labels]
+        cols = range(g.size)
+        for i, row in zip(new, g.entries):
+            out = rows[i]
+            for p in compress(cols, row):
+                j = new[p]
+                if i < j:
+                    x = row[p]
+                    out[j] = out[j] + x if j in out else x
+    for g, nonzeros in zip(pc.costates, costate_rows):
+        labels = g.labels
+        new = [at[e] for e in labels]
+        for ea, i, row, cols in zip(labels, new, g.entries, nonzeros):
+            out = rows[i]
+            for p in cols:
+                j = new[p]
+                if i < j:
+                    x = row[p] if (ea + labels[p]) % 2 else -row[p]
+                    out[j] = out[j] + x if j in out else x
+    if exact:
+        return sign * _pfaffian_exact(rows)
     return _pfaffian_complex(rows)
 
 

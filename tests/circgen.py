@@ -1,12 +1,13 @@
-"""Shared random generators for the test suite, and pf_blocks, which
-cuts a .pf text into the blocks they can shuffle.
+"""Shared random generators for the test suite; pf_blocks, which cuts a
+.pf text into the blocks they can shuffle; and has_sign_gadget, which
+finds the compiler's sign-fix pair.
 
 Everything takes an explicit random.Random so tests stay reproducible.
 """
 
 from fractions import Fraction
 
-from detcircuits import Circuit, Stack, labeled
+from detcircuits import Circuit, PfaffianCircuit, Stack, labeled, skew
 
 
 def rand_scalar(rng, field="rational", lo=-5, hi=5):
@@ -95,6 +96,81 @@ def _close(rng, stacks):
     return Circuit(tuple(stacks), tuple(wirings))
 
 
+def _pf_entry(rng):
+    """0, +-1, a small int or a p/q, in about equal shares."""
+    k = rng.randrange(4)
+    if k == 0:
+        return 0
+    if k == 1:
+        return rng.choice((1, -1))
+    if k == 2:
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-5, 5), rng.randint(2, 5))
+
+
+def _pf_gadgets(rng, units):
+    """Label lists of 1 to 4 edges cut from a list of units (tuples of edges
+    that must stay together), each list shuffled."""
+    gadgets, cur = [], []
+    for u in units:
+        if cur and (len(cur) + len(u) > 4 or rng.random() < 0.4):
+            gadgets.append(cur)
+            cur = []
+        cur = cur + list(u)
+    if cur:
+        gadgets.append(cur)
+    for labels in gadgets:
+        rng.shuffle(labels)
+    return gadgets
+
+
+def _pf_grid(rng, n):
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = _pf_entry(rng)
+            g[i][j], g[j][i] = x, -x
+    return g
+
+
+def rand_pf_circuit(rng, max_edges=14):
+    """Random exact Pfaffian circuit on edges 1..n: state and costate gadgets
+    of 1 to 4 edges with shuffled label lists and entries from _pf_entry.
+    Most costates of two or more edges hold an isolated unit pair, a row
+    and a column whose only nonzeros are +-1 at each other.  Half of those
+    pairs share a state, and half of these cancel the pair's entry of the
+    edge matrix, so the elimination must swap there."""
+    n = rng.randint(0, max_edges)
+    edges = list(range(1, n + 1))
+    rng.shuffle(edges)
+    costates, pairs = [], {}
+    for labels in _pf_gadgets(rng, [(e,) for e in edges]):
+        g = _pf_grid(rng, len(labels))
+        if len(labels) >= 2 and rng.random() < 0.6:
+            p, q = sorted(rng.sample(range(len(labels)), 2))
+            for k in range(len(labels)):
+                g[p][k] = g[k][p] = g[q][k] = g[k][q] = 0
+            u = rng.choice((1, -1))
+            g[p][q], g[q][p] = u, -u
+            pairs[labels[p], labels[q]] = u
+        costates.append(skew(labels, g))
+    together = [ab for ab in pairs if rng.random() < 0.5]
+    alone = set(edges).difference(*together)
+    units = together + [(e,) for e in sorted(alone)]
+    rng.shuffle(units)
+    states = []
+    for labels in _pf_gadgets(rng, units):
+        g = _pf_grid(rng, len(labels))
+        pos = {e: i for i, e in enumerate(labels)}
+        for a, b in together:
+            if a in pos and rng.random() < 0.5:
+                # Minus the costate entry u with its twist: a_ab is 0.
+                s = pairs[a, b] if (a + b) % 2 == 0 else -pairs[a, b]
+                g[pos[a]][pos[b]], g[pos[b]][pos[a]] = s, -s
+        states.append(skew(labels, g))
+    return PfaffianCircuit(tuple(states), tuple(costates))
+
+
 def pf_blocks(text):
     """The pfgate blocks of a .pf text, each with its grid rows."""
     blocks = []
@@ -103,3 +179,13 @@ def pf_blocks(text):
             blocks.append("")
         blocks[-1] += line
     return blocks
+
+
+def has_sign_gadget(target):
+    """Whether target ends in the sign-fix pair: a state and a costate on
+    the last two edges alone.  Past two edges no ring gate's state and no
+    pass-through costate share such a pair."""
+    e = target.edge_count
+    counts = [sum(set(g.labels) == {e - 1, e} for g in side)
+              for side in (target.states, target.costates)]
+    return e > 2 and counts == [1, 1]

@@ -2,8 +2,9 @@
 
 Each is an oracle a fast path is checked against, or the object a claim
 of the paper is stated about: the Chung-Langlands circuit behind the
-forest count, the skew embedding whose sub-Pfaffians are minors, and the
-Faddeev-LeVerrier loop on lists of ints that graphs.forest_polynomial packs.
+forest count, the skew embedding whose sub-Pfaffians are minors, the
+dense edge matrix of a Pfaffian circuit, and the Faddeev-LeVerrier loop
+on lists of ints that graphs.forest_polynomial packs.
 They take well-formed arguments and do not check them.
 """
 
@@ -11,6 +12,7 @@ from detcircuits import (
     Circuit,
     Graph,
     LabeledMatrix,
+    PfaffianCircuit,
     SkewMatrix,
     Stack,
     Tensor,
@@ -79,6 +81,20 @@ def skew_embed(m: LabeledMatrix) -> SkewMatrix:
     cancels the block form's intrinsic sign.
     """
     return SkewMatrix(m.rows + tuple(reversed(m.cols)), _skew_grid(m.entries, len(m.cols)))
+
+
+def edge_matrix(pc: PfaffianCircuit) -> list[list]:
+    """The dense edge matrix of pc in the natural edge order: index e - 1
+    for edge id e, each state's entries, and each costate's entries times
+    the checkerboard twist (-1)**(i+j+1) in edge ids."""
+    n = pc.edge_count
+    grid = [[0] * n for _ in range(n)]
+    for twist, side in ((False, pc.states), (True, pc.costates)):
+        for g in side:
+            for ea, row in zip(g.labels, g.entries):
+                for eb, x in zip(g.labels, row):
+                    grid[ea - 1][eb - 1] += -x if twist and (ea + eb) % 2 == 0 else x
+    return grid
 
 
 def graph_to_circuit(g: Graph) -> Circuit:

@@ -21,7 +21,8 @@ from detcircuits import (
     submatrix,
     validate_pfaffian,
 )
-from circgen import rand_circuit, rand_grid
+from detcircuits.pfaffian import _costate_rows
+from circgen import has_sign_gadget, rand_circuit, rand_grid
 from paper import determinant, skew_embed, skew_restrict
 
 
@@ -167,16 +168,6 @@ def test_compile_random_circuits_complex():
         assert abs(complex(got) - complex(evaluate(c))) < 1e-6
 
 
-def has_sign_gadget(target):
-    """Whether target ends in the sign-fix pair: a state and a costate on
-    the last two edges alone.  Past two edges no ring gate's state and no
-    pass-through costate share such a pair."""
-    e = target.edge_count
-    counts = [sum(set(g.labels) == {e - 1, e} for g in side)
-              for side in (target.states, target.costates)]
-    return e > 2 and counts == [1, 1]
-
-
 def agree(got, want):
     if isinstance(want, complex):
         return abs(got - want) <= 1e-9 * max(1.0, abs(want))
@@ -234,6 +225,31 @@ def test_sign_gadget_keeps_the_oracle_value():
     assert evaluate(c) == -17
     assert eval_pfaffian_circuit(target) == -17
     assert eval_pfaffian_oracle(target) == -17
+
+
+def test_every_compiled_edge_lies_in_a_unit_pair():
+    # Exact pfeval eliminates the costates' unit pairs first and the other
+    # edges in their natural order.  A compiler layout that left edges
+    # unpaired would keep every value but lose that order, so it fails here.
+    rng = random.Random(13)
+    circuits = [Circuit((), ()), parse_circuit(SIGN_GADGET_CIRCUIT, "rational")]
+    circuits += [rand_circuit(rng, max_stacks=5, max_wires=4) for _ in range(150)]
+    seen = set()
+    for c in circuits:
+        target = compile_circuit(c).target
+        _, paired = _costate_rows(target.costates)
+        assert sorted(paired) == list(range(1, target.edge_count + 1))
+        widths = [len(s.in_labels) for s in c.stacks]
+        if not widths:
+            seen.add("empty circuit")
+        if any(w != widths[k - 1] for k, w in enumerate(widths)):
+            seen.add("rectangular ring gate")
+        if 0 in widths:
+            seen.add("zero-width boundary")
+        if has_sign_gadget(target):
+            seen.add("sign gadget")
+    assert seen == {"empty circuit", "rectangular ring gate", "zero-width boundary",
+                    "sign gadget"}
 
 
 def ring_shapes(c):

@@ -1018,7 +1018,7 @@ def test_cli_poly_on_a_huge_vertex_count_exits_2(tmp_path, capsys, n, message):
     assert message is None or out.err == message
 
 
-# Exact stderr of a bad label, edge id, wiring pair or entry, and of the
+# Exact stderr of a bad label, size, edge id, wiring pair or entry, and of the
 # accepted spellings next to them.  The first bad token on a line is the one
 # reported, whatever else is wrong further along.
 PARSE_ERROR_TEXT = [
@@ -1034,6 +1034,14 @@ PARSE_ERROR_TEXT = [
      2, "", "error: line 1: expected integer edge id, got 'x'\n"),
     ("edge-id-zero", "pfeval", "pfgate state 2 1 0\n0 1\n-1 0\n", [],
      2, "", "error: line 1: edge ids are positive, got 0\n"),
+    ("gate-negative-rows", "eval", "stack\ngate -1 0 /\n", [],
+     2, "", "error: line 2: row and column counts must be nonnegative, got -1 and 0\n"),
+    ("gate-negative-columns", "eval", "stack\ngate 1 -2 1 /\n5\n", [],
+     2, "", "error: line 2: row and column counts must be nonnegative, got 1 and -2\n"),
+    ("pfgate-negative-size", "pfeval", "pfgate state -1\n", [],
+     2, "", "error: line 1: size must be nonnegative, got -1\n"),
+    ("pfgate-negative-size-with-edges", "pfeval", "pfgate costate -2 1 2\n0 1\n-1 0\n", [],
+     2, "", "error: line 1: size must be nonnegative, got -2\n"),
     ("graph-endpoint", "forests", "3 2\n1 2\nq z\n", [],
      2, "", "error: line 3: expected integer endpoint, got 'q'\n"),
     ("wiring-no-arrow", "eval", "stack\ngate 1 1 1 / 1\n5\nwiring 0: 1 1\n", [],

@@ -1,9 +1,10 @@
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detcircuits.labeled import labeled
@@ -227,10 +228,17 @@ _TOKEN_CHARS = "0123456789+-_/.eE \t\u0663\u0661\u00b3\u00b2xj"
 
 
 def _fraction_or_reject(token: str):
+    """Fraction(token), or None where parse_scalar must refuse the token:
+    where Fraction does, and where its exponent is past ten times the
+    digit limit, which parse_scalar refuses before Fraction builds 10**N."""
     try:
-        return Fraction(token)
+        value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         return None
+    exp = re.search(r"e([^e]*)$", token.lower())
+    if exp and abs(int(exp.group(1))) > 10 * sys.get_int_max_str_digits():
+        return None
+    return value
 
 
 @given(st.one_of(
@@ -239,6 +247,9 @@ def _fraction_or_reject(token: str):
     st.sampled_from(["1e3", "-2/3", "+7", "1_000", "\u0663", "\u00b3", "-\u0663",
                      "+-1", "--1", "1_", "_1", " 12 ", "0/5", "5/0", "", "-"]),
 ))
+@example("0E43001")
+@example("1e-43001")
+@example("-1e43000")
 @settings(max_examples=400, deadline=None)
 def test_parse_scalar_rational_matches_fraction(token):
     want = _fraction_or_reject(token)
