@@ -23,13 +23,7 @@ from math import lcm
 from operator import mul
 
 from .errors import DanglingWire, DuplicateLabel, SizeMismatch
-from .labeled import (
-    LabeledMatrix,
-    Scalar,
-    labeled,
-    permutation_matrix,
-    principal_minor_sum,
-)
+from .labeled import LabeledMatrix, Scalar, labeled, permutation_matrix
 from .scalars import det_grid, grid_is_exact
 
 Wiring = tuple[tuple[int, int], ...]  # (source output label, target input label)
@@ -151,15 +145,17 @@ def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
     if not 0 <= start < m:
         raise IndexError(f"start {start} out of range for {m} stacks")
     labels = circuit.stacks[start].in_labels
-    if _is_exact(circuit):
-        rows, scale = _collapse_exact(circuit, start, labels)
-        return LabeledMatrix(labels, labels, tuple([tuple([Fraction(v, scale) for v in row])
-                                                    for row in rows]))
-    return _collapse_complex(circuit, start, labels)
+    exact = _is_exact(circuit)
+    rows, scale = (_collapse_exact if exact else _collapse_complex)(circuit, start, labels)
+    if exact:
+        rows = [[Fraction(v, scale) for v in row] for row in rows]
+    return LabeledMatrix(labels, labels, tuple([tuple(row) for row in rows]))
 
 
-def _collapse_complex(circuit: Circuit, start: int, labels: tuple[int, ...]) -> LabeledMatrix:
-    """collapse() of a complex circuit, each row a list of complex values."""
+def _collapse_complex(circuit: Circuit, start: int,
+                      labels: tuple[int, ...]) -> tuple[list[list[complex]], int]:
+    """collapse() of a complex circuit as rows of complex values and the
+    scale 1, the shape of _collapse_exact's result."""
     m = len(circuit.stacks)
     w = len(labels)
     acc = {lab: [int(i == j) for j in range(w)] for i, lab in enumerate(labels)}
@@ -172,10 +168,9 @@ def _collapse_complex(circuit: Circuit, start: int, labels: tuple[int, ...]) -> 
                 src = acc[c]
                 out = ([x * b for b in src] if out is None
                        else [a + x * b for a, b in zip(out, src)])
-            nxt[lab] = out or [0] * w
+            nxt[lab] = out or [0j] * w
         acc = nxt
-    entries = tuple([tuple([complex(v) for v in acc[lab]]) for lab in labels])
-    return LabeledMatrix(labels, labels, entries)
+    return [acc[lab] for lab in labels], 1
 
 
 def _collapse_exact(circuit: Circuit, start: int,
@@ -228,24 +223,18 @@ def _collapse_exact(circuit: Circuit, start: int,
 
 
 def _pack(row: list[int], bits: int) -> int:
-    p = 0
-    for v in reversed(row):
-        p = (p << bits) + v
-    return p
+    return sum([v << s for v, s in zip(row, range(0, len(row) * bits, bits))])
 
 
 def _unpack(p: int, w: int, bits: int) -> list[int]:
-    """The w signed slots of a packed row, lowest first."""
-    mask = (1 << bits) - 1
+    """The w signed slots of a packed row, lowest first.  Half a slot added
+    to every slot makes each one nonnegative, so no slot borrows from the
+    next, and each reads as a shift and a mask less that half."""
     half = 1 << (bits - 1)
-    row = []
-    for _ in range(w):
-        v = p & mask
-        if v >= half:
-            v -= mask + 1
-        row.append(v)
-        p = (p - v) >> bits
-    return row
+    mask = (1 << bits) - 1
+    shifts = range(0, w * bits, bits)
+    p += sum([half << s for s in shifts])
+    return [(p >> s & mask) - half for s in shifts]
 
 
 def evaluate(circuit: Circuit) -> Scalar:
@@ -253,22 +242,24 @@ def evaluate(circuit: Circuit) -> Scalar:
 
     The collapse is read at the narrowest boundary (det(I + XY) =
     det(I + YX) makes every boundary give the same value), so the cost is
-    O(depth * w^2 * w_min) plus one w_min x w_min determinant.  An exact
-    collapse A / s stays in ints: det(I + A / s) = det(sI + A) / s^w.  A
-    complex circuit gives a complex value even when w_min is 0 and the
-    determinant is the empty one.
+    O(depth * w^2 * w_min) plus one w_min x w_min determinant.  Both fields
+    collapse to rows A and a scale s, and det(I + A / s) = det(sI + A) / s^w:
+    an exact collapse stays in ints, and a complex one has s = 1.  A complex
+    circuit gives a complex value even when w_min is 0 and the determinant
+    is the empty one.
     """
     widths = [len(s.in_labels) for s in circuit.stacks]
     if not widths:
         return 1  # the empty circuit: the 0x0 determinant
     start = widths.index(min(widths))
-    labels = circuit.stacks[start].in_labels
-    if not _is_exact(circuit):
-        return complex(principal_minor_sum(_collapse_complex(circuit, start, labels)))
-    rows, scale = _collapse_exact(circuit, start, labels)
+    exact = _is_exact(circuit)
+    rows, scale = (_collapse_exact if exact else _collapse_complex)(
+        circuit, start, circuit.stacks[start].in_labels)
     for i, row in enumerate(rows):
         row[i] += scale
     value = det_grid(rows)
+    if not exact:
+        return complex(value)
     return value / scale ** len(rows) if rows else value  # 1 / 1 would be a float
 
 

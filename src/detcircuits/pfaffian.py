@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 from math import isinf, prod
 from typing import Sequence
 
@@ -300,22 +300,28 @@ def _perm_sign(seq: list[int]) -> int:
 
 
 def _costate_rows(costates: Sequence[SkewMatrix]) -> tuple[list, list[int]]:
-    """For each costate, the positions of each row's nonzeros, and the
-    edges of the costates' unit pairs, two by two in pivot order.
+    """For each costate, each row's nonzeros as {position: entry} with the
+    sign twist (-1)**(i+j+1) of eval_pfaffian_circuit; and the edges of the
+    costates' unit pairs, two by two in pivot order.
 
     A unit pair is a row and a column of one costate whose only nonzero
     entries are +-1 at each other.  The pairs come in costate order, each
     costate's in row order, and each pair lists its row first."""
     rows, paired = [], []
     for g in costates:
-        cols = range(g.size)
-        nonzeros = [list(compress(cols, row)) for row in g.entries]
-        for p, row in enumerate(nonzeros):
+        labels, cols = g.labels, range(g.size)
+        twisted = []
+        for e, row in zip(labels, g.entries):
+            t = {}
+            for q in compress(cols, row):
+                t[q] = row[q] if (e + labels[q]) % 2 else -row[q]
+            twisted.append(t)
+        for p, row in enumerate(twisted):
             if len(row) == 1:
-                q = row[0]
-                if p < q and len(nonzeros[q]) == 1 and g.entries[p][q] in (1, -1):
-                    paired += (g.labels[p], g.labels[q])
-        rows.append(nonzeros)
+                [(q, x)] = row.items()
+                if p < q and len(twisted[q]) == 1 and x in (1, -1):
+                    paired += (labels[p], labels[q])
+        rows.append(twisted)
     return rows, paired
 
 
@@ -324,10 +330,11 @@ def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
 
     The costates enter with the sign twist (-1)**(i+j+1) on entry (i, j)
     in 1-based edge ids; that twist is what turns the sum over edge
-    subsets of products of sub-Pfaffians into a single Pfaffian.  Both
-    sides add their nonzero entries into sparse upper-triangle rows; an
-    entry gets at most one term from each side, so the order of the gadgets
-    does not change the sum.  The gadgets, not the rows, say which field's
+    subsets of products of sub-Pfaffians into a single Pfaffian.
+    _costate_rows twists the costates' nonzero entries, and then both sides
+    add theirs into sparse upper-triangle rows through one loop; an entry
+    gets at most one term from each side, so the order of the gadgets does
+    not change the sum.  The gadgets, not the rows, say which field's
     kernel runs, so an all-zero complex circuit still evaluates to 0j.
 
     An exact circuit is eliminated in another edge order: the costates'
@@ -350,26 +357,19 @@ def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
         sign = _perm_sign(order)
         for k, e in enumerate(order):
             at[e] = k
+    # Per gadget: labels, rows, and each row's nonzero positions.
+    gadgets = [(g.labels, g.entries, map(compress, repeat(range(g.size)), g.entries))
+               for g in pc.states]
+    gadgets += [(g.labels, twisted, twisted) for g, twisted in zip(pc.costates, costate_rows)]
     rows: list[dict] = [{} for _ in range(n)]
-    for g in pc.states:
-        new = [at[e] for e in g.labels]
-        cols = range(g.size)
-        for i, row in zip(new, g.entries):
-            out = rows[i]
-            for p in compress(cols, row):
-                j = new[p]
-                if i < j:
-                    x = row[p]
-                    out[j] = out[j] + x if j in out else x
-    for g, nonzeros in zip(pc.costates, costate_rows):
-        labels = g.labels
+    for labels, entries, nonzeros in gadgets:
         new = [at[e] for e in labels]
-        for ea, i, row, cols in zip(labels, new, g.entries, nonzeros):
+        for i, row, cols in zip(new, entries, nonzeros):
             out = rows[i]
             for p in cols:
                 j = new[p]
                 if i < j:
-                    x = row[p] if (ea + labels[p]) % 2 else -row[p]
+                    x = row[p]
                     out[j] = out[j] + x if j in out else x
     if exact:
         return sign * _pfaffian_exact(rows)

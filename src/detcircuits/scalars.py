@@ -86,7 +86,8 @@ def det_grid(grid: Sequence[Sequence[Scalar]]) -> Scalar:
     if n == 0:
         return 1
     if grid_is_exact(grid):
-        return _det_exact(grid)
+        a, factors = clear_denominators(grid)  # det scales by prod(d)
+        return Fraction(_det_bareiss_int(a), prod(factors))
     return _det_complex([[complex(x) for x in row] for row in grid])
 
 
@@ -98,11 +99,6 @@ def clear_denominators(grid) -> tuple[list[list[int]], list[int]]:
     return [[x.numerator for x in row] if d == 1 else
             [x.numerator * (d // x.denominator) for x in row]
             for row, d in zip(grid, factors)], factors
-
-
-def _det_exact(grid) -> Fraction:
-    a, factors = clear_denominators(grid)  # det scales by prod(d)
-    return Fraction(_det_bareiss_int(a), prod(factors))
 
 
 def _det_bareiss_int(a: list[list[int]]) -> int:

@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detcircuits import (
@@ -27,6 +29,7 @@ from detcircuits import (
     validate,
     wiring_matrix,
 )
+from detcircuits.circuit import _pack, _unpack
 from circgen import rand_circuit
 from paper import stack_matrix
 
@@ -358,16 +361,53 @@ def test_collapse_equals_compose_chain_deep_big_entries(c):
                                                     widths.index(max(widths))}))
 
 
-@given(ring_circuits("rational") | ring_circuits("rational", max_depth=12, big=True))
-@settings(max_examples=150, deadline=None)
+def _complex_ring_with_an_empty_boundary() -> Circuit:
+    """1 -> 1 -> 0 -> 1 wires: a complex 1x1 gate, a 0x1 gate, a 1x0 gate."""
+    stacks = (Stack((labeled((1,), (2,), [[0.5 + 1j]]),)),
+              Stack((labeled((), (3,), []),)),
+              Stack((labeled((4,), (), [[]]),)))
+    return Circuit(stacks, (((1, 3),), (), ((4, 2),)))
+
+
+@given(ring_circuits("rational") | ring_circuits("rational", max_depth=12, big=True)
+       | ring_circuits("complex"))
+@example(_complex_ring_with_an_empty_boundary())
+@settings(max_examples=200, deadline=None)
 def test_exact_evaluate_is_the_minor_sum_of_the_collapse(c):
-    # evaluate takes det(sI + A) / s^w over the integer collapse A / s; the
-    # value and its type (int 1 at an empty boundary, else Fraction) are those
-    # of det(I + collapse) at the narrowest boundary.
+    # evaluate takes det(sI + A) / s^w over the collapse A / s, with s = 1 on
+    # a complex ring.  An exact value and its type (int 1 at an empty
+    # boundary, else Fraction) are those of det(I + collapse) at the
+    # narrowest boundary; a complex value is that determinant to the last
+    # bit, and complex even at an empty boundary.
     widths = [len(s.in_labels) for s in c.stacks]
     want = principal_minor_sum(collapse(c, widths.index(min(widths))))
     got = evaluate(c)
+    if any(type(x) is complex for s in c.stacks for g in s.gates
+           for row in g.entries for x in row):
+        want = complex(want)
     assert got == want and type(got) is type(want)
+
+
+def test_pack_unpack_round_trip(monkeypatch):
+    # Slots at 0 and at +-(2**(bits - 1) - 1), the widest values a slot of
+    # the collapse holds, at the first slot width and at the widths that
+    # the repacks in one turn of a cancelling ring and of a 100-bit gate pick.
+    circuit_module = sys.modules["detcircuits.circuit"]
+    picked = set()
+
+    def pack(row, bits):
+        picked.add(bits)
+        return _pack(row, bits)
+
+    monkeypatch.setattr(circuit_module, "_pack", pack)
+    collapse(_cancelling_ring(100), 0)
+    collapse(loop_gate([[10 ** 30, 1], [1, 10 ** 30]], 2), 0)
+    assert len(picked) == 2 and 64 not in picked
+    for bits in {64} | picked:
+        big = 2 ** (bits - 1) - 1
+        for w in (0, 1, 5):
+            for row in product((0, big, -big), repeat=w):
+                assert _unpack(_pack(list(row), bits), w, bits) == list(row)
 
 
 def _cancelling_ring(depth: int) -> Circuit:

@@ -723,9 +723,8 @@ def test_natural_order_corpus_covers_signs_swaps_and_layouts(monkeypatch):
         assert_natural_order_value(pc)
         gadgets = pc.states + pc.costates
         rows, _ = _costate_rows(pc.costates)
-        if any(len(cols) > 1 and any(row[p] in (1, -1) for p in cols)
-               for g, nonzeros in zip(pc.costates, rows)
-               for row, cols in zip(g.entries, nonzeros)):
+        if any(len(row) > 1 and any(x in (1, -1) for x in row.values())
+               for twisted in rows for row in twisted):
             seen.add("unit beside another nonzero")
         if any(type(x) is Fraction and x.denominator > 1
                for g in gadgets for row in g.entries for x in row):
