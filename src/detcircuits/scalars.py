@@ -76,15 +76,24 @@ def scalars_equal(a: Scalar, b: Scalar) -> bool:
 def det_grid(grid: Sequence[Sequence[Scalar]]) -> Scalar:
     """Determinant of a square grid; det of the 0x0 grid is 1.
 
-    Rational grids go through fraction-free Bareiss elimination on a
-    denominator-cleared integer copy, so the arithmetic stays in plain
-    ints.  Complex grids use LU with partial pivoting.
+    Exact grids go through fraction-free Bareiss elimination on dense int
+    rows: an all-int grid on row copies, one with Fractions on a
+    denominator-cleared copy.  A pivot updates only the rows it reaches (a
+    nonzero in its column); every other row keeps a stamp, the pivot at
+    which it was last current, and is rescaled by the exact division of its
+    next update, as the Pfaffian kernel's _catch_up does.  So the work
+    follows the rows each pivot reaches, and a banded or block grid costs
+    far less than n^3.  A nonempty exact grid's value is a Fraction.
+    Complex grids use LU with partial pivoting.
     """
     n = len(grid)
     if any(len(row) != n for row in grid):
         raise ValueError("det_grid requires a square grid")
     if n == 0:
         return 1
+    # Each type scan stops at its first miss, so a complex grid costs two reads.
+    if {int}.issuperset(map(type, chain.from_iterable(grid))):
+        return Fraction(_det_bareiss_int([list(row) for row in grid]))
     if grid_is_exact(grid):
         a, factors = clear_denominators(grid)  # det scales by prod(d)
         return Fraction(_det_bareiss_int(a), prod(factors))
@@ -102,25 +111,42 @@ def clear_denominators(grid) -> tuple[list[list[int]], list[int]]:
 
 
 def _det_bareiss_int(a: list[list[int]]) -> int:
+    """det of a nonempty square int grid, eliminated in place."""
     n = len(a)
-    sign = 1
-    prev = 1
+    # Entry (i, j) after pivot k is the minor on rows 0..k, i and columns
+    # 0..k, j (Sylvester's identity), so the division by the last pivot prev
+    # is exact.  A row with a 0 in the pivot column would only be scaled by
+    # pivot / prev; it waits instead, its entries times prev / stamp[i] are
+    # the current ones, and its c is off by that same factor.
+    stamp = [1] * n
+    sign = prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
+        if a[k][k] == 0:  # a stale entry is 0 exactly when the current one is
             for i in range(k + 1, n):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
+                    stamp[k], stamp[i] = stamp[i], stamp[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss update: division by the previous pivot is exact.
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        ak = a[k]
+        cols = range(k + 1, n)
+        s = stamp[k]
+        if s != prev:  # catch the pivot row up
+            for j in range(k, n):
+                ak[j] = ak[j] * prev // s
+        pivot = ak[k]
+        for i in cols:
+            ai = a[i]
+            c = ai[k]
+            if c:
+                s = stamp[i]
+                for j in cols:
+                    ai[j] = (ai[j] * pivot - c * ak[j]) // s
+                stamp[i] = pivot
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1] * prev // stamp[n - 1]
 
 
 def _det_complex(a: list[list[complex]]) -> complex:

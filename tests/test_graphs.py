@@ -198,6 +198,55 @@ def test_cofactors_with_isolated_vertices_match_full_minors():
     assert seen_zero >= 20
 
 
+def _grid_graph(k: int) -> Graph:
+    """The k x k grid graph, vertices numbered row by row (a banded Laplacian)."""
+    edges = [(r * k + c + 1, r * k + c + 2) for r in range(k) for c in range(k - 1)]
+    edges += [(r * k + c + 1, (r + 1) * k + c + 1) for r in range(k - 1) for c in range(k)]
+    return Graph(k * k, tuple(edges))
+
+
+def _multigraph_in_parts(rng) -> Graph:
+    """n = 8-20 vertices, shuffled, 0-2 of them isolated and the rest split
+    into 1-3 parts; each part of two or more vertices gets a random spanning
+    tree and extra edges, some of them repeated and some repeats reversed,
+    and a part of one is one more isolated vertex."""
+    n = rng.randint(8, 20)
+    order = rng.sample(range(1, n + 1), n - rng.choice((0, 0, 1, 2)))
+    cuts = sorted(rng.sample(range(1, len(order)), rng.randint(0, 2)))
+    edges = []
+    for part in [order[i:j] for i, j in zip([0] + cuts, cuts + [len(order)])]:
+        if len(part) < 2:
+            continue
+        part_edges = [(part[i], rng.choice(part[:i])) for i in range(1, len(part))]
+        part_edges += [tuple(rng.sample(part, 2)) for _ in range(rng.randint(0, len(part)))]
+        repeats = rng.choices(part_edges, k=rng.randint(0, 3))
+        edges += part_edges + [(v, u) if rng.random() < 0.5 else (u, v) for u, v in repeats]
+    rng.shuffle(edges)
+    return Graph(n, tuple(edges))
+
+
+def test_counts_match_the_forest_polynomial_without_det_grid():
+    # forest_polynomial never calls det_grid, so a fault in the elimination
+    # kernel cannot hide in both sides: the forest count is the sum of its
+    # coefficients and n times the tree count is its x^1 coefficient.  Grid
+    # graphs in row order are banded, so most rows wait at each pivot; the
+    # multigraphs have up to three components, where a tree count is 0.
+    rng = random.Random(23)
+    graphs = [_grid_graph(k) for k in range(2, 7)]
+    graphs += [_multigraph_in_parts(rng) for _ in range(40)]
+    split = parallel = isolated = with_trees = 0
+    for g in graphs:
+        poly = forest_polynomial(g).coefficients
+        assert count_rooted_forests(g) == sum(poly)
+        trees = count_spanning_trees(g)
+        assert g.vertex_count * trees == poly[1]
+        split += poly[1] == 0
+        with_trees += trees > 0
+        parallel += len({frozenset(e) for e in g.edges}) < len(g.edges)
+        isolated += len({v for e in g.edges for v in e}) < g.vertex_count
+    assert split >= 10 and with_trees >= 10 and parallel >= 10 and isolated >= 10
+
+
 def test_vertex_side_counts_match_edge_side_beyond_enum_cap():
     # The old edge-side route, det(I + B Bᵀ) over |E| x |E|, and the
     # circuit bridge stay as oracles for the vertex-side det(I + L), on

@@ -116,6 +116,87 @@ def test_int_grids_take_the_exact_path():
     assert type(got) is Fraction and got == det_cofactor(mixed)
 
 
+@st.composite
+def sparse_int_grids(draw):
+    """n x n int grids, n <= 7, most entries 0; a third of them made singular
+    by a scaled copy of one row over another."""
+    n = draw(st.integers(1, 7))
+    entry = st.sampled_from((0,) * 7 + (1, -1, 2, -3, 5, 2**40 + 1))
+    grid = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        i, j = draw(st.permutations(range(n)))[:2]
+        grid[j] = [draw(st.sampled_from((1, -2))) * x for x in grid[i]]
+    return grid
+
+
+def _same_as_fractions(grid):
+    """det_grid of grid, checked against the same grid written as Fractions:
+    equal values, both of type Fraction."""
+    got = det_grid(grid)
+    as_fractions = det_grid([[Fraction(x) for x in row] for row in grid])
+    assert got == as_fractions
+    assert type(got) is Fraction and type(as_fractions) is Fraction
+    return got
+
+
+@given(sparse_int_grids())
+@settings(max_examples=80, deadline=None)
+def test_sparse_int_grids_match_cofactor_expansion(grid):
+    assert _same_as_fractions(grid) == det_cofactor(grid)
+
+
+def test_zero_pivot_swaps_in_a_stale_row():
+    # Pivot 0 (3) reaches rows 1 and 2, and row 3 waits at stamp 1 while
+    # row 1's diagonal becomes 0.  Row 3 is swapped in with its stamp and
+    # caught up from 1 to 3; row 1 leaves with stamp 3 and waits, as row 2
+    # does, until pivot 2 reads them.  Swapping the rows but not the stamps
+    # gives pivot 1 a third of its value.
+    grid = [[3, 0, 0, -1], [3, 0, 2, 0], [1, 0, 3, 0], [0, -1, 0, 0]]
+    assert _same_as_fractions(grid) == 7 == det_cofactor(grid)
+    # Here the swapped-out row is still stale at the end.
+    grid = [[2, 1, 1], [2, 1, 4], [0, 3, 5]]
+    assert _same_as_fractions(grid) == -18 == det_cofactor(grid)
+
+
+def test_permutation_grids_wait_for_their_columns():
+    # Every row but the pivot's has a 0 in the pivot column until its own
+    # column comes up, and then it is swapped in as the pivot row.  Nonunit
+    # entries leave each waiting row's stamp behind the current pivot.
+    rng = random.Random(3)
+    signs = set()
+    for n in range(2, 8):
+        for _ in range(4):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            grid = [[0] * n for _ in range(n)]
+            for i, j in enumerate(perm):
+                grid[i][j] = rng.choice((1, -1, 2, 3, -5))
+            want = det_cofactor(grid)
+            assert _same_as_fractions(grid) == want
+            signs.add(want > 0)
+    # A cyclic shift of n rows has sign (-1)^(n-1).
+    for n, sign in ((4, -1), (5, 1)):
+        shift = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+        assert _same_as_fractions(shift) == sign
+    assert signs == {True, False}
+
+
+def test_block_diagonal_grid_ends_on_a_stale_row():
+    # The last 1x1 block waits through every pivot, so the result is its
+    # stale entry caught up by prev // stamp.
+    grid = [[2, 1, 0, 0, 0], [1, 3, 0, 0, 0], [0, 0, 4, 1, 0], [0, 0, 1, 2, 0], [0, 0, 0, 0, 3]]
+    assert _same_as_fractions(grid) == 5 * 7 * 3
+    grid[4][4] = -2**70
+    assert _same_as_fractions(grid) == 5 * 7 * -2**70
+
+
+def test_det_of_the_one_and_zero_grids():
+    assert _same_as_fractions([[5]]) == 5
+    assert _same_as_fractions([[0]]) == 0
+    assert _same_as_fractions([[-2**80]]) == -2**80
+    assert det_grid([]) == 1  # the empty product, for any field
+
+
 def test_ints_compare_and_print_exactly():
     assert not scalars_equal(10**17 + 1, 10**17)
     assert scalars_equal(10**17, Fraction(10**17))
