@@ -153,22 +153,22 @@ def count_spanning_trees(g: Graph) -> int:
     return abs(laplacian_cofactor(g, 0))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _root(parent: list[int], x: int) -> int:
+    """The root of x's tree in a union-find forest kept as parent links."""
+    while parent[x] != x:
+        x = parent[x]
+    return x
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
 
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
+def _joins_all(parent: list[int], edges, subset) -> bool:
+    """Join the ends of each edge in subset; False at the first that closes a cycle."""
+    for i in subset:
+        u, v = edges[i]
+        u, v = _root(parent, u - 1), _root(parent, v - 1)
+        if u == v:
             return False
-        self.parent[rx] = ry
-        return True
+        parent[u] = v
+    return True
 
 
 def _acyclic_subsets(g: Graph) -> Iterator[tuple[frozenset[int], list[list[int]]]]:
@@ -177,18 +177,12 @@ def _acyclic_subsets(g: Graph) -> Iterator[tuple[frozenset[int], list[list[int]]
         raise TooLarge(f"{m} edges > enumeration cap {ENUM_EDGE_CAP}")
     for size in range(min(m, g.vertex_count - 1) + 1 if g.vertex_count else 1):
         for subset in combinations(range(m), size):
-            uf = _UnionFind(g.vertex_count)
-            ok = True
-            for i in subset:
-                u, v = g.edges[i]
-                if not uf.union(u - 1, v - 1):
-                    ok = False
-                    break
-            if not ok:
+            parent = list(range(g.vertex_count))
+            if not _joins_all(parent, g.edges, subset):
                 continue
             comps: dict[int, list[int]] = {}
             for v in range(g.vertex_count):
-                comps.setdefault(uf.find(v), []).append(v + 1)
+                comps.setdefault(_root(parent, v), []).append(v + 1)
             yield frozenset(subset), list(comps.values())
 
 
@@ -203,9 +197,14 @@ def enumerate_forests(g: Graph) -> list[tuple[frozenset[int], frozenset[int]]]:
 
 
 def enumerate_trees(g: Graph) -> list[frozenset[int]]:
-    """All spanning trees as edge index sets."""
-    n = g.vertex_count
-    out = [subset for subset, comps in _acyclic_subsets(g)
-           if n > 0 and len(subset) == n - 1 and len(comps) == 1]
-    out.sort(key=sorted)
-    return out
+    """All spanning trees as edge index sets, in sorted order.
+
+    Tries only the (n-1)-edge subsets: one whose n-1 edges each join two
+    components is acyclic, so it leaves one component, a spanning tree."""
+    n, m = g.vertex_count, len(g.edges)
+    if m > ENUM_EDGE_CAP:
+        raise TooLarge(f"{m} edges > enumeration cap {ENUM_EDGE_CAP}")
+    if n == 0:
+        return []
+    return [frozenset(subset) for subset in combinations(range(m), n - 1)
+            if _joins_all(list(range(n)), g.edges, subset)]

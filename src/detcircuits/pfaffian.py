@@ -230,15 +230,31 @@ def skew(labels: Sequence[int], entries: Sequence[Sequence]) -> SkewMatrix:
 
 
 def _sub_pfaffians(sk: SkewMatrix):
-    """(bits, Pf) for every even subset of sk's indices whose Pfaffian is nonzero."""
+    """(bits, Pf) for every even subset of sk's indices whose Pfaffian is nonzero.
+
+    Built two sizes at a time with no Pfaffian kernel: Pf on p0 < p1 < ...
+    is the sum over t >= 1 of (-1)^(t+1) a[p0][pt] times Pf on the subset
+    less p0 and pt, read from the nonzero sub-Pfaffians of the size below,
+    kept by position tuple.  The empty subset gives 1."""
     n = sk.size
     if n > ORACLE_CAP:
         raise TooLarge(f"sub-pfaffian expansion over {n} wires")
-    for s in range(0, n + 1, 2):
+    yield _subset_bits(n, ()), 1
+    smaller: dict[tuple[int, ...], Scalar] = {(): 1}
+    for s in range(2, n + 1, 2):
+        found: dict[tuple[int, ...], Scalar] = {}
         for pos in combinations(range(n), s):
-            v = pfaffian([[sk.entries[i][j] for j in pos] for i in pos])
+            row, v = sk.entries[pos[0]], 0
+            for t in range(1, s):
+                x = row[pos[t]]
+                if x:
+                    rest = pos[1:t] + pos[t + 1:]
+                    if rest in smaller:
+                        v = v + x * smaller[rest] if t & 1 else v - x * smaller[rest]
             if v != 0:
+                found[pos] = v
                 yield _subset_bits(n, pos), v
+        smaller = found
 
 
 def spf(sk: SkewMatrix) -> Tensor:

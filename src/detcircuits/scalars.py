@@ -203,10 +203,12 @@ def parse_scalar(token: str, field: str = "rational") -> Scalar:
 
     In the rational field an integer token (an optional sign, then decimal
     digits) reads as an int and any other rational token as a Fraction; both
-    are exact scalars.  A rational token whose exponent is past ten times
-    sys.get_int_max_str_digits() in magnitude is refused, since Fraction
-    would build 10**exponent first.  The complex field reads every token
-    as complex."""
+    are exact scalars.  A p/q token (an optional sign, decimal digits, a
+    slash, decimal digits) with a nonzero denominator is read with int(),
+    and every other spelling with Fraction(token).  A rational token whose
+    exponent is past ten times sys.get_int_max_str_digits() in magnitude is
+    refused, since Fraction would build 10**exponent first.  The complex
+    field reads every token as complex."""
     token = token.strip()
     if field == "rational":
         # Plain integers skip Fraction's regex.  isdecimal() is the set of
@@ -216,7 +218,15 @@ def parse_scalar(token: str, field: str = "rational") -> Scalar:
         if digits.isdecimal():
             return int(token)
         _check_exponent(token)
+        head, slash, den = digits.partition("/")
         try:
+            # p/q tokens skip the regex too.  The numerator is read first, as
+            # Fraction does, so a digit string past the limit fails with the
+            # same text.
+            if slash and head.isdecimal() and den.isdecimal():
+                p, q = int(head), int(den)
+                if q:
+                    return Fraction(-p if token[0] == "-" else p, q)
             return Fraction(token)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational {token!r}: {exc}") from exc

@@ -47,18 +47,42 @@ def _subset_bits(n: int, positions: tuple[int, ...]) -> Bits:
 
 
 def sdet_expand(m: LabeledMatrix) -> Tensor:
-    """Tensor of all minors of m.  Cost grows as 4^wires; capped."""
+    """Tensor of all minors of m.  Cost grows as 4^wires; capped.
+
+    Built one size at a time with no determinant kernel: the minor on rows
+    i0 < rest and columns J is sum over t of (-1)^t m[i0][J[t]] times the
+    minor on rest and J less J[t], read from the minors of the size below.
+    Those are kept by row positions, then column positions, nonzero only.
+    An int matrix gives int minors, a Fraction one rationals and a complex
+    one complex values; the empty minor is 1."""
     r, c = m.shape
     if r + c > ORACLE_CAP:
         raise TooLarge(f"minor expansion of a {m.shape} matrix ({r + c} wires > {ORACLE_CAP})")
-    data: dict[tuple[Bits, Bits], Scalar] = {}
-    for s in range(min(r, c) + 1):
+    rows = m.entries
+    data: dict[tuple[Bits, Bits], Scalar] = {(_subset_bits(r, ()), _subset_bits(c, ())): 1}
+    smaller: dict[tuple[int, ...], dict[tuple[int, ...], Scalar]] = {(): {(): 1}}
+    for s in range(1, min(r, c) + 1):
+        # Each column subset with its expansion terms: (t odd, J[t], J less J[t]).
+        col_terms = [(jpos, _subset_bits(c, jpos),
+                      [(t & 1, j, jpos[:t] + jpos[t + 1:]) for t, j in enumerate(jpos)])
+                     for jpos in combinations(range(c), s)]
+        minors: dict[tuple[int, ...], dict[tuple[int, ...], Scalar]] = {}
         for ipos in combinations(range(r), s):
-            for jpos in combinations(range(c), s):
-                grid = [[m.entries[i][j] for j in jpos] for i in ipos]
-                d = det_grid(grid)
+            below = smaller.get(ipos[1:])
+            if below is None:  # every minor on these rows is 0
+                continue
+            row, ibits, found = rows[ipos[0]], _subset_bits(r, ipos), {}
+            for jpos, jbits, terms in col_terms:
+                d = 0
+                for odd, j, rest in terms:
+                    x = row[j]
+                    if x and rest in below:
+                        d = d - x * below[rest] if odd else d + x * below[rest]
                 if d != 0:
-                    data[(_subset_bits(r, ipos), _subset_bits(c, jpos))] = d
+                    found[jpos] = data[(ibits, jbits)] = d
+            if found:
+                minors[ipos] = found
+        smaller = minors
     return Tensor(m.rows, m.cols, data)
 
 

@@ -379,6 +379,22 @@ def test_enumerate_forests_cap():
     big = Graph(7, tuple((1 + i % 6, 7) for i in range(21)))
     with pytest.raises(TooLarge):
         enumerate_forests(big)
+    with pytest.raises(TooLarge):
+        enumerate_trees(big)
+    # 20 edges are still enumerated: a star whose six spokes repeat 3 or 4 times.
+    assert len(enumerate_trees(Graph(7, big.edges[:20]))) == 4 ** 2 * 3 ** 4
+
+
+@given(multigraphs(max_n=7))
+@settings(max_examples=60, deadline=None)
+def test_tree_enumeration_matches_the_forest_enumeration(g):
+    # enumerate_trees tries only the (n-1)-edge subsets; enumerate_forests
+    # walks every acyclic subset, and its spanning trees are its (n-1)-edge
+    # sets.  At most 12 edges keep the forest walk short.
+    g = Graph(g.vertex_count, g.edges[:12])
+    n = g.vertex_count
+    trees = {subset for subset, _ in enumerate_forests(g) if len(subset) == n - 1}
+    assert enumerate_trees(g) == sorted(trees, key=sorted)
 
 
 def _decode_multicycle(g, support):

@@ -31,9 +31,9 @@ from detcircuits import (
     validate_pfaffian,
 )
 from detcircuits.pfaffian import _costate_rows, _perm_sign
-from detcircuits.scalars import det_grid, scalars_equal
+from detcircuits.scalars import det_grid, is_exact, scalars_equal
 from circgen import has_sign_gadget, rand_circuit, rand_pf_circuit, rand_ring, rand_skew_grid
-from paper import anti_transpose, determinant, edge_matrix, skew_restrict
+from paper import anti_transpose, determinant, edge_matrix
 
 rat = st.integers(-9, 9).map(Fraction)
 pq = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -339,20 +339,37 @@ def test_four_by_four_example_spf_expansion():
     assert len(t.data) == 4  # nothing else survives
 
 
-def test_spf_corollary_reversed_bitstrings():
-    # spf(anti_transpose(N)) lists Pf(N_I) at the reversed bitstring of I
+def _skew_grids():
     rng = random.Random(4)
-    for _ in range(10):
-        n = 4
-        sk = skew(tuple(range(1, n + 1)), rand_skew_grid(rng, n))
-        hat = anti_transpose(sk)
-        t = spf(hat)
-        for size in (0, 2, 4):
+    for n in range(7):
+        yield rand_skew_grid(rng, n)  # integral Fractions
+        yield [[int(x) for x in row] for row in rand_skew_grid(rng, n)]
+        yield rand_pq_skew_grid(rng, n, zeros=0.3)
+        yield rand_skew_grid(rng, n, "complex")
+    for field in ("rational", "complex"):  # a zero row and column
+        g = rand_skew_grid(rng, 6, field)
+        for i in range(6):
+            g[2][i] = g[i][2] = g[2][i] * 0
+        yield g
+
+
+def test_spf_corollary_reversed_bitstrings():
+    # spf lists Pf(N_I) at the bitstring of I, spf_dual at that of its
+    # complement, and spf(anti_transpose(N)) at the reversed bitstring of I.
+    # Each against the pairing sum, on int, Fraction and complex grids, with
+    # a zero row, n = 0 and odd n.
+    for grid in _skew_grids():
+        n = len(grid)
+        sk = skew(tuple(range(1, n + 1)), grid)
+        t, dual, hat = spf(sk), spf_dual(sk), spf(anti_transpose(sk))
+        for size in range(n + 1):
             for sub in combinations(range(n), size):
-                block = skew_restrict(sk, tuple(sk.labels[i] for i in sub))
-                want = pfaffian([list(r) for r in block.entries])
+                want = pfaffian_oracle([[sk.entries[i][j] for j in sub] for i in sub])
                 bits = tuple(1 if i in sub else 0 for i in range(n))
-                assert t.component(bits[::-1], ()) == want
+                for got in (t.component(bits, ()), hat.component(bits[::-1], ()),
+                            dual.component((), tuple(1 - b for b in bits))):
+                    assert scalars_equal(got, want)
+                    assert got == want or not is_exact(want)
 
 
 def test_spf_dual_of_two_by_two():

@@ -316,10 +316,15 @@ def _fraction_or_reject(token: str):
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         return None
+    return None if _exponent_past_limit(token) else value
+
+
+def _exponent_past_limit(token: str) -> bool:
     exp = re.search(r"e([^e]*)$", token.lower())
-    if exp and abs(int(exp.group(1))) > 10 * sys.get_int_max_str_digits():
-        return None
-    return value
+    try:
+        return bool(exp) and abs(int(exp.group(1))) > 10 * sys.get_int_max_str_digits()
+    except ValueError:
+        return False
 
 
 @given(st.one_of(
@@ -331,12 +336,21 @@ def _fraction_or_reject(token: str):
 @example("0E43001")
 @example("1e-43001")
 @example("-1e43000")
+@example("1" * 4400 + "/3")  # p/q digit strings past the limit: Fraction's text,
+@example("-3/" + "2" * 4400)  # which names the numerator's length when both are
+@example("7" * 4500 + "/" + "8" * 4400)
+@example("-0/00")
 @settings(max_examples=400, deadline=None)
 def test_parse_scalar_rational_matches_fraction(token):
     want = _fraction_or_reject(token)
     if want is None:
-        with pytest.raises(ValueError, match="bad rational"):
+        with pytest.raises(ValueError, match="bad rational") as refused:
             parse_scalar(token, "rational")
+        try:  # Fraction's own text, where the exponent check lets it through
+            Fraction(token.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            if not _exponent_past_limit(token):
+                assert str(refused.value) == f"bad rational {token.strip()!r}: {exc}"
     else:
         got = parse_scalar(token, "rational")
         # An integer token (a sign, then decimal digits) reads as int; any

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import prod
 
 import pytest
 
@@ -24,8 +25,9 @@ from detcircuits import (
     tensor_trace,
 )
 from detcircuits import tensor
+from detcircuits.scalars import is_exact, scalars_equal
 from circgen import rand_grid
-from paper import determinant, tensors_equal
+from paper import tensors_equal
 
 
 def test_sdet_expand_1x1():
@@ -33,22 +35,50 @@ def test_sdet_expand_1x1():
     assert t.data == {((0,), (0,)): Fraction(1), ((1,), (1,)): Fraction(5)}
 
 
-def test_sdet_expand_coefficients_are_minors():
+def _leibniz(grid):
+    """The determinant by its definition: signed products over permutations."""
+    total = 0
+    for perm in permutations(range(len(grid))):
+        term = prod([row[j] for row, j in zip(grid, perm)])
+        inversions = sum([a > b for a, b in combinations(perm, 2)])
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _grids_to_expand():
+    """(grid, column count) pairs."""
     rng = random.Random(0)
-    m = labeled((1, 2, 3), (4, 5), rand_grid(rng, 3, 2))
-    t = sdet_expand(m)
-    # check every coefficient against an explicit minor
-    for rsize in range(4):
-        for csize in range(3):
-            for rsub in combinations((1, 2, 3), rsize):
-                for csub in combinations((4, 5), csize):
-                    ket = tuple(1 if lab in rsub else 0 for lab in m.rows)
-                    bra = tuple(1 if lab in csub else 0 for lab in m.cols)
-                    if rsize != csize:
-                        assert (ket, bra) not in t.data
-                        continue
-                    want = determinant(submatrix(m, rsub, csub))
-                    assert t.component(ket, bra) == want
+    yield rand_grid(rng, 3, 2), 2  # integral Fractions
+    yield [[rng.choice((0, 0, 1, -2, 3)) for _ in range(4)] for _ in range(3)], 4  # ints
+    yield [[3, 0, -1, 2], [0, 0, 0, 0], [1, 5, 0, -4], [2, -1, 1, 0]], 4  # a zero row
+    yield [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)] for _ in range(2)], 4
+    yield rand_grid(rng, 3, 3, "complex"), 3
+    yield [[1 + 2j, 0j, -1j], [0j, 0j, 0j], [2 - 1j, 0.5 + 0j, 3j]], 3  # complex, a zero row
+    yield [[]] * 3, 0  # 3x0
+    yield [], 3  # 0x3: only the empty minor
+    yield [], 0
+
+
+def test_sdet_expand_coefficients_are_minors():
+    # Every coefficient against the Leibniz sum of its minor, on int, Fraction
+    # and complex grids, square and not, with zero rows and no rows or columns.
+    for grid, c in _grids_to_expand():
+        r = len(grid)
+        m = labeled(tuple(range(1, r + 1)), tuple(range(20, 20 + c)), grid)
+        t = sdet_expand(m)
+        for rsize in range(r + 1):
+            for csize in range(c + 1):
+                for rsub in combinations(range(r), rsize):
+                    for csub in combinations(range(c), csize):
+                        ket = tuple(1 if i in rsub else 0 for i in range(r))
+                        bra = tuple(1 if j in csub else 0 for j in range(c))
+                        if rsize != csize:
+                            assert (ket, bra) not in t.data
+                            continue
+                        want = _leibniz([[m.entries[i][j] for j in csub] for i in rsub])
+                        assert scalars_equal(t.component(ket, bra), want)
+                        if is_exact(want):
+                            assert t.component(ket, bra) == want
 
 
 def test_sdet_expand_empty_minor_is_one():
