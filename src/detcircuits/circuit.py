@@ -136,8 +136,9 @@ def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
     renames rows, so one turn costs O(depth * w^2 * w_s).  Exact circuits
     run on Python ints: each stack's denominators are cleared once with
     their lcm, one running scale divides out at the end, and each row is
-    one packed int (see _collapse_exact).  Complex circuits carry each row
-    as a list of complex values.
+    one packed int whose slot width is fixed before the turn (see
+    _collapse_exact).  Complex circuits carry each row as a list of
+    complex values.
     """
     m = len(circuit.stacks)
     if m == 0:
@@ -181,19 +182,18 @@ def _collapse_exact(circuit: Circuit, start: int,
     Row (v_0, ..., v_{w-1}) over the w start wires is the int
     sum(v_i << (i * bits)): a slot of `bits` bits per start wire, signed.
     Sums and integer multiples of packed rows are the packed sums and
-    multiples, so a gate term is one bigint multiply-add.  The packing reads
-    back uniquely while every |v_i| < 2**(bits - 1).  `bound` caps every
-    |v_i|: a stack multiplies it by its largest absolute row sum.  When the
-    next stack could push it past the slot, the rows are unpacked, the
-    bound drops to their true largest |v_i|, and they are repacked with
-    twice the bits that the new bound times the stack's growth needs, plus 64.
+    multiples, so a gate term is one bigint multiply-add, and every packed
+    row is the exact integer of its true entries whatever its slots hold.
+    Only the final rows are read, by _unpack, which reads a slot back while
+    its |v_i| < 2**(bits - 1).  So a first pass turns each stack into
+    integer rows and multiplies their largest absolute row sums into a
+    bound on every final |v_i| (0 after a zero stack), `bits` is the
+    smallest width whose slot holds that bound, and a second pass runs the
+    turn with no further check.
     """
     m = len(circuit.stacks)
-    w = len(labels)
-    bits = 64
-    acc = {lab: 1 << (i * bits) for i, lab in enumerate(labels)}
-    bound = 1
-    scale = 1
+    turn = []
+    bound = scale = 1
     for k in range(start, start + m):
         stack = circuit.stacks[k % m]
         ints = [g.entries for g in stack.gates]
@@ -205,25 +205,18 @@ def _collapse_exact(circuit: Circuit, start: int,
             scale *= d
             ints = [[[x.numerator * (d // x.denominator) for x in row] for row in rows]
                     for rows in ints]
-        grow = max([sum(map(abs, row)) for rows in ints for row in rows], default=0)
-        if bound * grow >> (bits - 1):
-            vals = {lab: _unpack(p, w, bits) for lab, p in acc.items()}
-            bound = max([abs(v) for row in vals.values() for v in row], default=0)
-            bits = 2 * (bound * grow).bit_length() + 64
-            acc = {lab: _pack(row, bits) for lab, row in vals.items()}
-        bound *= grow
-        wire = dict(circuit.wirings[k % m])
+        bound *= max([sum(map(abs, row)) for rows in ints for row in rows], default=0)
+        turn.append((stack.gates, ints, dict(circuit.wirings[k % m])))
+    bits = bound.bit_length() + 1
+    acc = {lab: 1 << (i * bits) for i, lab in enumerate(labels)}
+    for gates, ints, wire in turn:
         nxt = {}
-        for g, rows in zip(stack.gates, ints):
+        for g, rows in zip(gates, ints):
             srcs = [acc[c] for c in g.cols]
             for r, row in zip(g.rows, rows):
                 nxt[wire[r]] = sum(map(mul, row, srcs))
         acc = nxt
-    return [_unpack(acc[lab], w, bits) for lab in labels], scale
-
-
-def _pack(row: list[int], bits: int) -> int:
-    return sum([v << s for v, s in zip(row, range(0, len(row) * bits, bits))])
+    return [_unpack(acc[lab], len(labels), bits) for lab in labels], scale
 
 
 def _unpack(p: int, w: int, bits: int) -> list[int]:

@@ -151,11 +151,11 @@ def _run(ns) -> int:
     elif ns.verb == "pfeval":
         print(show(eval_pfaffian_circuit(pc)))
     elif ns.verb == "forests":
-        print(count_rooted_forests(g))
+        print(format_scalar(count_rooted_forests(g)))
     elif ns.verb == "trees":
-        print(count_spanning_trees(g))
+        print(format_scalar(count_spanning_trees(g)))
     elif ns.verb == "poly":
-        print(" ".join(str(c) for c in forest_polynomial(g).coefficients))
+        print(" ".join([format_scalar(c) for c in forest_polynomial(g).coefficients]))
     else:  # pragma: no cover - argparse enforces the verb set
         raise AssertionError(ns.verb)
     return 0

@@ -393,9 +393,12 @@ def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
 
 
 def eval_pfaffian_oracle(pc: PfaffianCircuit) -> Scalar:
-    """Oracle evaluation: ⟨⊗ spf_dual(costates) | ⊗ spf(states)⟩, edge by edge."""
+    """Oracle evaluation: ⟨⊗ spf_dual(costates) | ⊗ spf(states)⟩, edge by edge.
+    A complex circuit gives a complex value, a zero one too."""
     if pc.edge_count > ORACLE_CAP:
         raise TooLarge(f"oracle contraction over {pc.edge_count} edges")
     ket = tensor_product_all(map(spf, pc.states))
     bra = tensor_product_all(map(spf_dual, pc.costates))
-    return tensor_compose(bra, ket).component((), ())
+    value = tensor_compose(bra, ket).component((), ())
+    exact = all(grid_is_exact(g.entries) for g in pc.states + pc.costates)
+    return value if exact else complex(value)

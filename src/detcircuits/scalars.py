@@ -215,11 +215,11 @@ def parse_scalar(token: str, field: str = "rational") -> Scalar:
         # digits Fraction's \d and int() both accept (isdigit() would let
         # through superscripts, which both reject).
         digits = token[1:] if token[:1] in "+-" else token
-        if digits.isdecimal():
-            return int(token)
-        _check_exponent(token)
-        head, slash, den = digits.partition("/")
         try:
+            if digits.isdecimal():
+                return int(token)
+            _check_exponent(token)
+            head, slash, den = digits.partition("/")
             # p/q tokens skip the regex too.  The numerator is read first, as
             # Fraction does, so a digit string past the limit fails with the
             # same text.
@@ -237,8 +237,8 @@ def parse_scalar(token: str, field: str = "rational") -> Scalar:
 
 def _check_exponent(token: str) -> None:
     """Refuse a rational token whose exponent is past ten times the digit
-    limit (0 is no limit).  An exponent that int() cannot read is left for
-    Fraction to reject."""
+    limit (0 is no limit); parse_scalar adds the token to the text.  An
+    exponent that int() cannot read is left for Fraction to reject."""
     limit = 10 * sys.get_int_max_str_digits()
     _, e, exp = token.lower().rpartition("e")
     if not (e and limit):
@@ -248,7 +248,7 @@ def _check_exponent(token: str) -> None:
     except ValueError:
         return
     if big:
-        raise ValueError(f"bad rational {token!r}: exponent past the {limit} limit")
+        raise ValueError(f"exponent past the {limit} limit")
 
 
 def _parse_complex(token: str) -> complex:

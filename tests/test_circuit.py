@@ -2,6 +2,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +30,7 @@ from detcircuits import (
     validate,
     wiring_matrix,
 )
-from detcircuits.circuit import _pack, _unpack
+from detcircuits.circuit import _collapse_exact, _unpack
 from circgen import rand_circuit
 from paper import stack_matrix
 
@@ -353,9 +354,9 @@ def test_collapse_equals_compose_chain_complex(c):
 @settings(max_examples=40, deadline=None)
 def test_collapse_equals_compose_chain_deep_big_entries(c):
     # Entries of 40 bits over denominators up to 12 grow every packed row
-    # by up to 60 bits a stack, so the rows outgrow their slots and are
-    # repacked several times in one turn.  No boundary is empty, since an
-    # empty one zeroes every row after it.
+    # by up to 60 bits a stack, so the slot width, fixed before the turn,
+    # runs to thousands of bits.  No boundary is empty, since an empty one
+    # zeroes every row after it.
     widths = [len(s.in_labels) for s in c.stacks]
     _check_collapse_matches_chain(c, starts=sorted({0, len(widths) // 2,
                                                     widths.index(max(widths))}))
@@ -388,26 +389,58 @@ def test_exact_evaluate_is_the_minor_sum_of_the_collapse(c):
     assert got == want and type(got) is type(want)
 
 
-def test_pack_unpack_round_trip(monkeypatch):
-    # Slots at 0 and at +-(2**(bits - 1) - 1), the widest values a slot of
-    # the collapse holds, at the first slot width and at the widths that
-    # the repacks in one turn of a cancelling ring and of a 100-bit gate pick.
-    circuit_module = sys.modules["detcircuits.circuit"]
+def _with_unpack_widths(run):
+    """run()'s result and every slot width that _unpack read meanwhile."""
     picked = set()
 
-    def pack(row, bits):
+    def unpack(p, w, bits):
         picked.add(bits)
-        return _pack(row, bits)
+        return _unpack(p, w, bits)
 
-    monkeypatch.setattr(circuit_module, "_pack", pack)
-    collapse(_cancelling_ring(100), 0)
-    collapse(loop_gate([[10 ** 30, 1], [1, 10 ** 30]], 2), 0)
-    assert len(picked) == 2 and 64 not in picked
+    with patch.object(sys.modules["detcircuits.circuit"], "_unpack", unpack):
+        return run(), picked
+
+
+def test_pack_unpack_round_trip():
+    # Slots at 0 and at +-(2**(bits - 1) - 1), the widest values a slot of
+    # the collapse holds, at width 64 and at the widths that one turn of a
+    # cancelling ring and of a 100-bit gate pick: one more bit than their
+    # bounds, 6**100 and 10**30 + 1.
+    _, picked = _with_unpack_widths(lambda: (
+        collapse(_cancelling_ring(100), 0),
+        collapse(loop_gate([[10 ** 30, 1], [1, 10 ** 30]], 2), 0)))
+    assert picked == {(6 ** 100).bit_length() + 1, (10 ** 30 + 1).bit_length() + 1}
     for bits in {64} | picked:
         big = 2 ** (bits - 1) - 1
         for w in (0, 1, 5):
             for row in product((0, big, -big), repeat=w):
-                assert _unpack(_pack(list(row), bits), w, bits) == list(row)
+                packed = sum([v << (i * bits) for i, v in enumerate(row)])
+                assert _unpack(packed, w, bits) == list(row)
+
+
+def _ring_with_a_zero_stack() -> Circuit:
+    """Three 2x2 stacks, the middle one all zero: the bound is 0."""
+    grids = ([[2, Fraction(1, 3)], [-4, 5]], [[0, 0], [0, 0]], [[7, 1], [Fraction(-1, 2), 3]])
+    stacks = tuple([Stack((labeled((1, 2), (3, 4), grid),)) for grid in grids])
+    return Circuit(stacks, (((1, 3), (2, 4)),) * 3)
+
+
+@given(ring_circuits("rational") | ring_circuits("rational", max_depth=40, min_width=1, big=True))
+@example(_ring_with_a_zero_stack())
+@example(loop_gate([[10 ** 30, 1], [1, 10 ** 30]], 2))
+@settings(max_examples=60, deadline=None)
+def test_final_slots_fit_the_width_the_collapse_picks(c):
+    # The width comes from a bound fixed before the turn; every final entry
+    # of the integer rows is the chain's times the scale and sits strictly
+    # inside its signed slot, so the one _unpack at the end reads it back.
+    for start in sorted({0, len(c.stacks) // 2}):
+        labels = c.stacks[start].in_labels
+        (rows, scale), picked = _with_unpack_widths(lambda: _collapse_exact(c, start, labels))
+        want = _compose_chain(c, start).entries
+        assert [[Fraction(v, scale) for v in row] for row in rows] == [list(r) for r in want]
+        assert len(picked) == (1 if labels else 0)
+        for bits in picked:
+            assert all(abs(v) < 1 << (bits - 1) for row in rows for v in row)
 
 
 def _cancelling_ring(depth: int) -> Circuit:
@@ -420,8 +453,8 @@ def _cancelling_ring(depth: int) -> Circuit:
 
 def test_collapse_of_a_cancelling_ring():
     # The entries never pass 5, but each stack's largest absolute row sum
-    # is 6, so the bound on them passes any slot and the rows are
-    # unpacked and repacked again and again.
+    # is 6, so the slot width, fixed before the turn from the bound 6**2000,
+    # is 5171 bits wide for entries of 3 bits.
     c = _cancelling_ring(2000)
     for start in (0, 1):
         got = collapse(c, start)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from detcircuits import (
     Circuit,
+    ForestPolynomial,
     ParseError,
     PfaffianCircuit,
     Stack,
@@ -621,15 +622,22 @@ def test_cli_non_finite_complex_result_exits_2(tmp_path, capsys, verb):
     assert out.err.startswith("error: ") and "not finite" in out.err
 
 
-@pytest.mark.parametrize("verb", ["eval", "oracle", "check", "multicycles", "compile", "pfeval"])
+@pytest.mark.parametrize("verb", ["eval", "oracle", "check", "multicycles", "compile", "pfeval",
+                                  "forests", "trees"])
 def test_cli_exact_result_past_the_digit_limit_exits_2(tmp_path, capsys, verb):
     # 10**limit has limit + 1 digits, one more than str may print: the verb
-    # exits 2 with nothing on stdout, and compile writes no file.
+    # exits 2 with nothing on stdout, and compile writes no file.  A path of
+    # 2152 vertices with every edge 100 times has 100**2151 spanning trees,
+    # 4303 digits, and more rooted forests still.
     token = f"1e{INT_MAX_STR_DIGITS}"
     if verb == "pfeval":
         path = tmp_path / "big.pf"
         path.write_text(f"pfgate state 2 1 2\n0 {token}\n-{token} 0\n"
                         "pfgate costate 2 1 2\n0 0\n0 0\n")
+    elif verb in ("forests", "trees"):
+        path = tmp_path / "big.graph"
+        edges = [f"{v} {v + 1}\n" for v in range(1, 2152) for _ in range(100)]
+        path.write_text(f"2152 {len(edges)}\n" + "".join(edges))
     else:
         path = tmp_path / "big.circuit"
         path.write_text(f"stack\ngate 1 1 1 / 1\n{token}\n")
@@ -645,6 +653,19 @@ def test_cli_exact_result_past_the_digit_limit_exits_2(tmp_path, capsys, verb):
         assert out.err.startswith("error: ") and "too long to print" in out.err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted((path.name, kept.name))
     assert kept.read_text() == "kept\n"
+
+
+def test_cli_poly_coefficient_past_the_digit_limit_exits_2(capsys, monkeypatch):
+    # A graph whose coefficients pass the limit is too big to build here, so
+    # poly gets such a polynomial: every coefficient is formatted before any
+    # is printed.
+    import detcircuits.cli as climod
+    monkeypatch.setattr(climod, "forest_polynomial",
+                        lambda g: ForestPolynomial((0, 10 ** INT_MAX_STR_DIGITS, 1)))
+    assert main(["poly", str(DATA / "triangle.graph")]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and "too long to print" in out.err
 
 
 @pytest.mark.parametrize("token", ["1e10000000", "-1E+10000000", "1e-10000000"])

@@ -471,6 +471,14 @@ def test_eval_pfaffian_empty():
     assert eval_pfaffian_oracle(pc) == 1
 
 
+def test_eval_pfaffian_of_a_zero_complex_circuit_is_complex():
+    # The gadgets say the field: a zero contraction is 0j on both paths.
+    zero = [[0j, 0j], [0j, 0j]]
+    pc = PfaffianCircuit((skew((1, 2), zero),), (skew((1, 2), zero),))
+    for value in (eval_pfaffian_circuit(pc), eval_pfaffian_oracle(pc)):
+        assert value == 0j and type(value) is complex
+
+
 def renumber(pc, sigma):
     return PfaffianCircuit(*(tuple(skew([sigma[e] for e in g.labels], g.entries) for g in side)
                              for side in (pc.states, pc.costates)))

@@ -336,6 +336,7 @@ def _exponent_past_limit(token: str) -> bool:
 @example("0E43001")
 @example("1e-43001")
 @example("-1e43000")
+@example("1" * 4400)  # an integer token past the limit: the same prefix
 @example("1" * 4400 + "/3")  # p/q digit strings past the limit: Fraction's text,
 @example("-3/" + "2" * 4400)  # which names the numerator's length when both are
 @example("7" * 4500 + "/" + "8" * 4400)
