@@ -196,15 +196,42 @@ def enumerate_forests(g: Graph) -> list[tuple[frozenset[int], frozenset[int]]]:
     return out
 
 
-def enumerate_trees(g: Graph) -> list[frozenset[int]]:
-    """All spanning trees as edge index sets, in sorted order.
+def _grow_trees(ends: list[tuple[int, int]], labels: list[int], start: int,
+                chosen: tuple[int, ...], left: int, out: list[frozenset[int]]) -> None:
+    """Append to out each spanning tree that adds `left` more edges, of index
+    start or later, to `chosen`.  labels[v] names v's component so far; an
+    edge joins two components, and their merged labels go to a copy, so no
+    branch undoes another's work."""
+    for i in range(start, len(ends) - left + 1):
+        u, v = ends[i]
+        a, b = labels[u], labels[v]
+        if a == b:
+            continue
+        if left == 1:
+            out.append(frozenset(chosen + (i,)))
+        else:
+            _grow_trees(ends, [a if c == b else c for c in labels], i + 1,
+                        chosen + (i,), left - 1, out)
 
-    Tries only the (n-1)-edge subsets: one whose n-1 edges each join two
-    components is acyclic, so it leaves one component, a spanning tree."""
+
+def enumerate_trees(g: Graph) -> list[frozenset[int]]:
+    """All spanning trees as edge index sets, in the order of
+    combinations(range(m), n - 1).
+
+    A depth-first search adds edges in increasing index and only those that
+    join two components, so n - 1 of them leave one component, a spanning
+    tree; a branch stops once fewer edges remain than it still needs.  Its
+    cost is close to proportional to the number of trees (Read and Tarjan,
+    1975).  The helper is a module function, not a nested closure calling
+    itself: such a closure is a reference cycle that keeps the output alive
+    until a full garbage collection."""
     n, m = g.vertex_count, len(g.edges)
     if m > ENUM_EDGE_CAP:
         raise TooLarge(f"{m} edges > enumeration cap {ENUM_EDGE_CAP}")
-    if n == 0:
+    if n - 1 > m:  # too few edges to join n vertices
         return []
-    return [frozenset(subset) for subset in combinations(range(m), n - 1)
-            if _joins_all(list(range(n)), g.edges, subset)]
+    if n <= 1:
+        return [frozenset()] * n
+    out: list[frozenset[int]] = []
+    _grow_trees([(u - 1, v - 1) for u, v in g.edges], list(range(n)), 0, (), n - 1, out)
+    return out

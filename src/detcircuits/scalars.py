@@ -24,6 +24,9 @@ Scalar = Union[int, Fraction, complex]
 
 COMPLEX_TOL = 1e-9
 
+# Longest token an error text quotes whole; see _name.
+NAMED_WHOLE = 64
+
 # By type, so a bool is not exact; unlike isinstance, this makes no call into
 # Fraction's ABC metaclass for each int, and int zeros fill most exact grids.
 _EXACT_TYPES = frozenset((int, Fraction))
@@ -229,10 +232,32 @@ def parse_scalar(token: str, field: str = "rational") -> Scalar:
                     return Fraction(-p if token[0] == "-" else p, q)
             return Fraction(token)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational {token!r}: {exc}") from exc
+            raise ValueError(f"bad rational {_name(token)}: {_wrapped_text(exc, token)}") from exc
     if field == "complex":
         return _parse_complex(token)
     raise ValueError(f"unknown field {field!r}")
+
+
+def _name(token: str) -> str:
+    """A token as error text: quoted whole up to 64 characters, else by its
+    first 40 characters, "..." and its length, so that a refused token of
+    thousands of digits costs one short line."""
+    if len(token) <= NAMED_WHOLE:
+        return repr(token)
+    return f"{token[:40]!r}... ({len(token)} characters)"
+
+
+def _wrapped_text(exc: Exception, token: str) -> str:
+    """The text of the error int() or Fraction raised on token.  For a token
+    _name cuts, the quoted token in Fraction's text is cut the same way, a
+    zero denominator's numerator is not echoed, and int()'s digit-limit text
+    loses its advice on sys.set_int_max_str_digits(), which a detcirc user
+    cannot follow."""
+    if len(token) <= NAMED_WHOLE:
+        return str(exc)
+    if isinstance(exc, ZeroDivisionError):
+        return "zero denominator"
+    return str(exc).replace(repr(token), _name(token)).partition(";")[0]
 
 
 def _check_exponent(token: str) -> None:
@@ -260,7 +285,7 @@ def _parse_complex(token: str) -> complex:
     try:
         z = complex(t)
     except ValueError as exc:
-        raise ValueError(f"bad complex {token!r}") from exc
+        raise ValueError(f"bad complex {_name(token)}") from exc
     if not isfinite(z):
-        raise ValueError(f"complex {token!r} is not finite")
+        raise ValueError(f"complex {_name(token)} is not finite")
     return z

@@ -681,6 +681,25 @@ def test_cli_refuses_an_exponent_past_ten_times_the_digit_limit(tmp_path, capsys
                        f"{10 * INT_MAX_STR_DIGITS} limit\n")
 
 
+@pytest.mark.parametrize("token, field", [
+    ("1" + "0" * 5000, "rational"),
+    ("x" * 5000, "rational"),
+    ("1" * 4400 + "/3", "rational"),
+    ("1" * 100 + "/0", "rational"),
+    ("1" + "0" * 999, "complex"),
+], ids=["digits-5001", "garbage-5000", "p-4400-over-q", "p-100-over-zero", "complex-1000"])
+def test_cli_names_a_long_refused_token_in_a_short_line(tmp_path, capsys, token, field):
+    # The whole token was echoed: 5174 bytes of stderr for the 5001-digit one.
+    path = tmp_path / "long.circuit"
+    path.write_text(f"stack\ngate 1 1 1 / 1\n{token}\n")
+    assert main(["eval", str(path), "--field", field]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: line 3: ") and out.err.count("\n") == 1
+    assert f"{token[:40]!r}... ({len(token)} characters)" in out.err
+    assert len(out.err.encode()) < 200
+
+
 def test_cli_reads_an_exponent_at_ten_times_the_digit_limit(tmp_path, capsys):
     # 10**43000 and 10**-43000 are read and cancel round the loop: 1 + 1.
     path = tmp_path / "exp.circuit"

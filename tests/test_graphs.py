@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detcircuits import (
@@ -386,15 +387,33 @@ def test_enumerate_forests_cap():
 
 
 @given(multigraphs(max_n=7))
+@example(Graph(0, ()))
+@example(Graph(1, ()))
+@example(Graph(5, ((1, 2), (2, 3), (3, 1), (4, 5), (5, 4))))  # two components
+@example(Graph(6, ((1, 2), (2, 3), (3, 4), (4, 5))))  # n - 1 > m
 @settings(max_examples=60, deadline=None)
 def test_tree_enumeration_matches_the_forest_enumeration(g):
-    # enumerate_trees tries only the (n-1)-edge subsets; enumerate_forests
-    # walks every acyclic subset, and its spanning trees are its (n-1)-edge
-    # sets.  At most 12 edges keep the forest walk short.
+    # enumerate_trees searches depth first for spanning trees; enumerate_forests
+    # tests each subset with a union-find, and its spanning trees are its
+    # (n-1)-edge sets.  At most 12 edges keep the forest walk short.
     g = Graph(g.vertex_count, g.edges[:12])
     n = g.vertex_count
     trees = {subset for subset, _ in enumerate_forests(g) if len(subset) == n - 1}
-    assert enumerate_trees(g) == sorted(trees, key=sorted)
+    got = enumerate_trees(g)
+    assert got == sorted(trees, key=sorted)
+    assert len(got) == count_spanning_trees(g)
+
+
+def test_enumerate_trees_with_too_few_edges_allocates_nothing_per_vertex():
+    # 100 000 vertices and 3 edges: no spanning tree, and no list of n labels.
+    g = Graph(100_000, ((1, 2), (2, 3), (3, 1)))
+    tracemalloc.start()
+    try:
+        assert enumerate_trees(g) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _decode_multicycle(g, support):

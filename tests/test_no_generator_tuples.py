@@ -14,7 +14,10 @@ passes lcm a set of distinct denominators instead.
 
 An ast scan, like tests/test_single_check_site.py, keeps the pattern out,
 and a tracemalloc run with the collector off checks that a parse and an
-evaluation, and the graph counts, leave no memory behind.
+evaluation, the graph counts and the spanning-tree walk leave no memory
+behind.  A walk written as a nested function that calls itself would fail
+it: the function and its closure cell form a cycle that holds the whole
+output until a full collection.
 """
 
 import ast
@@ -30,6 +33,7 @@ from detcircuits import (
     compile_circuit,
     count_rooted_forests,
     count_spanning_trees,
+    enumerate_trees,
     eval_pfaffian_circuit,
     evaluate,
     forest_polynomial,
@@ -95,6 +99,10 @@ SPARSE = Graph(20, tuple([(v, _rng.randint(1, v - 1)) for v in range(2, 21)]
                          + [tuple(_rng.sample(range(1, 21), 2)) for _ in range(11)]))
 
 
+# K6: 15 edges, 1296 spanning trees.
+K6 = Graph(6, tuple([(u, v) for u in range(1, 7) for v in range(u + 1, 7)]))
+
+
 def _graph_counts():
     for g in (DENSE, SPARSE):
         forest_polynomial(g), count_rooted_forests(g), count_spanning_trees(g)
@@ -126,6 +134,8 @@ def _traced_growth_kb(step, warm=10, calls=50) -> float:
     lambda: evaluate(parse_circuit(RING)),
     lambda: (eval_pfaffian_circuit(parse_pfaffian(SMALL_PF)), compile_circuit(SMALL)),
     _graph_counts,
-], ids=["eval-w12-d24", "pfeval-and-compile-w6-d6", "graph-counts-n12-dense-n20-sparse"])
+    lambda: enumerate_trees(K6),
+], ids=["eval-w12-d24", "pfeval-and-compile-w6-d6", "graph-counts-n12-dense-n20-sparse",
+        "enumerate-trees-k6"])
 def test_repeated_runs_leave_no_memory_behind(step):
     assert _traced_growth_kb(step) < 32

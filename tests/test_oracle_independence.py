@@ -12,11 +12,13 @@ a one-stack width-12 ring against 4096 tuples).
 """
 
 import importlib
+import random
 from pathlib import Path
 
 import pytest
 
 from detcircuits import (
+    Graph,
     contract_circuit,
     count_spanning_trees,
     enumerate_trees,
@@ -39,6 +41,12 @@ KERNELS = {
 }
 
 
+# 8 vertices and 17 of the 28 possible edges, the size of the benchmark's
+# dense oracle graphs; 4442 spanning trees.
+DENSE_EDGES = tuple(random.Random(8).sample(
+    [(u, v) for u in range(1, 9) for v in range(u + 1, 9)], 17))
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("an oracle called a fast-path kernel")
 
@@ -49,9 +57,11 @@ def test_oracles_run_without_the_kernels(monkeypatch):
     pfaffians = [parse_pfaffian((DATA / name).read_text())
                  for name in ("ring3.pf", "two_by_two.pf")]
     graph = parse_graph((DATA / "k4.graph").read_text())
+    dense = Graph(8, DENSE_EDGES)
     circuit_values = [evaluate(c) for c in circuits]
     pfaffian_values = [eval_pfaffian_circuit(pc) for pc in pfaffians]
     tree_count = count_spanning_trees(graph)
+    dense_tree_count = count_spanning_trees(dense)
     for module, names in KERNELS.items():
         mod = importlib.import_module(f"detcircuits.{module}")
         for name in names:
@@ -63,3 +73,4 @@ def test_oracles_run_without_the_kernels(monkeypatch):
     for pc, want in zip(pfaffians, pfaffian_values):
         assert eval_pfaffian_oracle(pc) == want
     assert len(enumerate_trees(graph)) == tree_count == 16
+    assert len(enumerate_trees(dense)) == dense_tree_count == 4442
