@@ -12,7 +12,7 @@ from .errors import ParseError, SizeMismatch, ValidationError
 from .labeled import LabeledMatrix
 from .pfaffian import PfaffianCircuit, SkewMatrix
 from .graphs import Graph
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import Scalar, _name, format_scalar, parse_scalar
 
 
 def _significant(text: str):
@@ -28,7 +28,7 @@ def _parse_int(tok: str, lineno: int, what: str) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise ParseError(lineno, f"expected integer {what}, got {tok!r}") from None
+        raise ParseError(lineno, f"expected integer {what}, got {_name(tok)}") from None
 
 
 def _parse_ints(toks: list[str], lineno: int, what: str) -> list[int]:
@@ -130,7 +130,7 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
             wirings[k] = tuple(_parse_wiring_pairs(pairs_part, no) if pairs_part else [])
             wiring_lines[k] = no
         else:
-            raise ParseError(no, f"unknown directive {head!r}")
+            raise ParseError(no, f"unknown directive {_name(head)}")
 
     m = len(stacks)
     for k in wirings:
@@ -169,7 +169,7 @@ def _parse_wiring_pairs(body: str, lineno: int) -> list[tuple[int, int]]:
     for chunk in body.split(","):
         chunk = chunk.strip()
         if "->" not in chunk:
-            raise ParseError(lineno, f"bad wiring pair {chunk!r}, expected a->b")
+            raise ParseError(lineno, f"bad wiring pair {_name(chunk)}, expected a->b")
         a_tok, _, b_tok = chunk.partition("->")
         pairs.append((_parse_int(a_tok.strip(), lineno, "wire label"),
                       _parse_int(b_tok.strip(), lineno, "wire label")))
@@ -205,12 +205,12 @@ def parse_pfaffian(text: str, field: str = "rational") -> PfaffianCircuit:
     for no, line in lines:
         toks = line.split()
         if toks[0] != "pfgate":
-            raise ParseError(no, f"expected pfgate, got {toks[0]!r}")
+            raise ParseError(no, f"expected pfgate, got {_name(toks[0])}")
         if len(toks) < 3:
             raise ParseError(no, "pfgate needs: pfgate state|costate n <edges>")
         kind = toks[1]
         if kind not in sides:
-            raise ParseError(no, f"pfgate kind must be state or costate, got {kind!r}")
+            raise ParseError(no, f"pfgate kind must be state or costate, got {_name(kind)}")
         n = _parse_int(toks[2], no, "size")
         if n < 0:
             raise ParseError(no, f"size must be nonnegative, got {n}")

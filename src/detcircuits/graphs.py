@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import prod
 from typing import Iterator
 
 from .errors import TooLarge, ValidationError
 from .labeled import LabeledMatrix, labeled
-from .scalars import det_grid
+from .scalars import _det_bareiss_int
 
 ENUM_EDGE_CAP = 20
 
@@ -46,11 +46,8 @@ def reorient(g: Graph, seed: int) -> Graph:
 
 
 def incidence_matrix(g: Graph) -> LabeledMatrix:
-    """|E| x |V| signed incidence: +1 at the tail, -1 at the head.
-
-    Vertex labels are 1..n; edge labels continue at n+1 so the two label
-    spaces never collide.
-    """
+    """|E| x |V| signed incidence: +1 at the tail, -1 at the head.  Vertex
+    labels are 1..n; edge labels continue at n+1, so the two never collide."""
     n, m = g.vertex_count, len(g.edges)
     ent = [[0] * n for _ in range(m)]
     for i, (u, v) in enumerate(g.edges):
@@ -59,28 +56,32 @@ def incidence_matrix(g: Graph) -> LabeledMatrix:
     return labeled(tuple(range(n + 1, n + m + 1)), tuple(range(1, n + 1)), ent)
 
 
-def laplacian(g: Graph) -> list[list[int]]:
-    """BᵀB as a plain grid: degrees on the diagonal, -multiplicity off it."""
-    n = g.vertex_count
+def _touched(g: Graph) -> tuple[int, list[tuple[int, int]]]:
+    """How many vertices an edge touches, and g's edges on them renumbered from 0 in order."""
+    at = {v: i for i, v in enumerate(sorted(set(chain.from_iterable(g.edges))))}
+    return len(at), [(at[u], at[v]) for u, v in g.edges]
+
+
+def _shifted_laplacian(n: int, edges, shift: int) -> list[list[int]]:
+    """shift·I + L as fresh int rows for n vertices and 0-based edges (L's rows sum to 0)."""
     grid = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        grid[u - 1][u - 1] += 1
-        grid[v - 1][v - 1] += 1
-        grid[u - 1][v - 1] -= 1
-        grid[v - 1][u - 1] -= 1
+    for u, v in edges:
+        grid[u][v] -= 1
+        grid[v][u] -= 1
+    for r, row in enumerate(grid):
+        row[r] = shift - sum(row)
     return grid
 
 
-def _without_isolated(g: Graph) -> Graph:
-    """g less its isolated vertices, the rest renumbered in order: at most 2|E| vertices."""
-    at = {v: i for i, v in enumerate(sorted({v for e in g.edges for v in e}), 1)}
-    return Graph(len(at), tuple([(at[u], at[v]) for u, v in g.edges]))
+def laplacian(g: Graph) -> list[list[int]]:
+    """BᵀB as a plain grid: degrees on the diagonal, -multiplicity off it."""
+    return _shifted_laplacian(g.vertex_count, [(u - 1, v - 1) for u, v in g.edges], 0)
 
 
 def count_rooted_forests(g: Graph) -> int:
-    """det(I + L); an isolated vertex adds only a factor of 1, so it is dropped."""
-    lap = laplacian(_without_isolated(g))
-    return int(det_grid([[x + (r == s) for s, x in enumerate(row)] for r, row in enumerate(lap)]))
+    """det(I + L) by the Bareiss kernel on the touched vertices: an isolated one is a factor 1."""
+    n, edges = _touched(g)
+    return _det_bareiss_int(_shifted_laplacian(n, edges, 1)) if n else 1
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,8 @@ def _slot_bits(degrees: list[int]) -> int:
 
 
 def forest_polynomial(g: Graph) -> ForestPolynomial:
-    """det(Ix + L) by Faddeev-LeVerrier over ints; its coefficients are integers,
-    so each division by k is exact.  An isolated vertex is a factor x.
+    """det(Ix + L): x per isolated vertex times Faddeev-LeVerrier over ints on the
+    touched ones; the coefficients are integers, so each division by k is exact.
 
     Each row of M_k and of A M_k (A = -L) is one int with a signed slot of
     `bits` bits per column, as in circuit._collapse_exact.  Row i of A M_k is
@@ -112,12 +113,11 @@ def forest_polynomial(g: Graph) -> ForestPolynomial:
     and c I adds c to one slot of each row.  A diagonal slot is read after
     adding `half` to every slot, so no borrow crosses a slot.  That is
     O(n(n + 2m)) bigint adds of n-slot rows in all."""
-    h = _without_isolated(g)
-    n = h.vertex_count
+    n, edges = _touched(g)
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in h.edges:
-        nbrs[u - 1].append(v - 1)
-        nbrs[v - 1].append(u - 1)
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     deg = [len(ts) for ts in nbrs]
     bits = _slot_bits(deg)
     half = 1 << (bits - 1)
@@ -138,19 +138,19 @@ def forest_polynomial(g: Graph) -> ForestPolynomial:
 
 
 def laplacian_cofactor(g: Graph, i: int) -> int:
-    """det of the Laplacian with row and column i removed (0-based); 0 when n > 1
-    and a vertex is isolated (a zero row or a whole Laplacian is left)."""
-    if g.vertex_count > 1 and len({v for e in g.edges for v in e}) < g.vertex_count:
+    """det of L less row and column i (0-based) by the Bareiss kernel; 0 when
+    n > 1 and a vertex is isolated (a zero row or a whole Laplacian is left)."""
+    touched, edges = _touched(g)
+    if g.vertex_count > 1 and touched < g.vertex_count:
         return 0
-    lap = laplacian(g)
+    lap = _shifted_laplacian(g.vertex_count, edges, 0)  # none dropped, or no edge
     keep = [j for j in range(g.vertex_count) if j != i]
-    return int(det_grid([[lap[r][s] for s in keep] for r in keep]))
+    return _det_bareiss_int([[lap[r][s] for s in keep] for r in keep]) if keep else 1
 
 
 def count_spanning_trees(g: Graph) -> int:
-    if g.vertex_count == 0:
-        return 0
-    return abs(laplacian_cofactor(g, 0))
+    """|cofactor 0 of L| by laplacian_cofactor; 0 for the empty graph."""
+    return abs(laplacian_cofactor(g, 0)) if g.vertex_count else 0
 
 
 def _root(parent: list[int], x: int) -> int:

@@ -681,21 +681,42 @@ def test_cli_refuses_an_exponent_past_ten_times_the_digit_limit(tmp_path, capsys
                        f"{10 * INT_MAX_STR_DIGITS} limit\n")
 
 
-@pytest.mark.parametrize("token, field", [
-    ("1" + "0" * 5000, "rational"),
-    ("x" * 5000, "rational"),
-    ("1" * 4400 + "/3", "rational"),
-    ("1" * 100 + "/0", "rational"),
-    ("1" + "0" * 999, "complex"),
-], ids=["digits-5001", "garbage-5000", "p-4400-over-q", "p-100-over-zero", "complex-1000"])
-def test_cli_names_a_long_refused_token_in_a_short_line(tmp_path, capsys, token, field):
-    # The whole token was echoed: 5174 bytes of stderr for the 5001-digit one.
-    path = tmp_path / "long.circuit"
-    path.write_text(f"stack\ngate 1 1 1 / 1\n{token}\n")
-    assert main(["eval", str(path), "--field", field]) == 2
+ENTRY = ("eval", "stack\ngate 1 1 1 / 1\n{}\n", 3)
+LONG = "y" * 5000
+LONG_DIGITS = "9" * 5000
+PF_GRID = "\n0 1\n-1 0\n"
+
+
+@pytest.mark.parametrize("token, field, case", [
+    ("1" + "0" * 5000, "rational", ENTRY),
+    ("x" * 5000, "rational", ENTRY),
+    ("1" * 4400 + "/3", "rational", ENTRY),
+    ("1" * 100 + "/0", "rational", ENTRY),
+    ("1" + "0" * 999, "complex", ENTRY),
+    (LONG, None, ("eval", "stack\ngate 1 1 {} / 1\n1\n", 2)),
+    (LONG_DIGITS, None, ("eval", "stack\ngate 1 {} 1 / 1\n1\n", 2)),
+    ("st" + LONG, None, ("eval", "{}\n", 1)),
+    (LONG, None, ("eval", "stack\ngate 1 1 1 / 2\n1\nwiring 0: 2->{}\n", 4)),
+    (LONG, None, ("eval", "stack\ngate 1 1 1 / 2\n1\nwiring 0: {}\n", 4)),
+    (LONG_DIGITS, None, ("eval", "stack\ngate 1 1 1 / 2\n1\nwiring {}: 2->1\n", 4)),
+    (LONG_DIGITS, None, ("trees", "2 1\n1 {}\n", 2)),
+    (LONG, None, ("trees", "{} 0\n", 1)),
+    (LONG, None, ("pfeval", "{} state 2 1 2" + PF_GRID, 1)),
+    (LONG, None, ("pfeval", "pfgate {} 2 1 2" + PF_GRID, 1)),
+    (LONG, None, ("pfeval", "pfgate state 2 1 {}" + PF_GRID, 1)),
+], ids=["digits-5001", "garbage-5000", "p-4400-over-q", "p-100-over-zero", "complex-1000",
+        "row-label", "column-count", "directive", "wiring-end", "wiring-pair", "wiring-index",
+        "endpoint", "vertex-count", "pf-head", "pfgate-kind", "edge-id"])
+def test_cli_names_a_long_refused_token_in_a_short_line(tmp_path, capsys, token, field, case):
+    # The whole token was echoed: 5174 bytes of stderr for the 5001-digit
+    # entry, 5038-5060 for a label, directive, wiring end, endpoint or .pf head.
+    verb, template, lineno = case
+    path = tmp_path / "long.txt"
+    path.write_text(template.format(token))
+    assert main([verb, str(path)] + (["--field", field] if field else [])) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("error: line 3: ") and out.err.count("\n") == 1
+    assert out.err.startswith(f"error: line {lineno}: ") and out.err.count("\n") == 1
     assert f"{token[:40]!r}... ({len(token)} characters)" in out.err
     assert len(out.err.encode()) < 200
 

@@ -42,6 +42,20 @@ EDGE = Graph(2, ((1, 2),))
 VERTEX = Graph(1, ())
 PATH3 = Graph(3, ((1, 2), (2, 3)))
 
+# Multigraphs where renumbering the touched vertices matters: parallel
+# edges (some reversed), an isolated vertex first, in the middle and last,
+# two components, and n = 0 and 1.
+MULTIGRAPHS = (
+    Graph(0, ()),
+    Graph(1, ()),
+    Graph(3, ((1, 2), (1, 2), (3, 2))),
+    Graph(4, ((2, 3), (3, 4), (3, 2), (4, 2))),
+    Graph(5, ((1, 2), (2, 1), (4, 5), (1, 4), (5, 1))),
+    Graph(4, ((1, 2), (2, 3), (3, 1), (2, 1))),
+    Graph(6, ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 4), (5, 4))),
+    Graph(7, ((2, 3), (3, 2), (5, 6), (6, 5), (6, 5))),
+)
+
 
 def test_graph_validation():
     with pytest.raises(ValidationError):
@@ -71,6 +85,11 @@ def test_count_rooted_forests_small():
     assert count_rooted_forests(VERTEX) == 1
     assert count_rooted_forests(EDGE) == 3
     assert count_rooted_forests(K3) == 16
+    # I + L over the touched vertices against det_grid on the whole I + L.
+    for g in MULTIGRAPHS:
+        got = count_rooted_forests(g)
+        shifted = [[x + (r == s) for s, x in enumerate(row)] for r, row in enumerate(laplacian(g))]
+        assert type(got) is int and got == det_grid(shifted)
 
 
 def test_enumeration_matches_determinant_small():
@@ -182,21 +201,26 @@ def test_laplacian_census_trace_identity():
 
 def test_cofactors_with_isolated_vertices_match_full_minors():
     # The early 0 for an isolated vertex (n > 1) must equal the minor of
-    # the full Laplacian, for every removed vertex.
+    # the full Laplacian, for every removed vertex; i = n removes none.
     rng = random.Random(8)
-    seen_zero = 0
+    graphs = list(MULTIGRAPHS)
     for _ in range(40):
         n = rng.randint(1, 7)
         touched = rng.sample(range(1, n + 1), rng.randint(min(n, 2), n))
         edges = [tuple(rng.sample(touched, 2)) for _ in range(rng.randint(0, 2 * n))] if n > 1 else []
-        g = Graph(n, tuple(edges))
+        graphs.append(Graph(n, tuple(edges)))
+    seen_zero = seen_nonzero = 0
+    for g in graphs:
+        n = g.vertex_count
         lap = laplacian(g)
-        for i in range(n):
+        for i in range(n + 1):
             keep = [j for j in range(n) if j != i]
             want = det_grid([[lap[r][s] for s in keep] for r in keep])
-            assert laplacian_cofactor(g, i) == want
+            got = laplacian_cofactor(g, i)
+            assert type(got) is int and got == want
             seen_zero += want == 0
-    assert seen_zero >= 20
+            seen_nonzero += want != 0
+    assert seen_zero >= 20 and seen_nonzero >= 20
 
 
 def _grid_graph(k: int) -> Graph:

@@ -1,7 +1,7 @@
 """The brute-force oracles run no fast-path kernel.
 
 An oracle that calls the kernel it is meant to check agrees with it by
-construction.  So every determinant and Pfaffian kernel, and the det_grid
+construction.  So every determinant and Pfaffian kernel, and the kernel
 names that tensor and graphs import, are made to raise, and the oracles
 must still give the values the fast paths gave before.
 
@@ -20,6 +20,7 @@ import pytest
 from detcircuits import (
     Graph,
     contract_circuit,
+    count_rooted_forests,
     count_spanning_trees,
     enumerate_trees,
     eval_pfaffian_circuit,
@@ -37,7 +38,7 @@ KERNELS = {
     "scalars": ("det_grid", "_det_bareiss_int", "_det_complex"),
     "pfaffian": ("pfaffian", "_pfaffian_exact", "_pfaffian_complex"),
     "tensor": ("det_grid",),
-    "graphs": ("det_grid",),
+    "graphs": ("_det_bareiss_int",),
 }
 
 
@@ -66,8 +67,11 @@ def test_oracles_run_without_the_kernels(monkeypatch):
         mod = importlib.import_module(f"detcircuits.{module}")
         for name in names:
             monkeypatch.setattr(mod, name, _refuse)
-    with pytest.raises(AssertionError, match="fast-path kernel"):
-        evaluate(circuits[0])
+    # The patch reached each kernel's callers: the fast paths now refuse.
+    for fast_path, arg in ((evaluate, circuits[0]), (count_rooted_forests, graph),
+                           (count_spanning_trees, graph)):
+        with pytest.raises(AssertionError, match="fast-path kernel"):
+            fast_path(arg)
     for c, want in zip(circuits, circuit_values):
         assert scalars_equal(contract_circuit(c), want)
     for pc, want in zip(pfaffians, pfaffian_values):
