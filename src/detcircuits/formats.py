@@ -104,7 +104,7 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
             c = _parse_int(toks[2], no, "column count")
             if r < 0 or c < 0:
                 raise ParseError(no, f"row and column counts must be nonnegative, "
-                                     f"got {r} and {c}")
+                                     f"got {_name(r)} and {_name(c)}")
             rest = toks[3:]
             if rest.count("/") != 1:
                 raise ParseError(no, "gate labels need a single / separator")
@@ -112,7 +112,7 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
             row_toks, col_toks = rest[:cut], rest[cut + 1:]
             if len(row_toks) != r or len(col_toks) != c:
                 raise ParseError(
-                    no, f"expected {r} row labels and {c} column labels, "
+                    no, f"expected {_name(r)} row labels and {_name(c)} column labels, "
                         f"got {len(row_toks)} and {len(col_toks)}")
             rows = tuple(_parse_ints(row_toks, no, "row label"))
             cols = tuple(_parse_ints(col_toks, no, "column label"))
@@ -125,7 +125,7 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
             k_part, _, pairs_part = body.partition(":")
             k = _parse_int(k_part.strip(), no, "wiring index")
             if k in wirings:
-                raise ParseError(no, f"duplicate wiring {k}")
+                raise ParseError(no, f"duplicate wiring {_name(k)}")
             pairs_part = pairs_part.strip()
             wirings[k] = tuple(_parse_wiring_pairs(pairs_part, no) if pairs_part else [])
             wiring_lines[k] = no
@@ -136,7 +136,7 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
     for k in wirings:
         if not (0 <= k < m):
             raise ParseError(wiring_lines[k],
-                             f"wiring {k} out of range for {m} stacks")
+                             f"wiring {_name(k)} out of range for {m} stacks")
     built_stacks = tuple([Stack(tuple(gates)) for gates in stacks])
     full_wirings = []
     for k in range(m):
@@ -213,14 +213,14 @@ def parse_pfaffian(text: str, field: str = "rational") -> PfaffianCircuit:
             raise ParseError(no, f"pfgate kind must be state or costate, got {_name(kind)}")
         n = _parse_int(toks[2], no, "size")
         if n < 0:
-            raise ParseError(no, f"size must be nonnegative, got {n}")
+            raise ParseError(no, f"size must be nonnegative, got {_name(n)}")
         edge_toks = toks[3:]
         if len(edge_toks) != n:
-            raise ParseError(no, f"expected {n} edge ids, got {len(edge_toks)}")
+            raise ParseError(no, f"expected {_name(n)} edge ids, got {len(edge_toks)}")
         edges = tuple(_parse_ints(edge_toks, no, "edge id"))
         for e in edges:
             if e < 1:
-                raise ParseError(no, f"edge ids are positive, got {e}")
+                raise ParseError(no, f"edge ids are positive, got {_name(e)}")
         grid = _parse_grid(lines, n, n, field, no, memo)
         try:
             sides[kind].append(SkewMatrix(edges, grid))
@@ -264,7 +264,7 @@ def parse_graph(text: str) -> Graph:
         try:
             no, line = next(lines)
         except StopIteration:
-            raise ParseError(no, f"expected {m} edge lines, file ended early") from None
+            raise ParseError(no, f"expected {_name(m)} edge lines, file ended early") from None
         toks = line.split()
         if len(toks) != 2:
             raise ParseError(no, "edge line must be: u v")

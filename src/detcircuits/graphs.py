@@ -20,7 +20,7 @@ from typing import Iterator
 
 from .errors import TooLarge, ValidationError
 from .labeled import LabeledMatrix, labeled
-from .scalars import _det_bareiss_int
+from .scalars import _det_bareiss_int, _name
 
 ENUM_EDGE_CAP = 20
 
@@ -33,9 +33,9 @@ class Graph:
     def __post_init__(self):
         for u, v in self.edges:
             if not (1 <= u <= self.vertex_count and 1 <= v <= self.vertex_count):
-                raise ValidationError(f"edge ({u},{v}) endpoint out of range")
+                raise ValidationError(f"edge ({_name(u)},{_name(v)}) endpoint out of range")
             if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
+                raise ValidationError(f"self-loop at vertex {_name(u)}")
 
 
 def reorient(g: Graph, seed: int) -> Graph:

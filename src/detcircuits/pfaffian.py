@@ -6,13 +6,13 @@ state and exactly one costate.  Its value is the bra contracted with the
 ket, the product of the states' sub-Pfaffian tensors against the product
 of the costates' (eval_pfaffian_oracle).  The fast path computes it as a
 single Pfaffian of an edge-indexed matrix: the state entries and the
-costate entries, the latter with a checkerboard sign twist, add into one
-skew matrix, and the value is its Pfaffian.  That Pfaffian equals the
-contraction only for suitable edge numberings, such as the compiler's;
-for others, as in a hand-written .pf file, it can be the contraction's
-negative or another value.  Of 1000 random circuits of 2-8 edges, with
-gates of at most 4 edges, shuffled label lists and a nonzero
-contraction, 273 matched and 284 came out negated.
+costate entries, the latter twisted by a checkerboard sign as they are
+read, add into one skew matrix, and the value is its Pfaffian.  That
+Pfaffian equals the contraction only for suitable edge numberings, such
+as the compiler's; for others, as in a hand-written .pf file, it can be
+the contraction's negative or another value.  Of 1000 random circuits of
+2-8 edges, with gates of at most 4 edges, shuffled label lists and a
+nonzero contraction, 273 matched and 284 came out negated.
 
 Both Pfaffian kernels store a skew matrix as its upper triangle in
 sparse rows: rows[i] maps each j > i to a nonzero a_ij.  The rational
@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress
 from math import isinf, prod
 from typing import Sequence
 
 from .errors import DanglingWire, DuplicateLabel, NotSkew, TooLarge
-from .scalars import Scalar, clear_denominators, grid_is_exact, normalize_grid, scalars_equal
+from .scalars import (Scalar, _name, clear_denominators, grid_is_exact, normalize_grid,
+                      scalars_equal)
 from .tensor import ORACLE_CAP, Tensor, _subset_bits, tensor_compose, tensor_product_all
 
 PF_ORACLE_MAX = 12
@@ -211,12 +212,12 @@ class SkewMatrix:
         # entries, which scalars_equal rejects.
         for i, (row, col) in enumerate(zip(self.entries, zip(*self.entries))):
             if row[i] and not scalars_equal(row[i], 0):
-                raise NotSkew(f"nonzero diagonal at {self.labels[i]}")
+                raise NotSkew(f"nonzero diagonal at {_name(self.labels[i])}")
             for j in range(i + 1, n):
                 x, y = row[j], col[j]
                 if (x or y) and x + y and not scalars_equal(x, -y):
                     raise NotSkew(
-                        f"entry ({self.labels[i]},{self.labels[j]}) not "
+                        f"entry ({_name(self.labels[i])},{_name(self.labels[j])}) not "
                         "antisymmetric"
                     )
 
@@ -292,11 +293,11 @@ def validate_pfaffian(pc: PfaffianCircuit) -> None:
                 if not 1 <= e <= pc.edge_count:
                     raise DanglingWire(f"edge id {e} outside 1..{pc.edge_count}")
                 if e in seen:
-                    raise DuplicateLabel(f"edge {e} used twice on the {side} side")
+                    raise DuplicateLabel(f"edge {_name(e)} used twice on the {side} side")
                 seen.add(e)
         if len(seen) != pc.edge_count:
             first = next(e for e in range(1, pc.edge_count + 1) if e not in seen)
-            raise DanglingWire(f"{pc.edge_count - len(seen)} edges have no {side} "
+            raise DanglingWire(f"{_name(pc.edge_count - len(seen))} edges have no {side} "
                                f"gate, the first is {first}")
 
 
@@ -315,30 +316,24 @@ def _perm_sign(seq: list[int]) -> int:
     return -1 if odd else 1
 
 
-def _costate_rows(costates: Sequence[SkewMatrix]) -> tuple[list, list[int]]:
-    """For each costate, each row's nonzeros as {position: entry} with the
-    sign twist (-1)**(i+j+1) of eval_pfaffian_circuit; and the edges of the
-    costates' unit pairs, two by two in pivot order.
+def _pair_order(costates: Sequence[SkewMatrix], n: int) -> list[int]:
+    """The exact kernel's elimination order: the edges of the costates'
+    unit pairs, two by two, then every other edge of 1..n in natural order.
 
     A unit pair is a row and a column of one costate whose only nonzero
-    entries are +-1 at each other.  The pairs come in costate order, each
+    entries are +-1 at each other; the twist only flips signs, so the
+    parsed entries are read.  The pairs come in costate order, each
     costate's in row order, and each pair lists its row first."""
-    rows, paired = [], []
+    paired = []
     for g in costates:
-        labels, cols = g.labels, range(g.size)
-        twisted = []
-        for e, row in zip(labels, g.entries):
-            t = {}
-            for q in compress(cols, row):
-                t[q] = row[q] if (e + labels[q]) % 2 else -row[q]
-            twisted.append(t)
-        for p, row in enumerate(twisted):
-            if len(row) == 1:
-                [(q, x)] = row.items()
-                if p < q and len(twisted[q]) == 1 and x in (1, -1):
-                    paired += (labels[p], labels[q])
-        rows.append(twisted)
-    return rows, paired
+        cols, lone = range(g.size), g.size - 1
+        for p, row in enumerate(g.entries):
+            if row.count(0) == lone:  # one nonzero, at q
+                q = next(compress(cols, row))
+                if p < q and g.entries[q].count(0) == lone and row[q] in (1, -1):
+                    paired += (g.labels[p], g.labels[q])
+    seen = set(paired)
+    return paired + [e for e in range(1, n + 1) if e not in seen]
 
 
 def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
@@ -346,49 +341,44 @@ def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
 
     The costates enter with the sign twist (-1)**(i+j+1) on entry (i, j)
     in 1-based edge ids; that twist is what turns the sum over edge
-    subsets of products of sub-Pfaffians into a single Pfaffian.
-    _costate_rows twists the costates' nonzero entries, and then both sides
-    add theirs into sparse upper-triangle rows through one loop; an entry
-    gets at most one term from each side, so the order of the gadgets does
-    not change the sum.  The gadgets, not the rows, say which field's
-    kernel runs, so an all-zero complex circuit still evaluates to 0j.
+    subsets of products of sub-Pfaffians into a single Pfaffian.  One loop
+    reads every gadget's parsed rows and adds their nonzeros above the
+    diagonal into sparse upper-triangle rows, twisting a costate's as it
+    reads them; an entry gets at most one term from each side, so the
+    order of the gadgets does not change the sum.  The gadgets, not the
+    rows, say which field's kernel runs, so an all-zero complex circuit
+    still evaluates to 0j.
 
-    An exact circuit is eliminated in another edge order: the costates'
-    unit pairs first, each pair one pivot pair, then the other edges in
-    their natural order, and the Pfaffian is multiplied by the sign of that
-    renumbering.  Every edge of a compiled circuit lies in a unit pair, so
-    each pivot joins two neighbouring gadgets, the way a wiring relabels,
-    and the entries stay minors of partial products around the ring.  The
-    complex kernel keeps the natural order: on i-gauged rings the pair
-    order loses every digit.
+    An exact circuit is eliminated in the order of _pair_order: the
+    costates' unit pairs first, each pair one pivot pair, then the other
+    edges in their natural order, and the Pfaffian is multiplied by the
+    sign of that renumbering.  Every edge of a compiled circuit lies in a
+    unit pair, so each pivot joins two neighbouring gadgets, the way a
+    wiring relabels, and the entries stay minors of partial products
+    around the ring.  The complex kernel keeps the natural order, and
+    skips the pair search: on i-gauged rings the pair order loses every
+    digit.
     """
     n = pc.edge_count
     exact = all(grid_is_exact(g.entries) for g in pc.states + pc.costates)
-    costate_rows, paired = _costate_rows(pc.costates)
-    at = list(range(-1, n))  # at[e]: the index edge e is eliminated at
-    sign = 1
-    if exact and paired:
-        seen = set(paired)
-        order = paired + [e for e in range(1, n + 1) if e not in seen]
-        sign = _perm_sign(order)
-        for k, e in enumerate(order):
-            at[e] = k
-    # Per gadget: labels, rows, and each row's nonzero positions.
-    gadgets = [(g.labels, g.entries, map(compress, repeat(range(g.size)), g.entries))
-               for g in pc.states]
-    gadgets += [(g.labels, twisted, twisted) for g, twisted in zip(pc.costates, costate_rows)]
+    order = _pair_order(pc.costates, n) if exact else range(1, n + 1)
+    at = [0] * (n + 1)  # at[e]: the index edge e is eliminated at
+    for k, e in enumerate(order):
+        at[e] = k
     rows: list[dict] = [{} for _ in range(n)]
-    for labels, entries, nonzeros in gadgets:
-        new = [at[e] for e in labels]
-        for i, row, cols in zip(new, entries, nonzeros):
-            out = rows[i]
-            for p in cols:
-                j = new[p]
-                if i < j:
-                    x = row[p]
-                    out[j] = out[j] + x if j in out else x
+    for twist, side in ((False, pc.states), (True, pc.costates)):
+        for g in side:
+            labels, cols = g.labels, range(g.size)
+            new = [at[e] for e in labels]
+            for e, i, row in zip(labels, new, g.entries):
+                out = rows[i]
+                for p in compress(cols, row):
+                    j = new[p]
+                    if i < j:
+                        x = -row[p] if twist and (e + labels[p]) % 2 == 0 else row[p]
+                        out[j] = out[j] + x if j in out else x
     if exact:
-        return sign * _pfaffian_exact(rows)
+        return _perm_sign(order) * _pfaffian_exact(rows)
     return _pfaffian_complex(rows)
 
 

@@ -238,13 +238,16 @@ def parse_scalar(token: str, field: str = "rational") -> Scalar:
     raise ValueError(f"unknown field {field!r}")
 
 
-def _name(token: str) -> str:
-    """A token as error text: quoted whole up to 64 characters, else by its
-    first 40 characters, "..." and its length, so that a refused token of
-    thousands of digits costs one short line."""
-    if len(token) <= NAMED_WHOLE:
-        return repr(token)
-    return f"{token[:40]!r}... ({len(token)} characters)"
+def _name(token: str | int) -> str:
+    """A token as error text, a str quoted and an int as str prints it:
+    whole up to 64 characters, else by its first 40 characters, "..." and
+    its length, so that a refused token of thousands of digits costs one
+    short line."""
+    text = str(token)
+    show = repr if type(token) is str else str
+    if len(text) <= NAMED_WHOLE:
+        return show(token)
+    return f"{show(text[:40])}... ({len(text)} characters)"
 
 
 def _wrapped_text(exc: Exception, token: str) -> str:

@@ -21,7 +21,7 @@ from detcircuits import (
     submatrix,
     validate_pfaffian,
 )
-from detcircuits.pfaffian import _costate_rows
+from detcircuits.pfaffian import _pair_order
 from circgen import has_sign_gadget, rand_circuit, rand_grid
 from paper import determinant, skew_embed, skew_restrict
 
@@ -237,7 +237,7 @@ def test_every_compiled_edge_lies_in_a_unit_pair():
     seen = set()
     for c in circuits:
         target = compile_circuit(c).target
-        _, paired = _costate_rows(target.costates)
+        paired = _pair_order(target.costates, 0)  # n = 0: the pairs alone
         assert sorted(paired) == list(range(1, target.edge_count + 1))
         widths = [len(s.in_labels) for s in c.stacks]
         if not widths:

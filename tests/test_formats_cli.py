@@ -721,6 +721,41 @@ def test_cli_names_a_long_refused_token_in_a_short_line(tmp_path, capsys, token,
     assert len(out.err.encode()) < 200
 
 
+D = "9" * 4000  # under the digit limit, so it parses and is refused by value
+
+
+@pytest.mark.parametrize("verb, text, prefix, value", [
+    ("eval", f"stack\ngate -{D} 0 /\n", "error: line 2: ", "-" + D),
+    ("eval", f"stack\ngate {D} 1 1 / 1\n1\n", "error: line 2: ", D),
+    ("eval", f"stack\ngate 1 1 1 / 2\n1\nwiring {D}: 2->1\nwiring {D}: 2->1\n",
+     "error: line 5: ", D),
+    ("eval", f"stack\ngate 1 1 1 / 2\n1\nwiring {D}: 2->1\n", "error: line 4: ", D),
+    ("pfeval", f"pfgate state -{D}\n", "error: line 1: ", "-" + D),
+    ("pfeval", f"pfgate state {D} 1 2\n0 1\n-1 0\n", "error: line 1: ", D),
+    ("pfeval", f"pfgate state 2 1 -{D}\n0 1\n-1 0\n", "error: line 1: ", "-" + D),
+    ("trees", f"2 {D}\n1 2\n", "error: line 2: ", D),
+    ("trees", f"2 1\n1 {D}\n", "error: ", D),
+    ("trees", f"{D} 1\n{D} {D}\n", "error: ", D),
+    ("pfeval", f"pfgate costate 1 {D}\n0\n", "error: ", D),
+    ("pfeval", f"pfgate state 1 {D}\n0\npfgate state 1 {D}\n0\n", "error: ", D),
+    ("pfeval", f"pfgate state 1 {D}\n1\n", "error: line 1: ", D),
+    ("pfeval", f"pfgate state 2 1 {D}\n0 1\n1 0\n", "error: line 1: ", D),
+], ids=["gate-count", "label-count", "duplicate-wiring", "wiring-range", "pf-size",
+        "edge-id-count", "edge-id-sign", "edge-line-count", "endpoint-range", "self-loop",
+        "no-state-gate", "edge-used-twice", "nonzero-diagonal", "not-antisymmetric"])
+def test_cli_names_a_long_refused_value_in_a_short_line(tmp_path, capsys, verb, text,
+                                                         prefix, value):
+    # Each site echoed the whole value: 4027-4069 bytes of stderr.
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    assert main([verb, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(prefix) and out.err.count("\n") == 1
+    assert f"{value[:40]}... ({len(value)} characters)" in out.err
+    assert len(out.err.encode()) < 200
+
+
 def test_cli_reads_an_exponent_at_ten_times_the_digit_limit(tmp_path, capsys):
     # 10**43000 and 10**-43000 are read and cancel round the loop: 1 + 1.
     path = tmp_path / "exp.circuit"

@@ -30,7 +30,7 @@ from detcircuits import (
     Stack,
     validate_pfaffian,
 )
-from detcircuits.pfaffian import _costate_rows, _perm_sign
+from detcircuits.pfaffian import _pair_order, _perm_sign
 from detcircuits.scalars import det_grid, is_exact, scalars_equal
 from circgen import has_sign_gadget, rand_circuit, rand_pf_circuit, rand_ring, rand_skew_grid
 from paper import anti_transpose, determinant, edge_matrix
@@ -681,6 +681,39 @@ def test_compiled_complex_ring_keeps_its_accuracy(seed):
     assert abs(got - want) <= 1e-9 * abs(want)
 
 
+COMPLEX_PAIRS_PF = """\
+pfgate state 4 1 2 3 4
+0 0 0 1+1i
+0 0 2-1i 0
+0 -2+1i 0 0
+-1-1i 0 0 0
+pfgate costate 4 1 2 3 4
+0 0 0 1
+0 0 1 0
+0 -1 0 0
+-1 0 0 0
+"""
+
+
+def test_complex_circuits_skip_the_pair_search(monkeypatch):
+    # Only the exact kernel eliminates in the pair order, so a complex
+    # circuit never searches its costates for unit pairs.
+    rng = random.Random(1)
+    c = rand_ring(rng, 6, 64)
+    circuits = [parse_pfaffian(COMPLEX_PAIRS_PF, "complex"),
+                compile_circuit(i_gauge(c, rng)).target]
+    assert all(_pair_order(pc.costates, 0) for pc in circuits)  # both hold unit pairs
+    want = [pfaffian(edge_matrix(pc)) for pc in circuits]
+    assert want[0] == 7 + 1j and abs(want[1] - evaluate(c)) <= 1e-9 * abs(want[1])
+
+    def no_search(costates, n):
+        raise AssertionError("pair search on a complex circuit")
+
+    monkeypatch.setattr(sys.modules["detcircuits.pfaffian"], "_pair_order", no_search)
+    got = [eval_pfaffian_circuit(pc) for pc in circuits]
+    assert got == want and all(type(v) is complex for v in got)
+
+
 def test_perm_sign_is_the_inversion_parity():
     for n in range(7):
         for perm in permutations(range(1, n + 1)):
@@ -691,9 +724,7 @@ def test_perm_sign_is_the_inversion_parity():
 def renumbering_sign(pc):
     """Sign of the edge order an exact circuit is eliminated in: the
     costates' unit pairs, then the other edges in their natural order."""
-    _, paired = _costate_rows(pc.costates)
-    seen = set(paired)
-    return _perm_sign(paired + [e for e in range(1, pc.edge_count + 1) if e not in seen])
+    return _perm_sign(_pair_order(pc.costates, pc.edge_count))
 
 
 def assert_natural_order_value(pc):
@@ -747,9 +778,8 @@ def test_natural_order_corpus_covers_signs_swaps_and_layouts(monkeypatch):
             seen.add("swap")
         assert_natural_order_value(pc)
         gadgets = pc.states + pc.costates
-        rows, _ = _costate_rows(pc.costates)
-        if any(len(row) > 1 and any(x in (1, -1) for x in row.values())
-               for twisted in rows for row in twisted):
+        if any(row.count(0) < len(row) - 1 and any(x in (1, -1) for x in row)
+               for g in pc.costates for row in g.entries):
             seen.add("unit beside another nonzero")
         if any(type(x) is Fraction and x.denominator > 1
                for g in gadgets for row in g.entries for x in row):
