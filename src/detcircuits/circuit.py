@@ -24,7 +24,7 @@ from operator import mul
 
 from .errors import DanglingWire, DuplicateLabel, SizeMismatch
 from .labeled import LabeledMatrix, Scalar, labeled, permutation_matrix
-from .scalars import det_grid, grid_is_exact
+from .scalars import _name, det_grid, grid_is_exact
 
 Wiring = tuple[tuple[int, int], ...]  # (source output label, target input label)
 
@@ -51,6 +51,14 @@ class Circuit:
     def __post_init__(self):
         validate(self)
 
+    @property
+    def exact(self) -> bool:
+        """True when every gate entry is an int or a Fraction, so the exact
+        kernels run; a circuit with no entries is exact.  Scanned on each
+        read, lazily, so it always agrees with the gates and stops at the
+        first complex gate."""
+        return grid_is_exact(chain.from_iterable(g.entries for s in self.stacks for g in s.gates))
+
 
 def validate(circuit: Circuit) -> None:
     """One wiring per stack, each a bijection between adjacent stack boundaries,
@@ -66,24 +74,24 @@ def validate(circuit: Circuit) -> None:
         seen_dst: set[int] = set()
         for a, b in wiring:
             if a in seen_src:
-                raise DuplicateLabel(f"wiring {k} reuses output {a}")
+                raise DuplicateLabel(f"wiring {k} reuses output {_name(a)}")
             if b in seen_dst:
-                raise DuplicateLabel(f"wiring {k} reuses input {b}")
+                raise DuplicateLabel(f"wiring {k} reuses input {_name(b)}")
             seen_src.add(a)
             seen_dst.add(b)
         if seen_src != set(src):
             missing = set(src) - seen_src
             extra = seen_src - set(src)
-            raise DanglingWire(f"wiring {k}: unmatched outputs {missing or extra}")
+            raise DanglingWire(f"wiring {k}: unmatched outputs {_name(missing or extra)}")
         if seen_dst != set(dst):
             missing = set(dst) - seen_dst
             extra = seen_dst - set(dst)
-            raise DanglingWire(f"wiring {k}: unmatched inputs {missing or extra}")
+            raise DanglingWire(f"wiring {k}: unmatched inputs {_name(missing or extra)}")
         # The sets match, so a shorter set means two gates share a label.
         if len(seen_src) != len(src):
-            raise DuplicateLabel(f"stack {k} repeats an output label in {src}")
+            raise DuplicateLabel(f"stack {k} repeats an output label in {_name(src)}")
         if len(seen_dst) != len(dst):
-            raise DuplicateLabel(f"stack {(k + 1) % m} repeats an input label in {dst}")
+            raise DuplicateLabel(f"stack {(k + 1) % m} repeats an input label in {_name(dst)}")
 
 
 def wiring_matrix(circuit: Circuit, k: int) -> LabeledMatrix:
@@ -119,10 +127,6 @@ def transfer_matrix(circuit: Circuit, k: int) -> LabeledMatrix:
     return labeled(rows, cols, [grid[lab] for lab in rows])
 
 
-def _is_exact(circuit: Circuit) -> bool:
-    return grid_is_exact([row for s in circuit.stacks for g in s.gates for row in g.entries])
-
-
 def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
     """Multiply out one full turn of the loop, read at stack `start`.
 
@@ -146,7 +150,7 @@ def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
     if not 0 <= start < m:
         raise IndexError(f"start {start} out of range for {m} stacks")
     labels = circuit.stacks[start].in_labels
-    exact = _is_exact(circuit)
+    exact = circuit.exact
     rows, scale = (_collapse_exact if exact else _collapse_complex)(circuit, start, labels)
     if exact:
         rows = [[Fraction(v, scale) for v in row] for row in rows]
@@ -245,7 +249,7 @@ def evaluate(circuit: Circuit) -> Scalar:
     if not widths:
         return 1  # the empty circuit: the 0x0 determinant
     start = widths.index(min(widths))
-    exact = _is_exact(circuit)
+    exact = circuit.exact
     rows, scale = (_collapse_exact if exact else _collapse_complex)(
         circuit, start, circuit.stacks[start].in_labels)
     for i, row in enumerate(rows):

@@ -19,14 +19,14 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DuplicateLabel, LabelCollision, LabelMismatch, NotEndomorphism
-from .scalars import Scalar, det_grid, normalize_grid
+from .scalars import Scalar, _name, det_grid, normalize_grid
 
 WireLabel = int
 
 
 def _check_labels(labels: tuple[int, ...], side: str) -> None:
     if len(set(labels)) != len(labels):
-        raise DuplicateLabel(f"repeated {side} label in {labels}")
+        raise DuplicateLabel(f"repeated {side} label in {_name(labels)}")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from math import isinf, prod
 from typing import Sequence
 
@@ -202,7 +202,7 @@ class SkewMatrix:
     def __post_init__(self):
         n = len(self.labels)
         if len(set(self.labels)) != n:
-            raise DuplicateLabel(f"repeated label in {self.labels}")
+            raise DuplicateLabel(f"repeated label in {_name(self.labels)}")
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValueError("skew matrix grid is not square on its labels")
         # Checked once here: pfaffian() and the edge matrix read only i < j.
@@ -282,6 +282,14 @@ class PfaffianCircuit:
         object.__setattr__(self, "edge_count", last)
         validate_pfaffian(self)
 
+    @property
+    def exact(self) -> bool:
+        """True when every gadget entry is an int or a Fraction, so the exact
+        kernel runs; a circuit with no entries is exact.  Scanned on each
+        read, lazily, so the scan stops at the first complex gadget, and an
+        all-zero complex circuit is still complex."""
+        return grid_is_exact(chain.from_iterable(g.entries for g in self.states + self.costates))
+
 
 def validate_pfaffian(pc: PfaffianCircuit) -> None:
     """Every edge id 1..edge_count once among the states and once among the
@@ -290,8 +298,8 @@ def validate_pfaffian(pc: PfaffianCircuit) -> None:
         seen: set[int] = set()
         for g in gates:
             for e in g.labels:
-                if not 1 <= e <= pc.edge_count:
-                    raise DanglingWire(f"edge id {e} outside 1..{pc.edge_count}")
+                if e < 1:  # edge_count is the largest id, so no id exceeds it
+                    raise DanglingWire(f"edge id {_name(e)} outside 1..{_name(pc.edge_count)}")
                 if e in seen:
                     raise DuplicateLabel(f"edge {_name(e)} used twice on the {side} side")
                 seen.add(e)
@@ -345,9 +353,8 @@ def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
     reads every gadget's parsed rows and adds their nonzeros above the
     diagonal into sparse upper-triangle rows, twisting a costate's as it
     reads them; an entry gets at most one term from each side, so the
-    order of the gadgets does not change the sum.  The gadgets, not the
-    rows, say which field's kernel runs, so an all-zero complex circuit
-    still evaluates to 0j.
+    order of the gadgets does not change the sum.  The kernel is the one
+    for pc.exact, so an all-zero complex circuit still evaluates to 0j.
 
     An exact circuit is eliminated in the order of _pair_order: the
     costates' unit pairs first, each pair one pivot pair, then the other
@@ -360,7 +367,7 @@ def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
     digit.
     """
     n = pc.edge_count
-    exact = all(grid_is_exact(g.entries) for g in pc.states + pc.costates)
+    exact = pc.exact
     order = _pair_order(pc.costates, n) if exact else range(1, n + 1)
     at = [0] * (n + 1)  # at[e]: the index edge e is eliminated at
     for k, e in enumerate(order):
@@ -390,5 +397,4 @@ def eval_pfaffian_oracle(pc: PfaffianCircuit) -> Scalar:
     ket = tensor_product_all(map(spf, pc.states))
     bra = tensor_product_all(map(spf_dual, pc.costates))
     value = tensor_compose(bra, ket).component((), ())
-    exact = all(grid_is_exact(g.entries) for g in pc.states + pc.costates)
-    return value if exact else complex(value)
+    return value if pc.exact else complex(value)

@@ -238,11 +238,11 @@ def parse_scalar(token: str, field: str = "rational") -> Scalar:
     raise ValueError(f"unknown field {field!r}")
 
 
-def _name(token: str | int) -> str:
-    """A token as error text, a str quoted and an int as str prints it:
-    whole up to 64 characters, else by its first 40 characters, "..." and
-    its length, so that a refused token of thousands of digits costs one
-    short line."""
+def _name(token: str | int | tuple[int, ...] | set[int]) -> str:
+    """A token as error text, a str quoted and an int, label tuple or label
+    set as str prints it: whole up to 64 characters, else by its first 40
+    characters, "..." and its length, so that a refused token of thousands
+    of digits costs one short line."""
     text = str(token)
     show = repr if type(token) is str else str
     if len(text) <= NAMED_WHOLE:

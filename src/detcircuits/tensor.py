@@ -19,7 +19,7 @@ from itertools import combinations, product
 from math import comb, prod
 from typing import Iterable, Mapping
 
-from .circuit import Circuit, _is_exact, transfer_matrix, wiring_matrix
+from .circuit import Circuit, transfer_matrix, wiring_matrix
 from .errors import LabelCollision, LabelMismatch, TooLarge
 from .labeled import LabeledMatrix, Scalar, submatrix
 from .scalars import det_grid
@@ -151,7 +151,7 @@ def contract_circuit(circuit: Circuit) -> Scalar:
         acc = step if acc is None else tensor_compose(step, acc)
     assert acc is not None
     value = tensor_trace(acc)
-    return value if _is_exact(circuit) else complex(value)
+    return value if circuit.exact else complex(value)
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def enumerate_multicycles(circuit: Circuit) -> tuple[Multicycle, ...]:
         raise TooLarge(f"multicycle enumeration over {tuples} subset tuples > 2**{ORACLE_CAP}")
     # transfer[k] maps the wires entering stack k to the wires entering stack k+1
     transfer = [transfer_matrix(circuit, k) for k in range(m)]
-    one = 1 if _is_exact(circuit) else 1 + 0j
+    one = 1 if circuit.exact else 1 + 0j
 
     def weight_for(subsets: tuple[tuple[int, ...], ...]) -> Scalar:
         w = one

@@ -477,10 +477,12 @@ def test_cli_value_without_entries_prints_in_the_field(tmp_path, capsys, verb):
     # writes for it, a state gadget on no edges.
     path = tmp_path / "empty.circuit"
     path.write_text("stack\n")
+    assert parse_circuit("stack\n", "complex").exact is True
     if verb == "pfeval":
         pf = tmp_path / "empty.pf"
         assert main(["compile", str(path), "-o", str(pf)]) == 0
         assert pf.read_text() == "pfgate state 0\n"
+        assert parse_pfaffian(pf.read_text(), "complex").exact is True
         capsys.readouterr()
         path = pf
     for field, one in (("complex", "1+0i"), ("rational", "1")):
@@ -740,12 +742,23 @@ D = "9" * 4000  # under the digit limit, so it parses and is refused by value
     ("pfeval", f"pfgate state 1 {D}\n0\npfgate state 1 {D}\n0\n", "error: ", D),
     ("pfeval", f"pfgate state 1 {D}\n1\n", "error: line 1: ", D),
     ("pfeval", f"pfgate state 2 1 {D}\n0 1\n1 0\n", "error: line 1: ", D),
+    ("eval", f"stack\ngate 1 2 1 / {D} {D}\n1 1\n", "error: ", f"({D}, {D})"),
+    ("pfeval", f"pfgate state 2 {D} {D}\n0 1\n-1 0\n", "error: line 1: ", f"({D}, {D})"),
+    ("eval", f"stack\ngate 2 2 1 3 / 2 4\n1 0\n0 1\nwiring 0: {D}->2, {D}->4\n",
+     "error: ", D),
+    ("eval", f"stack\ngate 1 1 {D} / 2\n1\nwiring 0: 1->2\n", "error: ", "{" + D + "}"),
+    ("eval", f"stack\ngate 1 1 1 / {D}\n1\nwiring 0: 1->2\n", "error: ", "{" + D + "}"),
+    ("eval", f"stack\ngate 1 1 {D} / 2\n1\ngate 1 0 {D} /\n\nwiring 0: {D}->2\n",
+     "error: ", f"({D}, {D})"),
 ], ids=["gate-count", "label-count", "duplicate-wiring", "wiring-range", "pf-size",
         "edge-id-count", "edge-id-sign", "edge-line-count", "endpoint-range", "self-loop",
-        "no-state-gate", "edge-used-twice", "nonzero-diagonal", "not-antisymmetric"])
+        "no-state-gate", "edge-used-twice", "nonzero-diagonal", "not-antisymmetric",
+        "repeated-gate-label", "repeated-pfgate-edge", "wiring-reuses-output",
+        "unmatched-outputs", "unmatched-inputs", "stack-repeats-output"])
 def test_cli_names_a_long_refused_value_in_a_short_line(tmp_path, capsys, verb, text,
                                                          prefix, value):
-    # Each site echoed the whole value: 4027-4069 bytes of stderr.
+    # Each site echoed the whole value: 4027-4069 bytes of stderr, and
+    # 8034-8038 for a repeated label, which printed the whole label tuple.
     path = tmp_path / "long.txt"
     path.write_text(text)
     assert main([verb, str(path)]) == 2
@@ -1068,6 +1081,7 @@ def test_cli_pfeval_all_zero_complex_file_stays_complex(tmp_path, capsys, n):
     path = tmp_path / "zero.pf"
     path.write_text("".join(f"pfgate {kind} 2 {e} {e + 1}\n{zeros}\n"
                             for kind in ("state", "costate") for e in range(1, n, 2)))
+    assert parse_pfaffian(path.read_text(), "complex").exact is False
     assert main(["pfeval", "--field", "complex", str(path)]) == 0
     assert capsys.readouterr().out == "0+0i\n"
     assert main(["pfeval", str(path)]) == 0

@@ -467,6 +467,7 @@ def test_eval_pfaffian_tiny():
 
 def test_eval_pfaffian_empty():
     pc = PfaffianCircuit((), ())
+    assert pc.exact is True
     assert eval_pfaffian_circuit(pc) == 1
     assert eval_pfaffian_oracle(pc) == 1
 
@@ -475,6 +476,7 @@ def test_eval_pfaffian_of_a_zero_complex_circuit_is_complex():
     # The gadgets say the field: a zero contraction is 0j on both paths.
     zero = [[0j, 0j], [0j, 0j]]
     pc = PfaffianCircuit((skew((1, 2), zero),), (skew((1, 2), zero),))
+    assert pc.exact is False
     for value in (eval_pfaffian_circuit(pc), eval_pfaffian_oracle(pc)):
         assert value == 0j and type(value) is complex
 

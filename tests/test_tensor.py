@@ -16,6 +16,7 @@ from detcircuits import (
     evaluate,
     identity,
     labeled,
+    multicycle_total,
     permutation_matrix,
     principal_minor_sum,
     sdet_expand,
@@ -213,3 +214,16 @@ def test_complex_oracles_give_complex_values():
     values = [contract_circuit(exact)] + [mc.weight for mc in enumerate_multicycles(exact)]
     assert values == [4, 1, 3]
     assert not any(isinstance(v, complex) for v in values)
+
+
+def test_one_complex_gate_makes_the_circuit_complex():
+    # labeled() keeps the first gate's ints; the second gate alone puts the
+    # circuit in the complex field.  The loop is B A = [[i, 2i], [1, 4]], and
+    # det(I + B A) = 5+3i.
+    ints = labeled((1, 2), (3, 4), [[1, 2], [0, 1]])
+    cplx = labeled((5, 6), (7, 8), [[1j, 0], [1, 2]])
+    assert {type(x) for row in ints.entries for x in row} == {int}
+    c = Circuit((Stack((ints,)), Stack((cplx,))), (((1, 7), (2, 8)), ((5, 3), (6, 4))))
+    assert c.exact is False
+    for value in (evaluate(c), contract_circuit(c), multicycle_total(c)):
+        assert type(value) is complex and value == 5 + 3j
