@@ -23,12 +23,13 @@ from math import lcm
 from operator import mul
 
 from .errors import DanglingWire, DuplicateLabel, SizeMismatch
-from .labeled import LabeledMatrix, Scalar, labeled, permutation_matrix
-from .scalars import _name, det_grid, grid_is_exact
+from .labeled import LabeledMatrix, Scalar, _trusted, labeled, permutation_matrix
+from .scalars import _EXACT_TYPES, _name, det_grid, grid_is_exact
 
 Wiring = tuple[tuple[int, int], ...]  # (source output label, target input label)
 
 _INT = frozenset((int,))
+_COMPLEX = frozenset((complex,))
 
 
 @dataclass(frozen=True)
@@ -48,16 +49,22 @@ class Circuit:
     stacks: tuple[Stack, ...]
     wirings: tuple[Wiring, ...]  # wirings[k] crosses the gap after stack k
 
+    # parse_circuit sets this on the circuits it reads in the rational field,
+    # whose every entry it made an int or a Fraction.
+    _exact = False
+
     def __post_init__(self):
         validate(self)
 
     @property
     def exact(self) -> bool:
         """True when every gate entry is an int or a Fraction, so the exact
-        kernels run; a circuit with no entries is exact.  Scanned on each
-        read, lazily, so it always agrees with the gates and stops at the
-        first complex gate."""
-        return grid_is_exact(chain.from_iterable(g.entries for s in self.stacks for g in s.gates))
+        kernels run; a circuit with no entries is exact.  A circuit parsed in
+        the rational field is exact by construction; any other is scanned on
+        each read, lazily, so it always agrees with the gates and stops at
+        the first complex gate."""
+        return self._exact or grid_is_exact(
+            chain.from_iterable(g.entries for s in self.stacks for g in s.gates))
 
 
 def validate(circuit: Circuit) -> None:
@@ -116,15 +123,28 @@ def _stack_rows(circuit: Circuit, k: int) -> list[tuple[int, list[tuple[int, Sca
 
 
 def transfer_matrix(circuit: Circuit, k: int) -> LabeledMatrix:
-    """Stack k then wiring k as one matrix: columns stack k inputs, rows stack k+1 inputs."""
+    """Stack k then wiring k as one matrix: columns stack k inputs, rows stack k+1 inputs.
+
+    The circuit has checked both label lists, and the grid is built to
+    their shape, so the result skips LabeledMatrix's checks.  It holds what
+    labeled() would give: the zeros are 0j beside a kept complex entry and
+    ints otherwise, so an all-0j complex stack gives an exact matrix.
+    Entries of any other mix of types go through labeled()."""
     cols = circuit.stacks[k].in_labels
     rows = circuit.stacks[(k + 1) % len(circuit.stacks)].in_labels
     pos = {lab: j for j, lab in enumerate(cols)}
-    grid = {lab: [0] * len(cols) for lab in rows}
-    for lab, terms in _stack_rows(circuit, k):
+    sparse = _stack_rows(circuit, k)
+    kinds = {type(x) for _, terms in sparse for _, x in terms}
+    zero = 0j if complex in kinds else 0
+    grid = {lab: [zero] * len(cols) for lab in rows}
+    for lab, terms in sparse:
+        row = grid[lab]
         for c, x in terms:
-            grid[lab][pos[c]] = x
-    return labeled(rows, cols, [grid[lab] for lab in rows])
+            row[pos[c]] = x
+    entries = tuple([tuple(grid[lab]) for lab in rows])
+    if _EXACT_TYPES.issuperset(kinds) or kinds == _COMPLEX:
+        return _trusted(LabeledMatrix, rows=rows, cols=cols, entries=entries)
+    return labeled(rows, cols, entries)
 
 
 def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuit import Circuit, transfer_matrix
-from .labeled import LabeledMatrix, identity, labeled
+from .labeled import LabeledMatrix, _trusted, identity, labeled
 from .pfaffian import PfaffianCircuit, SkewMatrix, _perm_sign
 from .scalars import Scalar
 
@@ -57,7 +57,11 @@ def _ring_gates(circuit: Circuit) -> list[LabeledMatrix]:
 
 
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Build a Pfaffian circuit with the same value as the source circuit."""
+    """Build a Pfaffian circuit with the same value as the source circuit.
+
+    Every gadget is a skew embedding on edge ids issued here once each, on
+    both sides, so the gadgets and the target skip their constructors'
+    checks, and the target's edge_count is the last id issued."""
     gates = _ring_gates(circuit)
 
     nxt = 1
@@ -73,7 +77,7 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         nxt += r + c
         row_ids.append(slots[:r])
         col_ids.append(slots[r:])
-        states.append(SkewMatrix(slots, _skew_grid(g.entries, c)))
+        states.append(_trusted(SkewMatrix, labels=slots, entries=_skew_grid(g.entries, c)))
 
     # Pass-through gadget at each boundary: the embedded identity pairing
     # the previous gate's row edges with this gate's column edges.
@@ -81,7 +85,8 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         if this_cols:
             p = len(this_cols)
             eye = [[int(i == j) for j in range(p)] for i in range(p)]
-            costates.append(SkewMatrix(row_ids[k - 1] + this_cols, _skew_grid(eye, p)))
+            costates.append(_trusted(SkewMatrix, labels=row_ids[k - 1] + this_cols,
+                                     entries=_skew_grid(eye, p)))
 
     # The emitted order fixes every term's sign up to one global constant;
     # read it off the all-edges-idle configuration, the costates' label
@@ -91,14 +96,16 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     # sees no extra sign.
     if _perm_sign([e for g in costates for e in g.labels]) < 0:
         x, y = nxt, nxt + 1
-        states.append(SkewMatrix((x, y), _skew_grid([[0]], 1)))
-        costates.append(SkewMatrix((y, x), _skew_grid([[1]], 1)))
+        nxt += 2
+        states.append(_trusted(SkewMatrix, labels=(x, y), entries=_skew_grid([[0]], 1)))
+        costates.append(_trusted(SkewMatrix, labels=(y, x), entries=_skew_grid([[1]], 1)))
 
     source_entries = sum(len(g.rows) * len(g.cols)
                          for s in circuit.stacks for g in s.gates)
     target_entries = sum(g.size ** 2 for g in states + costates)
     return CompiledCircuit(
-        target=PfaffianCircuit(tuple(states), tuple(costates)),
+        target=_trusted(PfaffianCircuit, states=tuple(states), costates=tuple(costates),
+                        edge_count=nxt - 1),
         gadget_count=len(states) + len(costates),
         size_ratio=Fraction(target_entries, max(source_entries, 1)),
     )

@@ -8,8 +8,8 @@ round-trip tests can compare output verbatim.
 from __future__ import annotations
 
 from .circuit import Circuit, Stack, identity_wiring
-from .errors import ParseError, SizeMismatch, ValidationError
-from .labeled import LabeledMatrix
+from .errors import DuplicateLabel, ParseError, SizeMismatch, ValidationError
+from .labeled import LabeledMatrix, _check_labels, _trusted
 from .pfaffian import PfaffianCircuit, SkewMatrix
 from .graphs import Graph
 from .scalars import Scalar, _name, format_scalar, parse_scalar
@@ -117,7 +117,13 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
             rows = tuple(_parse_ints(row_toks, no, "row label"))
             cols = tuple(_parse_ints(col_toks, no, "column label"))
             grid = _parse_grid(lines, r, c, field, no, memo)
-            stacks[-1].append(LabeledMatrix(rows, cols, grid))
+            try:
+                _check_labels(rows, "row")
+                _check_labels(cols, "column")
+            except DuplicateLabel as exc:
+                raise ParseError(no, str(exc)) from None
+            # The grid is r rows of c entries, so no check is left to make.
+            stacks[-1].append(_trusted(LabeledMatrix, rows=rows, cols=cols, entries=grid))
         elif head == "wiring":
             body = line[len("wiring"):].strip()
             if ":" not in body:
@@ -151,7 +157,10 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
                 raise ParseError(
                     stack_lines[k], f"no wiring {k} and boundary sizes differ "
                        f"({len(src)} outputs vs {len(dst)} inputs)") from None
-    return Circuit(built_stacks, tuple(full_wirings))
+    circuit = Circuit(built_stacks, tuple(full_wirings))
+    if field == "rational":  # parse_scalar gave every entry as an int or a Fraction
+        object.__setattr__(circuit, "_exact", True)
+    return circuit
 
 
 def _parse_wiring_pairs(body: str, lineno: int) -> list[tuple[int, int]]:
@@ -226,7 +235,10 @@ def parse_pfaffian(text: str, field: str = "rational") -> PfaffianCircuit:
             sides[kind].append(SkewMatrix(edges, grid))
         except (ValidationError, ValueError) as exc:
             raise ParseError(no, str(exc)) from None
-    return PfaffianCircuit(tuple(sides["state"]), tuple(sides["costate"]))
+    pc = PfaffianCircuit(tuple(sides["state"]), tuple(sides["costate"]))
+    if field == "rational":  # parse_scalar gave every entry as an int or a Fraction
+        object.__setattr__(pc, "_exact", True)
+    return pc
 
 
 def write_pfaffian(pc: PfaffianCircuit) -> str:

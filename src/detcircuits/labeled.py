@@ -49,6 +49,16 @@ class LabeledMatrix:
         return len(self.rows), len(self.cols)
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields, built without
+    __post_init__.  For values compile_circuit and transfer_matrix build
+    consistent by construction, and for gates whose every check
+    parse_circuit has already made; a hand-built value is still checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def labeled(rows: Sequence[int], cols: Sequence[int], entries: Sequence[Sequence]) -> LabeledMatrix:
     """Build a LabeledMatrix, normalizing entry types."""
     return LabeledMatrix(tuple(rows), tuple(cols), normalize_grid(entries))

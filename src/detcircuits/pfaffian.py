@@ -100,15 +100,14 @@ def _pfaffian_complex(a: list[dict]) -> complex:
             pf = -pf
         b, rq = rk[q], a[q]
         pf = pf * b
-        # Schur complement of the pivot pair onto the rows it reaches.
-        cols = set(rk).union(rq)
-        for i in cols:
-            ci, di = rk.get(i, 0), rq.get(i, 0)
-            if i > q and (ci or di):
+        # Schur complement of the pivot pair onto the rows it reaches: each
+        # column past q with its two pivot-row entries, read once, in order.
+        reach = [(j, rk.get(j, 0), rq.get(j, 0)) for j in sorted(set(rk).union(rq)) if j > q]
+        for t, (i, ci, di) in enumerate(reach):
+            if ci or di:
                 ri = a[i]
-                for j in cols:
-                    if j > i:
-                        ri[j] = ri.get(j, 0) + (di * rk.get(j, 0) - ci * rq.get(j, 0)) / b
+                for j, cj, dj in reach[t + 1:]:
+                    ri[j] = ri.get(j, 0) + (di * cj - ci * dj) / b
     return pf
 
 
@@ -272,10 +271,15 @@ def spf_dual(sk: SkewMatrix) -> Tensor:
 @dataclass(frozen=True)
 class PfaffianCircuit:
     """States (the ket) and costates (the bra), each a tuple of gadgets;
-    edge_count is the largest edge id (0 for none).  Checked when built."""
+    edge_count is the largest edge id (0 for none).  Checked when built,
+    except by compile_circuit, which issues every edge id itself."""
     states: tuple[SkewMatrix, ...]
     costates: tuple[SkewMatrix, ...]
     edge_count: int = field(init=False)
+
+    # parse_pfaffian sets this on the circuits it reads in the rational
+    # field, whose every entry it made an int or a Fraction.
+    _exact = False
 
     def __post_init__(self):
         last = max((e for g in self.states + self.costates for e in g.labels), default=0)
@@ -285,10 +289,12 @@ class PfaffianCircuit:
     @property
     def exact(self) -> bool:
         """True when every gadget entry is an int or a Fraction, so the exact
-        kernel runs; a circuit with no entries is exact.  Scanned on each
-        read, lazily, so the scan stops at the first complex gadget, and an
-        all-zero complex circuit is still complex."""
-        return grid_is_exact(chain.from_iterable(g.entries for g in self.states + self.costates))
+        kernel runs; a circuit with no entries is exact.  A circuit parsed in
+        the rational field is exact by construction; any other is scanned on
+        each read, lazily, so the scan stops at the first complex gadget, and
+        an all-zero complex circuit is still complex."""
+        return self._exact or grid_is_exact(
+            chain.from_iterable(g.entries for g in self.states + self.costates))
 
 
 def validate_pfaffian(pc: PfaffianCircuit) -> None:

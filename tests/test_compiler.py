@@ -3,9 +3,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
 
 from detcircuits import (
     Circuit,
+    LabeledMatrix,
+    PfaffianCircuit,
+    SkewMatrix,
     Stack,
     compile_circuit,
     eval_pfaffian_circuit,
@@ -19,11 +23,13 @@ from detcircuits import (
     spf,
     spf_dual,
     submatrix,
+    transfer_matrix,
     validate_pfaffian,
 )
 from detcircuits.pfaffian import _pair_order
 from circgen import has_sign_gadget, rand_circuit, rand_grid
 from paper import determinant, skew_embed, skew_restrict
+from test_circuit import ring_circuits
 
 
 def test_skew_embed_1x1():
@@ -316,3 +322,85 @@ def test_size_ratio_scales_with_gate_dimension():
         out = compile_circuit(c)
         worst = max(worst, out.size_ratio / width)
     assert worst <= 24
+
+
+# --- the trusted path against the checked constructors -----------------------
+
+def _labeled_transfer_matrix(c, k):
+    """Stack k and wiring k as labeled() builds them: int zeros, the nonzero
+    entries placed, the grid normalized."""
+    cols = c.stacks[k].in_labels
+    rows = c.stacks[(k + 1) % len(c.stacks)].in_labels
+    wire = dict(c.wirings[k])
+    grid = {lab: [0] * len(cols) for lab in rows}
+    for g in c.stacks[k].gates:
+        for r, row in zip(g.rows, g.entries):
+            for col, x in zip(g.cols, row):
+                if x:
+                    grid[wire[r]][cols.index(col)] = x
+    return labeled(rows, cols, [grid[lab] for lab in rows])
+
+
+def _types(m):
+    return [[type(x) for x in row] for row in m.entries]
+
+
+def _check_trusted_path(c):
+    """Every transfer matrix is labeled()'s, entry types included; every
+    compiled gadget passes the full skew check, and the target the full
+    edge check, with the same edge_count.  Returns the target."""
+    for k in range(len(c.stacks)):
+        got, want = transfer_matrix(c, k), _labeled_transfer_matrix(c, k)
+        assert got == want and _types(got) == _types(want)
+    target = compile_circuit(c).target
+    for g in target.states + target.costates:
+        assert SkewMatrix(g.labels, g.entries) == g
+    checked = PfaffianCircuit(target.states, target.costates)
+    assert checked == target and checked.edge_count == target.edge_count
+    assert (hash(checked), repr(checked)) == (hash(target), repr(target))
+    return target
+
+
+def _ring_with_an_all_zero_complex_stack():
+    zero = Stack((labeled((1, 2), (3, 4), [[0j, 0j], [0j, 0j]]),))
+    live = Stack((labeled((5, 6), (7, 8), [[1 + 2j, 0j], [0.5j, -1]]),))
+    return Circuit((zero, live), (((1, 7), (2, 8)), ((5, 3), (6, 4))))
+
+
+@given(ring_circuits("rational") | ring_circuits("complex"))
+@example(_ring_with_an_all_zero_complex_stack())
+@settings(max_examples=150, deadline=None)
+def test_trusted_path_matches_the_checked_constructors(c):
+    _check_trusted_path(c)
+
+
+def test_trusted_path_covers_even_rings_sign_fixes_and_empty_boundaries():
+    rng = random.Random(32)
+    seen = set()
+    for field in ("rational", "complex"):
+        for _ in range(80):
+            c = rand_circuit(rng, max_stacks=4, max_wires=3, field=field, lo=-2, hi=2)
+            target = _check_trusted_path(c)
+            seen |= {(field, "even")} if len(c.stacks) % 2 == 0 else set()
+            seen |= {(field, "sign fix")} if has_sign_gadget(target) else set()
+            seen |= {(field, "empty boundary")} if not all(s.in_labels for s in c.stacks) else set()
+    assert seen == {(field, case) for field in ("rational", "complex")
+                    for case in ("even", "sign fix", "empty boundary")}
+
+
+@pytest.mark.parametrize("entries", [
+    ((Fraction(1, 2), 2j),),  # mixed fields: demoted to complex
+    ((0.5, 3),),               # a float: made complex
+    ((2, True),),              # a bool: refused
+], ids=["mixed", "float", "bool"])
+def test_hand_built_gate_entries_are_normalized_as_labeled_does(entries):
+    gate = LabeledMatrix((1,), (2, 3), entries)
+    c = Circuit((Stack((gate, labeled((2, 3), (1,), [[1], [1]]))),), (((1, 1), (2, 2), (3, 3)),))
+    try:
+        want = _labeled_transfer_matrix(c, 0)
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=str(exc)):
+            transfer_matrix(c, 0)
+    else:
+        got = transfer_matrix(c, 0)
+        assert got == want and _types(got) == _types(want)

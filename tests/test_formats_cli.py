@@ -6,7 +6,10 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
+from itertools import chain
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +39,7 @@ from detcircuits import (
 )
 from detcircuits.cli import INT_MAX_STR_DIGITS, main
 import detcircuits.formats as formats
-from detcircuits.scalars import format_scalar, parse_scalar, scalars_equal
+from detcircuits.scalars import format_scalar, grid_is_exact, parse_scalar, scalars_equal
 from circgen import pf_blocks, rand_circuit, rand_grid, rand_skew_grid
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -1175,6 +1178,17 @@ PARSE_ERROR_TEXT = [
     ("bad-entry-after-seen-tokens", "eval",
      "stack\ngate 2 2 1 2 / 1 2\n5 1/2\n1/2 5q\n", [],
      2, "", "error: line 4: bad rational '5q': Invalid literal for Fraction: '5q'\n"),
+    # A repeated gate label names its gate's line; a bad entry of the same
+    # gate is still reported first, and a later fault after it.
+    ("repeated-column-label", "eval", "stack\ngate 1 2 1 / 5 5\n1 1\n", [],
+     2, "", "error: line 2: repeated column label in (5, 5)\n"),
+    ("repeated-row-before-column-label", "eval", "stack\ngate 2 2 1 1 / 5 5\n1 1\n1 1\n", [],
+     2, "", "error: line 2: repeated row label in (1, 1)\n"),
+    ("bad-entry-before-repeated-label", "eval", "stack\ngate 1 2 1 / 5 5\n1 q\n", [],
+     2, "", "error: line 3: bad rational 'q': Invalid literal for Fraction: 'q'\n"),
+    ("repeated-label-before-later-fault", "eval",
+     "stack\ngate 1 2 1 / 5 5\n1 1\nstack\ngate 1 1 x / 1\n1\n", [],
+     2, "", "error: line 2: repeated column label in (5, 5)\n"),
     ("unknown-field", "eval", "stack\ngate 1 1 1 / 1\n5\n", ["--field", "integer"],
      1, "", "usage error: argument --field: invalid choice: 'integer' "
             "(choose from 'rational', 'complex')\n"),
@@ -1188,6 +1202,50 @@ def test_cli_parse_error_text(tmp_path, verb, text, flags, code, out, err):
     path = tmp_path / "input"
     path.write_text(text)
     assert _run([verb, str(path)] + flags) == (code, out, err)
+
+
+def _scan(gates) -> bool:
+    return grid_is_exact(chain.from_iterable(g.entries for g in gates))
+
+
+ENTRYLESS_CIRCUITS = ["", "stack\ngate 0 0 /\n", "stack\ngate 2 0 1 2 /\n\n\nstack\ngate 0 2 / 3 4\n"]
+
+
+@pytest.mark.parametrize("field", ["rational", "complex"])
+def test_parsed_field_agrees_with_the_scan(field):
+    # A rational parse records its field; a complex one scans, and an
+    # entry-less file scans True in either field.
+    rng = random.Random(32)
+    texts = [write_circuit(rand_circuit(rng, field=field)) for _ in range(40)] + ENTRYLESS_CIRCUITS
+    for text in texts:
+        c = parse_circuit(text, field)
+        assert c.exact == _scan([g for s in c.stacks for g in s.gates])
+        pc = parse_pfaffian(write_pfaffian(compile_circuit(c).target), field)
+        assert pc.exact == _scan(pc.states + pc.costates)
+    for text in ENTRYLESS_CIRCUITS:
+        assert parse_circuit(text, field).exact
+
+
+def test_rational_parse_skips_the_scan_and_a_hand_built_circuit_scans():
+    c = parse_circuit((DATA / "ring3.circuit").read_text())
+    pc = parse_pfaffian(write_pfaffian(compile_circuit(c).target))
+    with patch("detcircuits.circuit.grid_is_exact", side_effect=AssertionError), \
+            patch("detcircuits.pfaffian.grid_is_exact", side_effect=AssertionError):
+        assert c.exact and pc.exact
+    # The recorded field is not a field of the dataclass: equality, hash
+    # and repr are those of the same circuit built by hand, which scans.
+    for parsed, hand_built in ((c, Circuit(c.stacks, c.wirings)),
+                               (pc, PfaffianCircuit(pc.states, pc.costates))):
+        assert hand_built.exact and hand_built == parsed
+        assert (hash(hand_built), repr(hand_built)) == (hash(parsed), repr(parsed))
+    # Built by hand with a complex gate, they scan complex.
+    complex_stacks = tuple([Stack(tuple([labeled(g.rows, g.cols, [[complex(x) for x in row]
+                                                                  for row in g.entries])
+                                         for g in s.gates])) for s in c.stacks])
+    assert not replace(c, stacks=complex_stacks).exact
+    complex_states = tuple([skew(g.labels, [[complex(x) for x in row] for row in g.entries])
+                            for g in pc.states])
+    assert not PfaffianCircuit(complex_states, pc.costates).exact
 
 
 @pytest.mark.parametrize("parse, text, line", [

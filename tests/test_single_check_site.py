@@ -6,7 +6,13 @@ place in the package, their type's __post_init__, and no consumer re-checks
 a circuit it is handed.  In circuit, tensor and pfaffian the entry type scan
 `grid_is_exact` runs only in the two `exact` properties and in `pfaffian`
 and `pfaffian_oracle`, which take bare grids; every other consumer reads
-`exact`.  An ast scan, like tests/test_imports_used.py.
+`exact`.
+
+The trusted constructor `labeled._trusted`, which skips __post_init__, is
+read only in compile_circuit, transfer_matrix and parse_circuit, the code
+that builds or has just checked what it holds; parse_pfaffian keeps the
+full gadget check.  Only the two parsers record a circuit's field.  An ast
+scan, like tests/test_imports_used.py.
 """
 
 import ast
@@ -16,12 +22,15 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "detcircuits"
 CHECKS = {"validate": "Circuit.__post_init__",
           "validate_pfaffian": "PfaffianCircuit.__post_init__"}
 FIELD_MODULES = ("circuit.py", "tensor.py", "pfaffian.py")
+TRUSTED_READERS = ["compile_circuit", "parse_circuit", "transfer_matrix"]
+FIELD_SETTERS = ["parse_circuit", "parse_pfaffian"]
 FIELD_SCANS = [("grid_is_exact", "Circuit.exact"), ("grid_is_exact", "PfaffianCircuit.exact"),
                ("grid_is_exact", "pfaffian"), ("grid_is_exact", "pfaffian_oracle")]
 
 
-def check_calls(source: str, names=CHECKS) -> list[tuple[str, str]]:
-    """(name, enclosing class and function names) for each call of one of names."""
+def sites(source: str, hit) -> list[tuple[str, str]]:
+    """(hit(node), enclosing class and function names) for each node of the
+    source, other than a class or function definition, that hit names."""
     found = []
 
     def visit(node, where):
@@ -29,15 +38,24 @@ def check_calls(source: str, names=CHECKS) -> list[tuple[str, str]]:
             inner = where
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = where + (child.name,)
-            elif isinstance(child, ast.Call):
-                f = child.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in names:
+            else:
+                name = hit(child)
+                if name:
                     found.append((name, ".".join(where)))
             visit(child, inner)
 
     visit(ast.parse(source), ())
     return found
+
+
+def check_calls(source: str, names=CHECKS) -> list[tuple[str, str]]:
+    """(name, enclosing class and function names) for each call of one of names."""
+    def call(node):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            return name if name in names else None
+    return sites(source, call)
 
 
 def defined(source: str) -> set[str]:
@@ -89,3 +107,38 @@ def test_the_field_is_scanned_only_in_exact_and_the_bare_grid_pfaffians():
     calls = [call for source in sources for call in check_calls(source, {"grid_is_exact"})]
     assert sorted(calls) == FIELD_SCANS
     assert not any("_is_exact" in defined(source) for source in sources)
+
+
+def reads(source: str, name: str) -> list[str]:
+    """Enclosing class and function names of each read of name, as a bare
+    name, an attribute or a string constant, so an alias is seen too.  A
+    definition or an import is not a read."""
+    def read(node):
+        return name if (isinstance(node, ast.Name) and node.id == name
+                        and isinstance(node.ctx, ast.Load)
+                        or isinstance(node, ast.Attribute) and node.attr == name
+                        or isinstance(node, ast.Constant) and node.value == name) else None
+    return [where for _, where in sites(source, read)]
+
+
+def test_reads_flag_a_stray_caller_and_an_alias():
+    source = ("from .labeled import _trusted\n"
+              "def compile_circuit(c):\n"
+              "    return _trusted(SkewMatrix, labels=())\n"
+              "def collapse(c):\n"
+              "    return labeled._trusted(LabeledMatrix, rows=())\n"
+              "build = _trusted\n"
+              "class Circuit:\n"
+              "    _exact = False\n"
+              "def evaluate(c):\n"
+              "    object.__setattr__(c, '_exact', True)\n")
+    assert reads(source, "_trusted") == ["compile_circuit", "collapse", ""]
+    assert reads(source, "_exact") == ["evaluate"]
+
+
+def test_the_trusted_constructor_runs_only_where_the_values_are_known():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert sorted({where for source in sources
+                   for where in reads(source, "_trusted")}) == TRUSTED_READERS
+    setters = {where for source in sources for where in reads(source, "_exact")}
+    assert sorted(setters - {"Circuit.exact", "PfaffianCircuit.exact"}) == FIELD_SETTERS
