@@ -65,12 +65,9 @@ from .pfaffian import (
     PfaffianCircuit,
     SkewMatrix,
     eval_pfaffian_circuit,
-    eval_pfaffian_oracle,
     pfaffian,
     pfaffian_oracle,
     skew,
-    spf,
-    spf_dual,
     validate_pfaffian,
 )
 from .scalars import Scalar, format_scalar, parse_scalar, scalars_equal
@@ -79,8 +76,11 @@ from .tensor import (
     Tensor,
     contract_circuit,
     enumerate_multicycles,
+    eval_pfaffian_oracle,
     multicycle_total,
     sdet_expand,
+    spf,
+    spf_dual,
     tensor_compose,
     tensor_product,
     tensor_trace,

@@ -24,7 +24,7 @@ from operator import mul
 
 from .errors import DanglingWire, DuplicateLabel, SizeMismatch
 from .labeled import LabeledMatrix, Scalar, _trusted, labeled, permutation_matrix
-from .scalars import _EXACT_TYPES, _name, det_grid, grid_is_exact
+from .scalars import _EXACT_TYPES, _det_bareiss_int, _det_complex, _name, grid_is_exact
 
 Wiring = tuple[tuple[int, int], ...]  # (source output label, target input label)
 
@@ -261,9 +261,10 @@ def evaluate(circuit: Circuit) -> Scalar:
     det(I + YX) makes every boundary give the same value), so the cost is
     O(depth * w^2 * w_min) plus one w_min x w_min determinant.  Both fields
     collapse to rows A and a scale s, and det(I + A / s) = det(sI + A) / s^w:
-    an exact collapse stays in ints, and a complex one has s = 1.  A complex
-    circuit gives a complex value even when w_min is 0 and the determinant
-    is the empty one.
+    an exact collapse stays in ints, its rows go to the Bareiss kernel, and
+    the value is the Fraction det / s^w; a complex one has s = 1 and goes to
+    the complex kernel.  When w_min is 0 the determinant is the empty one: 1
+    in the rational field and 1+0j in the complex one.
     """
     widths = [len(s.in_labels) for s in circuit.stacks]
     if not widths:
@@ -274,10 +275,9 @@ def evaluate(circuit: Circuit) -> Scalar:
         circuit, start, circuit.stacks[start].in_labels)
     for i, row in enumerate(rows):
         row[i] += scale
-    value = det_grid(rows)
     if not exact:
-        return complex(value)
-    return value / scale ** len(rows) if rows else value  # 1 / 1 would be a float
+        return _det_complex(rows)
+    return Fraction(_det_bareiss_int(rows), scale ** len(rows)) if rows else 1
 
 
 def identity_wiring(src: tuple[int, ...], dst: tuple[int, ...]) -> Wiring:

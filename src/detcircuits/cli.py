@@ -19,6 +19,7 @@ from .circuit import evaluate
 from .compiler import compile_circuit
 from .errors import ParseError, ValidationError
 from .formats import (
+    _lines,
     parse_circuit,
     parse_graph,
     parse_pfaffian,
@@ -98,7 +99,9 @@ def _read(path: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # The bytes before the first bad one decode, and are cut into lines
+        # as the parsers cut them.
+        line = len(_lines(data[:exc.start].decode("utf-8")))
         raise ParseError(line, f"{path} is not UTF-8 text ({exc.reason})") from None
 
 

@@ -11,13 +11,22 @@ from .circuit import Circuit, Stack, identity_wiring
 from .errors import DuplicateLabel, ParseError, SizeMismatch, ValidationError
 from .labeled import LabeledMatrix, _check_labels, _trusted
 from .pfaffian import PfaffianCircuit, SkewMatrix
-from .graphs import Graph
+from .graphs import Graph, _check_edge
 from .scalars import Scalar, _name, format_scalar, parse_scalar
+
+
+def _lines(text: str) -> list[str]:
+    """text cut into lines at \\n, \\r\\n and \\r only.  str.splitlines also
+    ends a line at \\x0b, \\x0c, \\x1c-\\x1e, \\x85, U+2028 and U+2029, which
+    may stand inside a comment or between tokens."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def _significant(text: str):
     """Yield (lineno, stripped line) skipping blanks and # comments."""
-    for no, raw in enumerate(text.splitlines(), start=1):
+    for no, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -280,14 +289,20 @@ def parse_graph(text: str) -> Graph:
         toks = line.split()
         if len(toks) != 2:
             raise ParseError(no, "edge line must be: u v")
-        edges.append(tuple(_parse_ints(toks, no, "endpoint")))
+        u, v = _parse_ints(toks, no, "endpoint")
+        try:
+            _check_edge(n, u, v)
+        except ValidationError as exc:
+            raise ParseError(no, str(exc)) from None
+        edges.append((u, v))
     try:
         no, line = next(lines)
     except StopIteration:
         pass
     else:
         raise ParseError(no, "trailing content after last edge")
-    return Graph(n, tuple(edges))
+    # Each edge was checked on its line, so no check is left to make.
+    return _trusted(Graph, vertex_count=n, edges=tuple(edges))
 
 
 def write_graph(g: Graph) -> str:

@@ -32,10 +32,16 @@ class Graph:
 
     def __post_init__(self):
         for u, v in self.edges:
-            if not (1 <= u <= self.vertex_count and 1 <= v <= self.vertex_count):
-                raise ValidationError(f"edge ({_name(u)},{_name(v)}) endpoint out of range")
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {_name(u)}")
+            _check_edge(self.vertex_count, u, v)
+
+
+def _check_edge(n: int, u: int, v: int) -> None:
+    """Both endpoints in 1..n and distinct; parse_graph checks each edge line
+    with it, and a hand-built Graph each of its edges."""
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise ValidationError(f"edge ({_name(u)},{_name(v)}) endpoint out of range")
+    if u == v:
+        raise ValidationError(f"self-loop at vertex {_name(u)}")
 
 
 def reorient(g: Graph, seed: int) -> Graph:

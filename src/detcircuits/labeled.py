@@ -52,8 +52,9 @@ class LabeledMatrix:
 def _trusted(cls, **fields):
     """An instance of the frozen dataclass cls holding fields, built without
     __post_init__.  For values compile_circuit and transfer_matrix build
-    consistent by construction, and for gates whose every check
-    parse_circuit has already made; a hand-built value is still checked."""
+    consistent by construction, and for gates and graphs whose every check
+    parse_circuit or parse_graph has already made; a hand-built value is
+    still checked."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj

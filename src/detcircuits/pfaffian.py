@@ -4,10 +4,10 @@ A Pfaffian circuit is a ket of states and a bra of costates, each a
 skew matrix over its edge list, and each edge id lies on exactly one
 state and exactly one costate.  Its value is the bra contracted with the
 ket, the product of the states' sub-Pfaffian tensors against the product
-of the costates' (eval_pfaffian_oracle).  The fast path computes it as a
-single Pfaffian of an edge-indexed matrix: the state entries and the
-costate entries, the latter twisted by a checkerboard sign as they are
-read, add into one skew matrix, and the value is its Pfaffian.  That
+of the costates' (tensor.eval_pfaffian_oracle).  The fast path computes
+it as a single Pfaffian of an edge-indexed matrix: the state entries and
+the costate entries, the latter twisted by a checkerboard sign as they
+are read, add into one skew matrix, and the value is its Pfaffian.  That
 Pfaffian equals the contraction only for suitable edge numberings, such
 as the compiler's; for others, as in a hand-written .pf file, it can be
 the contraction's negative or another value.  Of 1000 random circuits of
@@ -35,7 +35,6 @@ from typing import Sequence
 from .errors import DanglingWire, DuplicateLabel, NotSkew, TooLarge
 from .scalars import (Scalar, _name, clear_denominators, grid_is_exact, normalize_grid,
                       scalars_equal)
-from .tensor import ORACLE_CAP, Tensor, _subset_bits, tensor_compose, tensor_product_all
 
 PF_ORACLE_MAX = 12
 
@@ -229,45 +228,6 @@ def skew(labels: Sequence[int], entries: Sequence[Sequence]) -> SkewMatrix:
     return SkewMatrix(tuple(labels), normalize_grid(entries))
 
 
-def _sub_pfaffians(sk: SkewMatrix):
-    """(bits, Pf) for every even subset of sk's indices whose Pfaffian is nonzero.
-
-    Built two sizes at a time with no Pfaffian kernel: Pf on p0 < p1 < ...
-    is the sum over t >= 1 of (-1)^(t+1) a[p0][pt] times Pf on the subset
-    less p0 and pt, read from the nonzero sub-Pfaffians of the size below,
-    kept by position tuple.  The empty subset gives 1."""
-    n = sk.size
-    if n > ORACLE_CAP:
-        raise TooLarge(f"sub-pfaffian expansion over {n} wires")
-    yield _subset_bits(n, ()), 1
-    smaller: dict[tuple[int, ...], Scalar] = {(): 1}
-    for s in range(2, n + 1, 2):
-        found: dict[tuple[int, ...], Scalar] = {}
-        for pos in combinations(range(n), s):
-            row, v = sk.entries[pos[0]], 0
-            for t in range(1, s):
-                x = row[pos[t]]
-                if x:
-                    rest = pos[1:t] + pos[t + 1:]
-                    if rest in smaller:
-                        v = v + x * smaller[rest] if t & 1 else v - x * smaller[rest]
-            if v != 0:
-                found[pos] = v
-                yield _subset_bits(n, pos), v
-        smaller = found
-
-
-def spf(sk: SkewMatrix) -> Tensor:
-    """State tensor of all sub-Pfaffians: subset I carries Pf on I."""
-    return Tensor(sk.labels, (), {(bits, ()): v for bits, v in _sub_pfaffians(sk)})
-
-
-def spf_dual(sk: SkewMatrix) -> Tensor:
-    """Costate tensor: subset I carries Pf on the complement of I."""
-    return Tensor((), sk.labels, {((), tuple([1 - b for b in bits])): v
-                                  for bits, v in _sub_pfaffians(sk)})
-
-
 @dataclass(frozen=True)
 class PfaffianCircuit:
     """States (the ket) and costates (the bra), each a tuple of gadgets;
@@ -393,14 +353,3 @@ def eval_pfaffian_circuit(pc: PfaffianCircuit) -> Scalar:
     if exact:
         return _perm_sign(order) * _pfaffian_exact(rows)
     return _pfaffian_complex(rows)
-
-
-def eval_pfaffian_oracle(pc: PfaffianCircuit) -> Scalar:
-    """Oracle evaluation: ⟨⊗ spf_dual(costates) | ⊗ spf(states)⟩, edge by edge.
-    A complex circuit gives a complex value, a zero one too."""
-    if pc.edge_count > ORACLE_CAP:
-        raise TooLarge(f"oracle contraction over {pc.edge_count} edges")
-    ket = tensor_product_all(map(spf, pc.states))
-    bra = tensor_product_all(map(spf_dual, pc.costates))
-    value = tensor_compose(bra, ket).component((), ())
-    return value if pc.exact else complex(value)

@@ -79,24 +79,21 @@ def scalars_equal(a: Scalar, b: Scalar) -> bool:
 def det_grid(grid: Sequence[Sequence[Scalar]]) -> Scalar:
     """Determinant of a square grid; det of the 0x0 grid is 1.
 
-    Exact grids go through fraction-free Bareiss elimination on dense int
-    rows: an all-int grid on row copies, one with Fractions on a
-    denominator-cleared copy.  A pivot updates only the rows it reaches (a
-    nonzero in its column); every other row keeps a stamp, the pivot at
+    Exact grids go through fraction-free Bareiss elimination on a
+    denominator-cleared int copy.  A pivot updates only the rows it reaches
+    (a nonzero in its column); every other row keeps a stamp, the pivot at
     which it was last current, and is rescaled by the exact division of its
     next update, as the Pfaffian kernel's _catch_up does.  So the work
     follows the rows each pivot reaches, and a banded or block grid costs
     far less than n^3.  A nonempty exact grid's value is a Fraction.
-    Complex grids use LU with partial pivoting.
+    Complex grids use LU with partial pivoting.  evaluate and the graph
+    verbs call the kernels directly on rows they have just built.
     """
     n = len(grid)
     if any(len(row) != n for row in grid):
         raise ValueError("det_grid requires a square grid")
     if n == 0:
         return 1
-    # Each type scan stops at its first miss, so a complex grid costs two reads.
-    if {int}.issuperset(map(type, chain.from_iterable(grid))):
-        return Fraction(_det_bareiss_int([list(row) for row in grid]))
     if grid_is_exact(grid):
         a, factors = clear_denominators(grid)  # det scales by prod(d)
         return Fraction(_det_bareiss_int(a), prod(factors))

@@ -6,9 +6,10 @@ the subsets have different sizes, and 1 at the empty pair.  Tensor legs
 follow the wire lists, one bit per wire, leftmost wire first.  Composing
 and tracing these tensors is exponentially slow, which is the point:
 contract_circuit() is the independent oracle the fast determinant path
-is checked against.  ORACLE_CAP bounds its size: wires per minor
-expansion, and the base-2 logarithm of the subset tuples a multicycle
-enumeration may try.  The Pfaffian oracles share it.
+is checked against, and spf, spf_dual and eval_pfaffian_oracle are the
+Pfaffian side's.  ORACLE_CAP bounds them all: wires per minor or
+sub-Pfaffian expansion, edges per Pfaffian contraction, and the base-2
+logarithm of the subset tuples a multicycle enumeration may try.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Iterable, Mapping
 from .circuit import Circuit, transfer_matrix, wiring_matrix
 from .errors import LabelCollision, LabelMismatch, TooLarge
 from .labeled import LabeledMatrix, Scalar, submatrix
+from .pfaffian import PfaffianCircuit, SkewMatrix
 from .scalars import det_grid
 
 Bits = tuple[int, ...]
@@ -207,3 +209,53 @@ def enumerate_multicycles(circuit: Circuit) -> tuple[Multicycle, ...]:
 
 def multicycle_total(circuit: Circuit) -> Scalar:
     return sum(mc.weight for mc in enumerate_multicycles(circuit))
+
+
+def _sub_pfaffians(sk: SkewMatrix):
+    """(bits, Pf) for every even subset of sk's indices whose Pfaffian is nonzero.
+
+    Built two sizes at a time with no Pfaffian kernel: Pf on p0 < p1 < ...
+    is the sum over t >= 1 of (-1)^(t+1) a[p0][pt] times Pf on the subset
+    less p0 and pt, read from the nonzero sub-Pfaffians of the size below,
+    kept by position tuple.  The empty subset gives 1."""
+    n = sk.size
+    if n > ORACLE_CAP:
+        raise TooLarge(f"sub-pfaffian expansion over {n} wires")
+    yield _subset_bits(n, ()), 1
+    smaller: dict[tuple[int, ...], Scalar] = {(): 1}
+    for s in range(2, n + 1, 2):
+        found: dict[tuple[int, ...], Scalar] = {}
+        for pos in combinations(range(n), s):
+            row, v = sk.entries[pos[0]], 0
+            for t in range(1, s):
+                x = row[pos[t]]
+                if x:
+                    rest = pos[1:t] + pos[t + 1:]
+                    if rest in smaller:
+                        v = v + x * smaller[rest] if t & 1 else v - x * smaller[rest]
+            if v != 0:
+                found[pos] = v
+                yield _subset_bits(n, pos), v
+        smaller = found
+
+
+def spf(sk: SkewMatrix) -> Tensor:
+    """State tensor of all sub-Pfaffians: subset I carries Pf on I."""
+    return Tensor(sk.labels, (), {(bits, ()): v for bits, v in _sub_pfaffians(sk)})
+
+
+def spf_dual(sk: SkewMatrix) -> Tensor:
+    """Costate tensor: subset I carries Pf on the complement of I."""
+    return Tensor((), sk.labels, {((), tuple([1 - b for b in bits])): v
+                                  for bits, v in _sub_pfaffians(sk)})
+
+
+def eval_pfaffian_oracle(pc: PfaffianCircuit) -> Scalar:
+    """Oracle evaluation: ⟨⊗ spf_dual(costates) | ⊗ spf(states)⟩, edge by edge.
+    A complex circuit gives a complex value, a zero one too."""
+    if pc.edge_count > ORACLE_CAP:
+        raise TooLarge(f"oracle contraction over {pc.edge_count} edges")
+    ket = tensor_product_all(map(spf, pc.states))
+    bra = tensor_product_all(map(spf_dual, pc.costates))
+    value = tensor_compose(bra, ket).component((), ())
+    return value if pc.exact else complex(value)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from detcircuits import (
     Circuit,
     ForestPolynomial,
+    Graph,
     ParseError,
     PfaffianCircuit,
     Stack,
@@ -137,8 +138,43 @@ def test_parse_graph_errors():
     assert "trailing" in e.value.reason
     with pytest.raises(ParseError):
         parse_graph("2 x\n")
-    with pytest.raises(ValidationError):
-        parse_graph("2 1\n1 1\n")  # self-loop caught by graph validation
+    with pytest.raises(ParseError) as e:
+        parse_graph("2 1\n1 1\n")  # self-loop caught on its edge line
+    assert e.value.line == 2
+
+
+@pytest.mark.parametrize("text, lineno, reason", [
+    ("3 1\n1 5\n", 2, "edge (1,5) endpoint out of range"),
+    ("3 2\n1 2\n0 1\n", 3, "edge (0,1) endpoint out of range"),
+    ("3 2\n1 2\n\n# loop\n2 2\n", 5, "self-loop at vertex 2"),
+    ("3 3\n1 5\nx y\n", 2, "edge (1,5) endpoint out of range"),  # before the later fault
+])
+def test_parse_graph_names_the_line_of_a_bad_edge(text, lineno, reason):
+    with pytest.raises(ParseError) as e:
+        parse_graph(text)
+    assert (e.value.line, e.value.reason) == (lineno, reason)
+
+
+def test_a_hand_built_graph_checks_its_edges_and_equals_the_parsed_one():
+    with pytest.raises(ValidationError, match=r"^edge \(1,5\) endpoint out of range$"):
+        Graph(3, ((1, 2), (1, 5)))
+    with pytest.raises(ValidationError, match="^self-loop at vertex 2$"):
+        Graph(3, ((2, 2),))
+    for name in ("triangle.graph", "k4.graph", "triangle_plus_isolated.graph"):
+        g = parse_graph((DATA / name).read_text())
+        built = Graph(g.vertex_count, tuple(g.edges))
+        assert (g, hash(g), repr(g)) == (built, hash(built), repr(built))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("3 1\n1 5\n", "error: line 2: edge (1,5) endpoint out of range\n"),
+    ("3 1\n1 1\n", "error: line 2: self-loop at vertex 1\n"),
+])
+def test_cli_graph_edge_errors_name_their_line(tmp_path, text, want):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    for verb in ("forests", "trees", "poly"):
+        assert _run([verb, str(path)]) == (2, "", want)
 
 
 def test_cli_eval_frozen_values(capsys):
@@ -590,6 +626,46 @@ def test_cli_non_utf8_file_exits_2(tmp_path, capsys, verb, name):
     assert out.err.count("\n") == 1
 
 
+BAD_X = "error: line 4: bad rational 'x': Invalid literal for Fraction: 'x'\n"
+
+
+# Only \n, \r\n and \r end a line.  str.splitlines also ended one at a form
+# feed or U+2028, so the rest of the comment read as a directive: "error:
+# line 3: unknown directive 'more'".
+@pytest.mark.parametrize("text, want", [
+    ("stack\n# note\x0cmore\ngate 1 1 1 / 2\nx\n", (2, "", BAD_X)),
+    ("stack\n# note\u2028more\ngate 1 1 1 / 2\nx\n", (2, "", BAD_X)),
+    ("stack\n# note\x0cmore\ngate 1 1 1 / 2\n3\n", (0, "4\n", "")),
+    ("stack\r\n# note\r\ngate 1 1 1 / 2\r\nx\r\n", (2, "", BAD_X)),
+    ("stack\r# note\rgate 1 1 1 / 2\rx\r", (2, "", BAD_X)),
+], ids=["form-feed", "line-separator", "form-feed-evaluates", "crlf", "lone-cr"])
+def test_only_newline_and_carriage_return_end_a_line(tmp_path, text, want):
+    path = tmp_path / "input.circuit"
+    path.write_bytes(text.encode("utf-8"))
+    assert _run(["eval", str(path)]) == want
+
+
+@pytest.mark.parametrize("name, verb", [
+    ("ring3.circuit", "eval"), ("ring3.pf", "pfeval"), ("k4.graph", "poly")])
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_crlf_and_cr_files_read_as_their_newline_form(tmp_path, name, verb, end):
+    text = (DATA / name).read_text()
+    path = tmp_path / name
+    path.write_bytes(text.replace("\n", end).encode("utf-8"))
+    want = _run([verb, str(DATA / name)])
+    assert want[0] == 0 and _run([verb, str(path)]) == want
+
+
+@pytest.mark.parametrize("data, lineno", [
+    (b"# ok\r\n\xff\n", 2), (b"# ok\r\xff", 2), (b"# a\x0cb\n\xff", 2),
+    (b"# a\xe2\x80\xa8b\r\n\r\n\xff", 3), (b"\xff", 1)])
+def test_cli_non_utf8_line_counts_the_parsers_line_ends(tmp_path, capsys, data, lineno):
+    path = tmp_path / "bad.circuit"
+    path.write_bytes(data)
+    assert main(["eval", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {lineno}: {path} is not UTF-8")
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-infi", "1e400", "1+nani"])
 def test_non_finite_complex_entries_are_parse_errors(tmp_path, capsys, token):
     with pytest.raises(ParseError) as e:
@@ -739,8 +815,8 @@ D = "9" * 4000  # under the digit limit, so it parses and is refused by value
     ("pfeval", f"pfgate state {D} 1 2\n0 1\n-1 0\n", "error: line 1: ", D),
     ("pfeval", f"pfgate state 2 1 -{D}\n0 1\n-1 0\n", "error: line 1: ", "-" + D),
     ("trees", f"2 {D}\n1 2\n", "error: line 2: ", D),
-    ("trees", f"2 1\n1 {D}\n", "error: ", D),
-    ("trees", f"{D} 1\n{D} {D}\n", "error: ", D),
+    ("trees", f"2 1\n1 {D}\n", "error: line 2: ", D),
+    ("trees", f"{D} 1\n{D} {D}\n", "error: line 2: ", D),
     ("pfeval", f"pfgate costate 1 {D}\n0\n", "error: ", D),
     ("pfeval", f"pfgate state 1 {D}\n0\npfgate state 1 {D}\n0\n", "error: ", D),
     ("pfeval", f"pfgate state 1 {D}\n1\n", "error: line 1: ", D),

@@ -9,10 +9,10 @@ and `pfaffian_oracle`, which take bare grids; every other consumer reads
 `exact`.
 
 The trusted constructor `labeled._trusted`, which skips __post_init__, is
-read only in compile_circuit, transfer_matrix and parse_circuit, the code
-that builds or has just checked what it holds; parse_pfaffian keeps the
-full gadget check.  Only the two parsers record a circuit's field.  An ast
-scan, like tests/test_imports_used.py.
+read only in compile_circuit, transfer_matrix, parse_circuit and
+parse_graph, the code that builds or has just checked what it holds;
+parse_pfaffian keeps the full gadget check.  Only the two parsers record a
+circuit's field.  An ast scan, like tests/test_imports_used.py.
 """
 
 import ast
@@ -22,7 +22,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "detcircuits"
 CHECKS = {"validate": "Circuit.__post_init__",
           "validate_pfaffian": "PfaffianCircuit.__post_init__"}
 FIELD_MODULES = ("circuit.py", "tensor.py", "pfaffian.py")
-TRUSTED_READERS = ["compile_circuit", "parse_circuit", "transfer_matrix"]
+TRUSTED_READERS = ["compile_circuit", "parse_circuit", "parse_graph", "transfer_matrix"]
 FIELD_SETTERS = ["parse_circuit", "parse_pfaffian"]
 FIELD_SCANS = [("grid_is_exact", "Circuit.exact"), ("grid_is_exact", "PfaffianCircuit.exact"),
                ("grid_is_exact", "pfaffian"), ("grid_is_exact", "pfaffian_oracle")]
