@@ -109,38 +109,29 @@ def wiring_matrix(circuit: Circuit, k: int) -> LabeledMatrix:
     return permutation_matrix(dict(circuit.wirings[k]), src, dst)
 
 
-def _stack_rows(circuit: Circuit, k: int) -> list[tuple[int, list[tuple[int, Scalar]]]]:
-    """Stack k followed by wiring k, as sparse rows.
-
-    One (stack k+1 input label, [(stack k input label, entry), ...]) pair
-    per gate row, zero entries dropped.  The wiring only renames rows, so
-    no permutation matrix is ever built or multiplied.
-    """
-    wire = dict(circuit.wirings[k])
-    return [(wire[r], [(c, x) for c, x in zip(g.cols, row) if x])
-            for g in circuit.stacks[k].gates
-            for r, row in zip(g.rows, g.entries)]
-
-
 def transfer_matrix(circuit: Circuit, k: int) -> LabeledMatrix:
     """Stack k then wiring k as one matrix: columns stack k inputs, rows stack k+1 inputs.
 
-    The circuit has checked both label lists, and the grid is built to
-    their shape, so the result skips LabeledMatrix's checks.  It holds what
+    Each gate row's nonzero entries go to the row its wiring names.  The
+    circuit has checked both label lists, and the grid is built to their
+    shape, so the result skips LabeledMatrix's checks.  It holds what
     labeled() would give: the zeros are 0j beside a kept complex entry and
     ints otherwise, so an all-0j complex stack gives an exact matrix.
     Entries of any other mix of types go through labeled()."""
-    cols = circuit.stacks[k].in_labels
+    stack = circuit.stacks[k]
+    cols = stack.in_labels
     rows = circuit.stacks[(k + 1) % len(circuit.stacks)].in_labels
     pos = {lab: j for j, lab in enumerate(cols)}
-    sparse = _stack_rows(circuit, k)
-    kinds = {type(x) for _, terms in sparse for _, x in terms}
+    wire = dict(circuit.wirings[k])
+    kinds = {type(x) for g in stack.gates for row in g.entries for x in row if x}
     zero = 0j if complex in kinds else 0
     grid = {lab: [zero] * len(cols) for lab in rows}
-    for lab, terms in sparse:
-        row = grid[lab]
-        for c, x in terms:
-            row[pos[c]] = x
+    for g in stack.gates:
+        for r, row in zip(g.rows, g.entries):
+            out = grid[wire[r]]
+            for c, x in zip(g.cols, row):
+                if x:
+                    out[pos[c]] = x
     entries = tuple([tuple(grid[lab]) for lab in rows])
     if _EXACT_TYPES.issuperset(kinds) or kinds == _COMPLEX:
         return _trusted(LabeledMatrix, rows=rows, cols=cols, entries=entries)
@@ -156,8 +147,9 @@ def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
     collapses to the 0x0 matrix.
 
     Each wire at the current boundary is carried as a row over the w_s
-    start wires.  A gate multiplies only the rows it reads and a wiring
-    renames rows, so one turn costs O(depth * w^2 * w_s).  Exact circuits
+    start wires.  Both fields walk each stack's gates in order: a gate row
+    combines only the rows its gate reads and is stored under the label its
+    wiring gives it, so one turn costs O(depth * w^2 * w_s).  Exact circuits
     run on Python ints: each stack's denominators are cleared once with
     their lcm, one running scale divides out at the end, and each row is
     one packed int whose slot width is fixed before the turn (see
@@ -180,20 +172,23 @@ def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:
 def _collapse_complex(circuit: Circuit, start: int,
                       labels: tuple[int, ...]) -> tuple[list[list[complex]], int]:
     """collapse() of a complex circuit as rows of complex values and the
-    scale 1, the shape of _collapse_exact's result."""
+    scale 1, the shape of _collapse_exact's result, from the same walk of
+    the gates, each row summing its nonzero terms in column order."""
     m = len(circuit.stacks)
     w = len(labels)
     acc = {lab: [int(i == j) for j in range(w)] for i, lab in enumerate(labels)}
     for k in range(start, start + m):
+        wire = dict(circuit.wirings[k % m])
         nxt = {}
-        for lab, terms in _stack_rows(circuit, k % m):
-            out = None
-            for c, x in terms:
-                x = complex(x)
-                src = acc[c]
-                out = ([x * b for b in src] if out is None
-                       else [a + x * b for a, b in zip(out, src)])
-            nxt[lab] = out or [0j] * w
+        for g in circuit.stacks[k % m].gates:
+            srcs = [acc[c] for c in g.cols]
+            for r, row in zip(g.rows, g.entries):
+                out = None
+                for x, src in zip(map(complex, row), srcs):
+                    if x:
+                        out = ([x * b for b in src] if out is None
+                               else [a + x * b for a, b in zip(out, src)])
+                nxt[wire[r]] = out or [0j] * w
         acc = nxt
     return [acc[lab] for lab in labels], 1
 
@@ -230,12 +225,13 @@ def _collapse_exact(circuit: Circuit, start: int,
             ints = [[[x.numerator * (d // x.denominator) for x in row] for row in rows]
                     for rows in ints]
         bound *= max([sum(map(abs, row)) for rows in ints for row in rows], default=0)
-        turn.append((stack.gates, ints, dict(circuit.wirings[k % m])))
+        turn.append(ints)
     bits = bound.bit_length() + 1
     acc = {lab: 1 << (i * bits) for i, lab in enumerate(labels)}
-    for gates, ints, wire in turn:
+    for k, ints in enumerate(turn, start):
+        wire = dict(circuit.wirings[k % m])
         nxt = {}
-        for g, rows in zip(gates, ints):
+        for g, rows in zip(circuit.stacks[k % m].gates, ints):
             srcs = [acc[c] for c in g.cols]
             for r, row in zip(g.rows, rows):
                 nxt[wire[r]] = sum(map(mul, row, srcs))

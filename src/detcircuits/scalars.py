@@ -179,10 +179,11 @@ def _det_complex(a: list[list[complex]]) -> complex:
 # --- text round-trip --------------------------------------------------------
 
 def format_scalar(x: Scalar) -> str:
-    """Rationals print as p/q (bare integers without /1); complex as a+bi.
-    A complex value that is not finite (a result that overflowed), or a
-    rational with more digits than sys.get_int_max_str_digits() allows,
-    raises OverflowError."""
+    """Rationals print as p/q (bare integers without /1); complex as a+bi,
+    a zero real part as 0, never -0 (adding 0.0 turns -0.0 into 0.0, as
+    abs() does for the imaginary part).  A complex value that is not finite
+    (a result that overflowed), or a rational with more digits than
+    sys.get_int_max_str_digits() allows, raises OverflowError."""
     if is_exact(x):
         try:
             return str(x)
@@ -192,7 +193,7 @@ def format_scalar(x: Scalar) -> str:
     z = complex(x)
     if not isfinite(z):
         raise OverflowError(f"complex value {z} is not finite")
-    re = f"{z.real:.12g}"
+    re = f"{z.real + 0.0:.12g}"
     im = f"{abs(z.imag):.12g}"
     sign = "-" if z.imag < 0 else "+"
     return f"{re}{sign}{im}i"

@@ -12,6 +12,7 @@ from detcircuits import (
     Circuit,
     DanglingWire,
     DuplicateLabel,
+    LabeledMatrix,
     SizeMismatch,
     Stack,
     ValidationError,
@@ -47,6 +48,10 @@ def test_empty_circuit_evaluates_to_one():
     assert evaluate(c) == 1
     assert contract_circuit(c) == 1
     assert multicycle_total(c) == 1
+
+
+def test_empty_circuit_collapses_to_the_empty_matrix():
+    assert collapse(Circuit((), ())) == LabeledMatrix((), (), ())
 
 
 def test_single_gate_loop_value():

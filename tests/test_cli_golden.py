@@ -11,6 +11,9 @@ tests/cli_golden.json.
 To record the JSON from the package on the path:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+Before it writes, the recorder prints each case id that was added, removed
+or changed, with the fields that moved (exit, stdout, stderr, sha).
 """
 
 import contextlib
@@ -33,6 +36,7 @@ GOLDEN = HERE / "cli_golden.json"
 CIRCUIT_VERBS = ("eval", "oracle", "check", "multicycles")
 GRAPH_VERBS = ("forests", "trees", "poly")
 FIELDS = ("rational", "complex")
+RECORD_FIELDS = ("exit", "stdout", "stderr", "sha")
 
 EDGE_CASES = {
     "empty.circuit": "stack\n",
@@ -124,6 +128,25 @@ def record(folder: Path) -> dict:
     return results
 
 
+def moved(want: dict, got: dict) -> list[str]:
+    """One line per case id added, removed or changed from recording `want`
+    to recording `got`, a changed one naming the fields that moved."""
+    lines = [f"added {case}" for case in sorted(got.keys() - want.keys())]
+    lines += [f"removed {case}" for case in sorted(want.keys() - got.keys())]
+    for case in sorted(want.keys() & got.keys()):
+        fields = [name for name, a, b in zip(RECORD_FIELDS, want[case], got[case]) if a != b]
+        if fields:
+            lines.append(f"changed {case}: {' '.join(fields)}")
+    return lines
+
+
+def test_moved_names_each_case_and_field():
+    want = {"a": [0, "1\n", "", None], "b": [0, "2\n", "", "ab"], "c": [2, "", "e\n", None]}
+    got = {"a": [0, "1\n", "", None], "b": [1, "3\n", "", "cd"], "d": [0, "", "", None]}
+    assert moved(want, got) == ["added d", "removed c", "changed b: exit stdout sha"]
+    assert moved(want, want) == []
+
+
 def test_every_verb_matches_the_recording(tmp_path):
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = record(tmp_path)
@@ -137,5 +160,8 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         results = record(Path(tmp))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    for line in moved(old, results):
+        print(line, file=sys.stderr)
     GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(results)} runs recorded in {GOLDEN}", file=sys.stderr)

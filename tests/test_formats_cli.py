@@ -321,8 +321,8 @@ COMPLEX_PAIR_PF = """\
 pfgate state 4 1 2 3 4
 0 0 0+0i 1+1i
 0 0 2-1i 0+0i
--0+0i -2+1i 0 0
--1-1i -0+0i 0 0
+0+0i -2+1i 0 0
+-1-1i 0+0i 0 0
 pfgate costate 4 1 2 3 4
 0 0 0 1
 0 0 1 0
@@ -333,7 +333,8 @@ pfgate costate 4 1 2 3 4
 
 def test_cli_compile_bytes_frozen(tmp_path):
     # What compile writes is pinned byte for byte: the checked-in .pf files,
-    # and a complex gadget whose exact zeros print as 0 beside 0+0i and -0+0i.
+    # and a complex gadget whose exact zeros print as 0 beside 0+0i; the skew
+    # embedding's negated 0j prints as 0+0i too.
     out = tmp_path / "c.pf"
     for name in ("ring3", "two_by_two"):
         assert main(["compile", str(DATA / f"{name}.circuit"), "-o", str(out)]) == 0
@@ -341,6 +342,26 @@ def test_cli_compile_bytes_frozen(tmp_path):
     src = DATA / "complex_pair.circuit"
     assert main(["compile", "--field", "complex", str(src), "-o", str(out)]) == 0
     assert out.read_bytes() == COMPLEX_PAIR_PF.encode()
+
+
+NEGATIVE_ZERO_REAL = ("stack\ngate 3 3 1 2 3 / 4 5 6\n-1 -2 2i\n-1i -0-0i -2\n2i 0-0i -1\n"
+                      "wiring 0: 1->5, 2->4, 3->6\n")
+
+
+def test_cli_a_zero_real_part_prints_unsigned_on_every_route(tmp_path):
+    # The value's real part is -0.0 from the collapse's determinant and
+    # +0.0 from the oracle, the multicycle sum and the Pfaffian; every route
+    # prints 0, never -0.
+    src = tmp_path / "negzero.circuit"
+    src.write_text(NEGATIVE_ZERO_REAL)
+    pf = tmp_path / "negzero.pf"
+    flags = ["--field", "complex"]
+    for argv, want in ((["eval", src], "0-4i\n"), (["check", src], "ok 0-4i\n"),
+                       (["oracle", src], "0-4i\n"), (["compile", src, "-o", pf], "size_ratio 8\n"),
+                       (["pfeval", pf], "0-4i\n")):
+        assert _run([str(a) for a in argv] + flags) == (0, want, "")
+    code, out, err = _run(["multicycles", str(src)] + flags)
+    assert (code, out.splitlines()[-1], err) == (0, "total 0-4i", "")
 
 
 def test_cli_pfeval_frozen(capsys):
@@ -1247,6 +1268,10 @@ PARSE_ERROR_TEXT = [
     ("wiring-bad-pair-before-bad-end", "eval",
      "stack\ngate 2 2 1 2 / 1 2\n1 0\n0 1\nwiring 0: 1->1, 2, y->2\n", [],
      2, "", "error: line 5: bad wiring pair '2', expected a->b\n"),
+    # \x1c is whitespace to str.strip() but not to int(), so the one-pass
+    # read fails and the pair-by-pair pass reads the pair.
+    ("wiring-file-separator-in-pair", "eval", "stack\ngate 1 1 1 / 2\n3\nwiring 0: 1->\x1c2\n", [],
+     0, "4\n", ""),
     ("wiring-spaced-arrow", "eval", "stack\ngate 1 1 1 / 1\n5\nwiring 0: 1 -> 1\n", [],
      0, "6\n", ""),
     ("signed-and-underscored-labels", "eval",
@@ -1265,6 +1290,14 @@ PARSE_ERROR_TEXT = [
     ("repeated-label-before-later-fault", "eval",
      "stack\ngate 1 2 1 / 5 5\n1 1\nstack\ngate 1 1 x / 1\n1\n", [],
      2, "", "error: line 2: repeated column label in (5, 5)\n"),
+    ("gate-no-dimensions", "eval", "stack\ngate\n", [],
+     2, "", "error: line 2: gate needs dimensions: gate r c <rows> / <cols>\n"),
+    ("gate-no-separator", "eval", "stack\ngate 1 1 1 2\n5\n", [],
+     2, "", "error: line 2: gate labels need a single / separator\n"),
+    ("gate-two-separators", "eval", "stack\ngate 1 1 1 / 2 / 3\n5\n", [],
+     2, "", "error: line 2: gate labels need a single / separator\n"),
+    ("pfgate-no-size", "pfeval", "pfgate state\n", [],
+     2, "", "error: line 1: pfgate needs: pfgate state|costate n <edges>\n"),
     ("unknown-field", "eval", "stack\ngate 1 1 1 / 1\n5\n", ["--field", "integer"],
      1, "", "usage error: argument --field: invalid choice: 'integer' "
             "(choose from 'rational', 'complex')\n"),

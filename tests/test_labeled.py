@@ -8,6 +8,7 @@ from detcircuits import (
     DuplicateLabel,
     LabelCollision,
     LabelMismatch,
+    LabeledMatrix,
     NotEndomorphism,
     compose,
     direct_sum,
@@ -30,6 +31,13 @@ def test_duplicate_labels_rejected():
         labeled((1, 1), (2, 3), [[1, 2], [3, 4]])
     with pytest.raises(DuplicateLabel):
         labeled((1, 2), (3, 3), [[1, 2], [3, 4]])
+
+
+def test_entry_grid_must_fit_the_labels():
+    with pytest.raises(ValueError, match="wrong row count"):
+        LabeledMatrix((1, 2), (3,), ((1,),))
+    with pytest.raises(ValueError, match="wrong column count"):
+        LabeledMatrix((1,), (3, 4), ((1,),))
 
 
 def test_compose_identity():

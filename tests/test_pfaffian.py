@@ -300,6 +300,13 @@ def test_skew_check_matches_the_reference_check(g):
     assert _outcome(lambda: SkewMatrix(labels, grid)) == want
 
 
+def test_skew_grid_must_be_square_on_its_labels():
+    with pytest.raises(ValueError, match="not square"):
+        SkewMatrix((1, 2), ((0, 1),))
+    with pytest.raises(ValueError, match="not square"):
+        SkewMatrix((1, 2), ((0, 1), (-1, 0, 0)))
+
+
 def test_anti_transpose_preserves_pfaffian():
     rng = random.Random(2)
     for _ in range(30):

@@ -228,6 +228,23 @@ def test_format_complex():
     assert format_scalar(1.5 - 0.25j) == "1.5-0.25i"
 
 
+def test_format_complex_zero_parts_print_unsigned():
+    assert format_scalar(complex(-0.0, 2.0)) == "0+2i"
+    assert format_scalar(-0j) == "0+0i"
+    assert format_scalar(complex(-0.0, -0.0)) == "0+0i"
+    assert format_scalar(complex(-0.0, -4.0)) == "0-4i"
+
+
+def test_det_grid_refuses_a_non_square_grid():
+    with pytest.raises(ValueError, match="square"):
+        det_grid([[1, 2]])
+
+
+def test_blank_complex_token_is_refused():
+    with pytest.raises(ValueError, match="empty complex token"):
+        parse_scalar(" ", "complex")
+
+
 def test_parse_round_trip_rational():
     for x in (Fraction(0), Fraction(5), Fraction(-3, 7), Fraction(22, 51)):
         assert parse_scalar(format_scalar(x), "rational") == x

@@ -7,6 +7,7 @@ import pytest
 
 from detcircuits import (
     Circuit,
+    LabelCollision,
     LabelMismatch,
     Stack,
     TooLarge,
@@ -156,6 +157,16 @@ def test_tensor_compose_label_mismatch():
     b = sdet_expand(labeled((3,), (4,), [[1]]))
     with pytest.raises(LabelMismatch):
         tensor_compose(a, b)
+
+
+def test_tensor_product_and_trace_refuse_mismatched_legs():
+    a = tensor.Tensor((1,), (2,), {})
+    with pytest.raises(LabelCollision):
+        tensor_product(a, tensor.Tensor((1,), (3,), {}))
+    with pytest.raises(LabelCollision):
+        tensor_product(a, tensor.Tensor((3,), (2,), {}))
+    with pytest.raises(LabelMismatch):
+        tensor_trace(a)
 
 
 def test_trace_of_identity_counts_subsets():
