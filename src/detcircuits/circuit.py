@@ -16,14 +16,13 @@ itself says.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import mul
 
 from .errors import DanglingWire, DuplicateLabel, SizeMismatch
-from .labeled import LabeledMatrix, Scalar, _trusted, labeled, permutation_matrix
+from .labeled import LabeledMatrix, Scalar, _trusted, _Value, labeled, permutation_matrix
 from .scalars import _EXACT_TYPES, _det_bareiss_int, _det_complex, _name, grid_is_exact
 
 Wiring = tuple[tuple[int, int], ...]  # (source output label, target input label)
@@ -32,8 +31,7 @@ _INT = frozenset((int,))
 _COMPLEX = frozenset((complex,))
 
 
-@dataclass(frozen=True)
-class Stack:
+class Stack(_Value):
     gates: tuple[LabeledMatrix, ...]
 
     @property
@@ -44,8 +42,7 @@ class Stack:
     def out_labels(self) -> tuple[int, ...]:
         return tuple([lab for g in self.gates for lab in g.rows])
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(_Value):
     stacks: tuple[Stack, ...]
     wirings: tuple[Wiring, ...]  # wirings[k] crosses the gap after stack k
 

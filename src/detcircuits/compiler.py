@@ -19,11 +19,10 @@ active wires), so an identity stack is appended when the count is even.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuit import Circuit, transfer_matrix
-from .labeled import LabeledMatrix, _trusted, identity, labeled
+from .labeled import LabeledMatrix, _trusted, _Value, identity, labeled
 from .pfaffian import PfaffianCircuit, SkewMatrix, _perm_sign
 from .scalars import Scalar
 
@@ -37,8 +36,7 @@ def _skew_grid(grid, c: int) -> tuple[tuple[Scalar, ...], ...]:
     return tuple([tuple(row) for row in top + bottom])
 
 
-@dataclass(frozen=True)
-class CompiledCircuit:
+class CompiledCircuit(_Value):
     target: PfaffianCircuit
     gadget_count: int
     size_ratio: Fraction

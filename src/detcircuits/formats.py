@@ -7,12 +7,16 @@ round-trip tests can compare output verbatim.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .circuit import Circuit, Stack, identity_wiring
 from .errors import DuplicateLabel, ParseError, SizeMismatch, ValidationError
 from .labeled import LabeledMatrix, _check_labels, _trusted
 from .pfaffian import PfaffianCircuit, SkewMatrix
-from .graphs import Graph, _check_edge
 from .scalars import Scalar, _name, format_scalar, parse_scalar
+
+if TYPE_CHECKING:  # the annotations name it; parse_graph imports graphs itself
+    from .graphs import Graph
 
 
 def _lines(text: str) -> list[str]:
@@ -268,6 +272,8 @@ def write_pfaffian(pc: PfaffianCircuit) -> str:
 
 def parse_graph(text: str) -> Graph:
     """Parse `n m` then m lines `u v` (1-based, oriented u to v as listed)."""
+    import detcircuits.graphs as graphs  # loaded by the graph verbs only
+    check_edge = graphs._check_edge
     lines = _significant(text)
     try:
         no, line = next(lines)
@@ -291,7 +297,7 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(no, "edge line must be: u v")
         u, v = _parse_ints(toks, no, "endpoint")
         try:
-            _check_edge(n, u, v)
+            check_edge(n, u, v)
         except ValidationError as exc:
             raise ParseError(no, str(exc)) from None
         edges.append((u, v))
@@ -302,7 +308,7 @@ def parse_graph(text: str) -> Graph:
     else:
         raise ParseError(no, "trailing content after last edge")
     # Each edge was checked on its line, so no check is left to make.
-    return _trusted(Graph, vertex_count=n, edges=tuple(edges))
+    return _trusted(graphs.Graph, vertex_count=n, edges=tuple(edges))
 
 
 def write_graph(g: Graph) -> str:

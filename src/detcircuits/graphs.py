@@ -13,20 +13,18 @@ tests/paper.py, where the tests check it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain, combinations, product
 from math import prod
 from typing import Iterator
 
 from .errors import TooLarge, ValidationError
-from .labeled import LabeledMatrix, labeled
+from .labeled import LabeledMatrix, _Value, labeled
 from .scalars import _det_bareiss_int, _name
 
 ENUM_EDGE_CAP = 20
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Value):
     vertex_count: int
     edges: tuple[tuple[int, int], ...]  # 1-based endpoints, (tail, head)
 
@@ -90,8 +88,7 @@ def count_rooted_forests(g: Graph) -> int:
     return _det_bareiss_int(_shifted_laplacian(n, edges, 1)) if n else 1
 
 
-@dataclass(frozen=True)
-class ForestPolynomial:
+class ForestPolynomial(_Value):
     coefficients: tuple[int, ...]  # index k = number of roots
 
     def __call__(self, x: int) -> int:

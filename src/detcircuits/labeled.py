@@ -10,11 +10,14 @@ ordinary values here; the empty determinant is 1.
 Composition matches the interface by label set, not by position: the
 right factor's rows are permuted into the left factor's column order
 before the ordinary matrix product is taken.
+
+_Value, the base of LabeledMatrix and of the package's other immutable
+values, stands in for frozen dataclasses, which cost a process more to
+import and to define (README, "Start-up").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -29,8 +32,61 @@ def _check_labels(labels: tuple[int, ...], side: str) -> None:
         raise DuplicateLabel(f"repeated {side} label in {_name(labels)}")
 
 
-@dataclass(frozen=True)
-class LabeledMatrix:
+class _Value:
+    """Base of the package's immutable values.
+
+    A subclass's fields are the names annotated in its class body, in
+    order.  Its __init__ takes them as positional or keyword arguments,
+    except those named in the class keyword `computed`, which its
+    __post_init__ sets; __init__ calls __post_init__ when the class has
+    one.  Two values are equal when they are of the same class and their
+    field tuples are equal, the hash is that of the field tuple, and the
+    repr is `Name(field=value, ...)`.  A field cannot be assigned or
+    deleted (AttributeError).  A value keeps its __dict__: _trusted fills
+    it directly, and the parsers record a circuit's field through
+    object.__setattr__.
+    """
+
+    def __init_subclass__(cls, computed=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        args = [f for f in cls._fields if f not in computed]
+        # Written out per class, as namedtuple does, so that building a
+        # value costs as little as a hand-written __init__: a generic one
+        # over *args and **kwargs costs about three times as much.
+        lines = [f"def __init__(self, {', '.join(args)}):", "    d = self.__dict__"]
+        lines += [f"    d[{f!r}] = {f}" for f in args]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        namespace = {}
+        exec("\n".join(lines), namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LabeledMatrix(_Value):
     rows: tuple[WireLabel, ...]
     cols: tuple[WireLabel, ...]
     entries: tuple[tuple[Scalar, ...], ...]
@@ -50,11 +106,11 @@ class LabeledMatrix:
 
 
 def _trusted(cls, **fields):
-    """An instance of the frozen dataclass cls holding fields, built without
-    __post_init__.  For values compile_circuit and transfer_matrix build
-    consistent by construction, and for gates and graphs whose every check
-    parse_circuit or parse_graph has already made; a hand-built value is
-    still checked."""
+    """An instance of the value class cls holding fields, built without
+    __init__ or __post_init__.  For values compile_circuit and
+    transfer_matrix build consistent by construction, and for gates and
+    graphs whose every check parse_circuit or parse_graph has already made;
+    a hand-built value is still checked."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj

@@ -26,13 +26,13 @@ entry of the pivot row and runs on the same rows with the same swap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, compress
 from math import isinf, prod
 from typing import Sequence
 
 from .errors import DanglingWire, DuplicateLabel, NotSkew, TooLarge
+from .labeled import _Value
 from .scalars import (Scalar, _name, clear_denominators, grid_is_exact, normalize_grid,
                       scalars_equal)
 
@@ -192,8 +192,7 @@ def pfaffian_oracle(grid: Sequence[Sequence[Scalar]]) -> Scalar:
     return total
 
 
-@dataclass(frozen=True)
-class SkewMatrix:
+class SkewMatrix(_Value):
     labels: tuple[int, ...]
     entries: tuple[tuple[Scalar, ...], ...]
 
@@ -228,14 +227,13 @@ def skew(labels: Sequence[int], entries: Sequence[Sequence]) -> SkewMatrix:
     return SkewMatrix(tuple(labels), normalize_grid(entries))
 
 
-@dataclass(frozen=True)
-class PfaffianCircuit:
+class PfaffianCircuit(_Value, computed=("edge_count",)):
     """States (the ket) and costates (the bra), each a tuple of gadgets;
     edge_count is the largest edge id (0 for none).  Checked when built,
     except by compile_circuit, which issues every edge id itself."""
     states: tuple[SkewMatrix, ...]
     costates: tuple[SkewMatrix, ...]
-    edge_count: int = field(init=False)
+    edge_count: int
 
     # parse_pfaffian sets this on the circuits it reads in the rational
     # field, whose every entry it made an int or a Fraction.

@@ -14,7 +14,6 @@ logarithm of the subset tuples a multicycle enumeration may try.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, product
 from math import comb, prod
@@ -22,7 +21,7 @@ from typing import Iterable, Mapping
 
 from .circuit import Circuit, transfer_matrix, wiring_matrix
 from .errors import LabelCollision, LabelMismatch, TooLarge
-from .labeled import LabeledMatrix, Scalar, submatrix
+from .labeled import LabeledMatrix, Scalar, _Value, submatrix
 from .pfaffian import PfaffianCircuit, SkewMatrix
 from .scalars import det_grid
 
@@ -31,11 +30,14 @@ Bits = tuple[int, ...]
 ORACLE_CAP = 20
 
 
-@dataclass(frozen=True, eq=False)
-class Tensor:
+class Tensor(_Value):
     out_wires: tuple[int, ...]
     in_wires: tuple[int, ...]
-    data: Mapping[tuple[Bits, Bits], Scalar] = field(default_factory=dict)
+    data: Mapping[tuple[Bits, Bits], Scalar]
+
+    # Compared and hashed by identity.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def component(self, ket: Bits, bra: Bits) -> Scalar:
         return self.data.get((ket, bra), 0)
@@ -156,8 +158,7 @@ def contract_circuit(circuit: Circuit) -> Scalar:
     return value if circuit.exact else complex(value)
 
 
-@dataclass(frozen=True)
-class Multicycle:
+class Multicycle(_Value):
     """One choice of wire subsets, keyed by (boundary index, label)."""
     support: frozenset[tuple[int, int]]
     weight: Scalar

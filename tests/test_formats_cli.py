@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 from unittest.mock import patch
@@ -408,8 +407,8 @@ def test_cli_io_and_parse_errors(tmp_path, capsys):
 
 
 def test_cli_check_mismatch_exit_code(monkeypatch, capsys):
-    import detcircuits.cli as climod
-    monkeypatch.setattr(climod, "contract_circuit", lambda c: 999)
+    import detcircuits.tensor as tensormod
+    monkeypatch.setattr(tensormod, "contract_circuit", lambda c: 999)
     assert main(["check", str(DATA / "one_gate.circuit")]) == 3
     out = capsys.readouterr()
     assert "mismatch" in out.err
@@ -687,6 +686,48 @@ def test_cli_non_utf8_line_counts_the_parsers_line_ends(tmp_path, capsys, data, 
     assert capsys.readouterr().err.startswith(f"error: line {lineno}: {path} is not UTF-8")
 
 
+BOM = b"\xef\xbb\xbf"
+BOM_VERBS = {".circuit": (["eval"], ["eval", "--field", "complex"], ["compile"]),
+             ".pf": (["pfeval"], ["pfeval", "--field", "complex"]),
+             ".graph": (["forests"], ["trees"], ["poly"])}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.iterdir()))
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, name):
+    # Some editors start a UTF-8 file with one.  It used to be read as part
+    # of the first token: "unknown directive '\ufeffstack'".
+    data = (DATA / name).read_bytes()
+    path = tmp_path / name
+    for args in BOM_VERBS[path.suffix]:
+        argv = [args[0], str(path), *args[1:]]
+        path.write_bytes(data)
+        want = _run(argv)
+        path.write_bytes(BOM + data)
+        assert _run(argv) == want
+
+
+def test_a_byte_order_mark_keeps_the_line_of_a_bad_byte(tmp_path, capsys):
+    path = tmp_path / "bad.circuit"
+    path.write_bytes(BOM + b"# ok\n\xff\n")
+    assert main(["eval", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line 2: {path} is not UTF-8")
+
+
+@pytest.mark.parametrize("name, data, err", [
+    ("x.circuit", b"stack\n" + BOM + b"gate 1 1 1 / 2\n3\n",
+     "error: line 2: unknown directive '\\ufeffgate'\n"),
+    ("x.graph", b"\n" + BOM + b"3 0\n", "error: line 2: expected integer vertex count, "
+                                       "got '\\ufeff3'\n"),
+    ("y.graph", BOM + BOM + b"3 0\n", "error: line 1: expected integer vertex count, "
+                                     "got '\\ufeff3'\n"),
+])
+def test_a_byte_order_mark_past_the_start_is_refused(tmp_path, name, data, err):
+    path = tmp_path / name
+    path.write_bytes(data)
+    verb = "eval" if name.endswith(".circuit") else "forests"
+    assert _run([verb, str(path)]) == (2, "", err)
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-infi", "1e400", "1+nani"])
 def test_non_finite_complex_entries_are_parse_errors(tmp_path, capsys, token):
     with pytest.raises(ParseError) as e:
@@ -761,8 +802,8 @@ def test_cli_poly_coefficient_past_the_digit_limit_exits_2(capsys, monkeypatch):
     # A graph whose coefficients pass the limit is too big to build here, so
     # poly gets such a polynomial: every coefficient is formatted before any
     # is printed.
-    import detcircuits.cli as climod
-    monkeypatch.setattr(climod, "forest_polynomial",
+    import detcircuits.graphs as graphsmod
+    monkeypatch.setattr(graphsmod, "forest_polynomial",
                         lambda g: ForestPolynomial((0, 10 ** INT_MAX_STR_DIGITS, 1)))
     assert main(["poly", str(DATA / "triangle.graph")]) == 2
     out = capsys.readouterr()
@@ -1341,7 +1382,7 @@ def test_rational_parse_skips_the_scan_and_a_hand_built_circuit_scans():
     with patch("detcircuits.circuit.grid_is_exact", side_effect=AssertionError), \
             patch("detcircuits.pfaffian.grid_is_exact", side_effect=AssertionError):
         assert c.exact and pc.exact
-    # The recorded field is not a field of the dataclass: equality, hash
+    # The recorded field is not one of the circuit's fields: equality, hash
     # and repr are those of the same circuit built by hand, which scans.
     for parsed, hand_built in ((c, Circuit(c.stacks, c.wirings)),
                                (pc, PfaffianCircuit(pc.states, pc.costates))):
@@ -1351,7 +1392,7 @@ def test_rational_parse_skips_the_scan_and_a_hand_built_circuit_scans():
     complex_stacks = tuple([Stack(tuple([labeled(g.rows, g.cols, [[complex(x) for x in row]
                                                                   for row in g.entries])
                                          for g in s.gates])) for s in c.stacks])
-    assert not replace(c, stacks=complex_stacks).exact
+    assert not Circuit(complex_stacks, c.wirings).exact
     complex_states = tuple([skew(g.labels, [[complex(x) for x in row] for row in g.entries])
                             for g in pc.states])
     assert not PfaffianCircuit(complex_states, pc.costates).exact
