@@ -5,15 +5,24 @@ tensor contraction), check (fast vs oracle vs multicycle total), multicycles
 (list weights), compile (emit a Pfaffian circuit file).  On Pfaffian files:
 pfeval.  On graph files: forests, trees, poly.
 
+The command line is described once, in _VERBS.  A well-formed argv, `verb
+path [option value]...` with each option spelled in full at most once, is
+read in one pass by _plain_args.  Everything else (help, usage errors, and
+the other spellings argparse accepts, such as `--fi`, `--field=complex` or
+`--`) goes to an argparse parser built from the same table on first use,
+with its help fixed at 78 columns.
+
 Exit codes: 0 success, 1 usage error, 2 parse, validation, I/O or size
-failure, a non-finite complex result or an exact result too long to print,
-3 value mismatch in check.  All output is deterministic.
+failure, a non-finite complex result or a compiled entry too long to
+print, 3 value mismatch in check.  An exact result prints whole, however
+many digits it has.  All output is deterministic.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from functools import cache
+from types import SimpleNamespace
 
 from .circuit import evaluate
 from .compiler import compile_circuit
@@ -28,61 +37,96 @@ from .formats import (
 from .pfaffian import eval_pfaffian_circuit
 from .scalars import format_scalar, scalars_equal
 
+# Each option: its flags, dest, choices (a tuple), type (int) or None for
+# any string, default and help.
+_FIELD = (("--field",), "field", ("rational", "complex"), "rational",
+          "scalar field of the file")
+_OUTPUT = (("-o", "--output"), "output", None, None,
+           "output path (default: input path + .pf)")
+_SEED = (("--orientation-seed",), "orientation_seed", int, None,
+         "re-randomize edge directions (counts are invariant)")
+
+# Each verb: the kind of file it reads, its help and its options.
+_VERBS = {
+    "eval": ("circuit", "evaluate a closed circuit (polynomial time)", (_FIELD,)),
+    "oracle": ("circuit", "evaluate by brute-force tensor contraction", (_FIELD,)),
+    "check": ("circuit", "compare fast value, oracle, and multicycle total", (_FIELD,)),
+    "multicycles": ("circuit", "list nonzero multicycles and their weights", (_FIELD,)),
+    "compile": ("circuit", "compile to a Pfaffian circuit file", (_FIELD, _OUTPUT)),
+    "pfeval": ("pfaffian", "evaluate a Pfaffian circuit file", (_FIELD,)),
+    "forests": ("graph", "count rooted spanning forests", (_SEED,)),
+    "trees": ("graph", "count spanning trees", (_SEED,)),
+    "poly": ("graph", "forest polynomial coefficients, ascending in roots", (_SEED,)),
+}
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give a well-formed argv, or None.
+
+    Well formed is a verb, a path, then option-value pairs: each option
+    spelled out in full, at most once, with a valid value.  No path or value
+    may start with "-", so none can be an option or a negative number."""
+    if len(argv) < 2 or len(argv) % 2 or argv[0] not in _VERBS or argv[1][:1] == "-":
+        return None
+    options = _VERBS[argv[0]][2]
+    ns = {"verb": argv[0], "path": argv[1]}
+    for _, dest, _, default, _ in options:
+        ns[dest] = default
+    seen = set()
+    for flag, value in zip(argv[2::2], argv[3::2]):
+        for flags, dest, kind, _, _ in options:
+            if flag in flags:
+                break
+        else:
+            return None
+        if dest in seen or value[:1] == "-":
+            return None
+        seen.add(dest)
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:  # a bad seed, or one over the digit limit
+                return None
+        elif kind is not None and value not in kind:
+            return None
+        ns[dest] = value
+    return SimpleNamespace(**ns)
+
 
 class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); we want exit code 1
-        raise _UsageError(message)
+@cache
+def _argparser():
+    """The argparse parser for _VERBS, built on first use: help, usage
+    errors and the spellings _plain_args leaves alone are all it reads."""
+    import argparse
 
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse would exit(2); we want exit code 1
+            raise _UsageError(message)
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="detcirc",
-                description="evaluate determinantal circuits, compile them "
-                            "to Pfaffian form, and count spanning forests")
+    # The width argparse would take from COLUMNS or the terminal, fixed at
+    # the 80-column default: help is the same bytes in every shell.
+    def fixed(prog):
+        return argparse.HelpFormatter(prog, width=78)
+
+    p = Parser(prog="detcirc", formatter_class=fixed,
+               description="evaluate determinantal circuits, compile them "
+                           "to Pfaffian form, and count spanning forests")
     sub = p.add_subparsers(dest="verb", required=True, metavar="verb")
-
-    def circuit_verb(name: str, help_text: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("path", help="circuit file")
-        sp.add_argument("--field", choices=("rational", "complex"),
-                        default="rational", help="scalar field of the file")
-        return sp
-
-    def graph_verb(name: str, help_text: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("path", help="graph file")
-        sp.add_argument("--orientation-seed", type=int, default=None,
-                        help="re-randomize edge directions (counts are invariant)")
-        return sp
-
-    circuit_verb("eval", "evaluate a closed circuit (polynomial time)")
-    circuit_verb("oracle", "evaluate by brute-force tensor contraction")
-    circuit_verb("check", "compare fast value, oracle, and multicycle total")
-    circuit_verb("multicycles", "list nonzero multicycles and their weights")
-    sp = circuit_verb("compile", "compile to a Pfaffian circuit file")
-    sp.add_argument("-o", "--output",
-                    help="output path (default: input path + .pf)")
-
-    sp = sub.add_parser("pfeval", help="evaluate a Pfaffian circuit file")
-    sp.add_argument("path", help="pfaffian file")
-    sp.add_argument("--field", choices=("rational", "complex"),
-                    default="rational", help="scalar field of the file")
-
-    graph_verb("forests", "count rooted spanning forests")
-    graph_verb("trees", "count spanning trees")
-    graph_verb("poly", "forest polynomial coefficients, ascending in roots")
+    for verb, (file_kind, verb_help, options) in _VERBS.items():
+        sp = sub.add_parser(verb, help=verb_help, formatter_class=fixed)
+        sp.add_argument("path", help=f"{file_kind} file")
+        for flags, dest, kind, default, help_text in options:
+            check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            sp.add_argument(*flags, dest=dest, default=default, help=help_text, **check)
     return p
 
 
-# Built once: parse_args keeps no state between calls, and building the
-# tree costs more than a small eval.
-_PARSER = _build_parser()
-
-# Every run reads and prints integers of up to this many digits, whatever
-# limit the interpreter started with (PYTHONINTMAXSTRDIGITS, -X option).
+# Every run reads integers of up to this many digits, whatever limit the
+# interpreter started with (PYTHONINTMAXSTRDIGITS, -X option).
 INT_MAX_STR_DIGITS = 4300
 
 
@@ -103,6 +147,15 @@ def _read(path: str) -> str:
     return text.removeprefix("\ufeff")
 
 
+def _whole(x) -> str:
+    """x formatted with no digit limit.  The limit bounds the work a token
+    in a file can force; a result is formatted after the run has read its
+    file, and costs little next to the work that made it.  main gives the
+    caller's limit back."""
+    sys.set_int_max_str_digits(0)
+    return format_scalar(x)
+
+
 def _run(ns) -> int:
     # Every verb reads and parses its one file before it prints anything.
     # graphs and tensor are imported only by the verbs that run them, each
@@ -110,20 +163,21 @@ def _run(ns) -> int:
     # .graphs import` of its functions (0.3 against 1.4 µs under CPython
     # 3.11), which a graph verb would pay on each run.
     text = _read(ns.path)
-    if ns.verb in ("forests", "trees", "poly"):
+    kind = _VERBS[ns.verb][0]
+    if kind == "graph":
         import detcircuits.graphs as graphs
         g = parse_graph(text)
         if ns.orientation_seed is not None:
             g = graphs.reorient(g, ns.orientation_seed)
     else:
-        if ns.verb == "pfeval":
+        if kind == "pfaffian":
             pc = parse_pfaffian(text, ns.field)
         else:
             c = parse_circuit(text, ns.field)
         if ns.verb in ("oracle", "check", "multicycles"):
             import detcircuits.tensor as tensor
         # A complex run prints every value complex, the exact 1 of no entries too.
-        show = format_scalar if ns.field == "rational" else lambda x: format_scalar(complex(x))
+        show = _whole if ns.field == "rational" else lambda x: format_scalar(complex(x))
     if ns.verb == "eval":
         print(show(evaluate(c)))
     elif ns.verb == "oracle":
@@ -149,8 +203,9 @@ def _run(ns) -> int:
         print("\n".join(lines))
     elif ns.verb == "compile":
         compiled = compile_circuit(c)
-        # Formatted before the file is opened: an entry too long to print
-        # raises, and no output file is created or truncated.
+        # Formatted under the digit limit, which pfeval reads it back with,
+        # before the file is opened: an entry too long to print raises, and
+        # no output file is created or truncated.
         text = write_pfaffian(compiled.target)
         out_path = ns.output if ns.output else ns.path + ".pf"
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -159,23 +214,25 @@ def _run(ns) -> int:
     elif ns.verb == "pfeval":
         print(show(eval_pfaffian_circuit(pc)))
     elif ns.verb == "forests":
-        print(format_scalar(graphs.count_rooted_forests(g)))
+        print(_whole(graphs.count_rooted_forests(g)))
     elif ns.verb == "trees":
-        print(format_scalar(graphs.count_spanning_trees(g)))
+        print(_whole(graphs.count_spanning_trees(g)))
     elif ns.verb == "poly":
-        print(" ".join([format_scalar(c) for c in graphs.forest_polynomial(g).coefficients]))
-    else:  # pragma: no cover - argparse enforces the verb set
+        print(" ".join([_whole(c) for c in graphs.forest_polynomial(g).coefficients]))
+    else:  # pragma: no cover - both readers enforce the verb set
         raise AssertionError(ns.verb)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    # The digit limit decides which integers parse, arguments included, and
-    # which exact values print: a run sets its own, then the caller's again.
+    # The digit limit decides which integers parse, arguments included: a
+    # run sets its own, lifts it to print a result, then sets the caller's.
     caller_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(INT_MAX_STR_DIGITS)
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        return _run(_PARSER.parse_args(argv))
+        return _run(_plain_args(argv) or _argparser().parse_args(argv))
     except _UsageError as exc:  # raised by parse_args only, as is SystemExit
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -4,9 +4,10 @@ The detcirc verbs run in-process on the files in data/, on edge-case files
 (a complex circuit with no entries, a complex entry whose modulus passes the
 largest float, integer entries of 1000 and 5001 digits, a .pf file whose
 state and costate blocks interleave), and on a fixed corpus built with
-tests/circgen.py in both fields.  Each run's exit code, stdout, stderr and
-the SHA-256 of the .pf file that compile writes must equal its entry in
-tests/cli_golden.json.
+tests/circgen.py in both fields.  Then `-h` runs for the top level and
+every verb, and usage errors, pin the help text and the usage messages.
+Each run's exit code, stdout, stderr and the SHA-256 of the .pf file that
+compile writes must equal its entry in tests/cli_golden.json.
 
 To record the JSON from the package on the path:
 
@@ -35,8 +36,21 @@ GOLDEN = HERE / "cli_golden.json"
 
 CIRCUIT_VERBS = ("eval", "oracle", "check", "multicycles")
 GRAPH_VERBS = ("forests", "trees", "poly")
+VERBS = CIRCUIT_VERBS + ("compile", "pfeval") + GRAPH_VERBS
 FIELDS = ("rational", "complex")
 RECORD_FIELDS = ("exit", "stdout", "stderr", "sha")
+
+# No verb, an unknown verb, no path, a bad --field, a bad seed, an extra
+# argument and -o with no value.
+USAGE_ERRORS = (
+    [],
+    ["frobnicate", Path("ring3.circuit")],
+    ["eval"],
+    ["eval", Path("ring3.circuit"), "--field", "integer"],
+    ["forests", Path("triangle.graph"), "--orientation-seed", "x"],
+    ["eval", Path("ring3.circuit"), "extra"],
+    ["compile", Path("ring3.circuit"), "-o"],
+)
 
 EDGE_CASES = {
     "empty.circuit": "stack\n",
@@ -109,6 +123,11 @@ def runs(folder: Path):
             for verb in GRAPH_VERBS:
                 yield [verb, name], None
                 yield [verb, name, "--orientation-seed", "5"], None
+    yield ["-h"], None
+    for verb in VERBS:
+        yield [verb, "-h"], None
+    for argv in USAGE_ERRORS:
+        yield argv, None
 
 
 def record(folder: Path) -> dict:

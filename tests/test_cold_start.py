@@ -2,9 +2,10 @@
 
 `import detcircuits.cli` loads neither `dataclasses` (with the `inspect`
 it pulls in) nor the graph and oracle modules: `graphs` loads for the
-graph verbs and `tensor` for the oracle verbs.  Every name the package
-exports still resolves, through a module `__getattr__` for those two
-modules.  Module sets are read in a fresh interpreter, since this one has
+graph verbs and `tensor` for the oracle verbs.  Nor does it load
+`argparse` (with the `gettext` and `locale` it pulls in), which only help
+and usage errors build.  Every name the package exports still resolves,
+through a module `__getattr__` for those two modules.  Module sets are read in a fresh interpreter, since this one has
 imported everything the other tests use.
 """
 
@@ -24,6 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 DATA = ROOT / "data"
 HEAVY = ("dataclasses", "inspect", "detcircuits.graphs", "detcircuits.tensor")
+ARGPARSE = ("argparse", "gettext", "locale")
 
 # Every name the package exports, by the module that defines it.
 EXPORTS = {
@@ -74,16 +76,35 @@ print(json.dumps(loaded))
 
 def test_each_verb_loads_only_what_it_runs(tmp_path):
     ring, pf = str(DATA / "ring3.circuit"), str(tmp_path / "ring3.pf")
-    argvs = [["eval", ring], ["compile", ring, "-o", pf], ["pfeval", pf],
-             ["forests", str(DATA / "triangle.graph")], ["oracle", ring]]
+    argvs = [["eval", ring], ["compile", ring, "-o", pf, "--field", "rational"],
+             ["pfeval", pf, "--field", "rational"],
+             ["forests", str(DATA / "triangle.graph"), "--orientation-seed", "7"],
+             ["oracle", ring]]
     loaded = fresh(VERB_SCRIPT.replace("ARGVS", repr(argvs)))
     for stage in ("import", "eval", "compile", "pfeval"):
         assert not set(HEAVY) & set(loaded[stage]), stage
         assert "detcircuits.compiler" in loaded[stage]  # the tracer wraps it
+    for stage in ("import", "eval", "compile", "pfeval", "forests", "oracle"):
+        assert not set(ARGPARSE) & set(loaded[stage]), stage
     assert "detcircuits.graphs" in loaded["forests"]
     assert "detcircuits.tensor" not in loaded["forests"]
     assert "detcircuits.tensor" in loaded["oracle"]
     assert not {"dataclasses", "inspect"} & set(loaded["oracle"])
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["-h"], 0), (["compile", "-h"], 0), (["eval"], 1),
+    (["eval", str(DATA / "no_such.circuit"), "--fi", "complex"], 2)])
+def test_help_and_usage_errors_load_argparse(argv, code):
+    # --fi is argparse's abbreviation of --field; the run then finds no file.
+    script = """
+import contextlib, io, json, sys
+import detcircuits.cli as cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(ARGV)
+print(json.dumps([code, "argparse" in sys.modules]))
+"""
+    assert fresh(script.replace("ARGV", repr(argv))) == [code, True]
 
 
 def test_every_export_is_the_defining_module_object():

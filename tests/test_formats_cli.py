@@ -25,6 +25,9 @@ from detcircuits import (
     collapse,
     compile_circuit,
     contract_circuit,
+    count_rooted_forests,
+    count_spanning_trees,
+    eval_pfaffian_circuit,
     eval_pfaffian_oracle,
     evaluate,
     labeled,
@@ -765,13 +768,26 @@ def test_cli_non_finite_complex_result_exits_2(tmp_path, capsys, verb):
     assert out.err.startswith("error: ") and "not finite" in out.err
 
 
+@contextlib.contextmanager
+def no_digit_limit():
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(caller)
+
+
 @pytest.mark.parametrize("verb", ["eval", "oracle", "check", "multicycles", "compile", "pfeval",
                                   "forests", "trees"])
 def test_cli_exact_result_past_the_digit_limit_exits_2(tmp_path, capsys, verb):
-    # 10**limit has limit + 1 digits, one more than str may print: the verb
-    # exits 2 with nothing on stdout, and compile writes no file.  A path of
-    # 2152 vertices with every edge 100 times has 100**2151 spanning trees,
-    # 4303 digits, and more rooted forests still.
+    # 10**limit has limit + 1 digits, one more than str may print under the
+    # limit.  A result prints whole and equals the in-process value; these
+    # runs exited 2 until results were formatted with the limit lifted.
+    # compile still exits 2, with nothing on stdout, and writes no file: its
+    # .pf must read back under the limit.  A path of 2152 vertices with
+    # every edge 100 times has 100**2151 spanning trees, 4303 digits, and
+    # more rooted forests still.
     token = f"1e{INT_MAX_STR_DIGITS}"
     if verb == "pfeval":
         path = tmp_path / "big.pf"
@@ -786,29 +802,65 @@ def test_cli_exact_result_past_the_digit_limit_exits_2(tmp_path, capsys, verb):
         path.write_text(f"stack\ngate 1 1 1 / 1\n{token}\n")
     kept = tmp_path / "kept.pf"
     kept.write_text("kept\n")
-    runs = [[verb, str(path)]]
     if verb == "compile":
-        runs.append([verb, str(path), "-o", str(kept)])
-    for argv in runs:
-        assert main(argv) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err.startswith("error: ") and "too long to print" in out.err
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted((path.name, kept.name))
-    assert kept.read_text() == "kept\n"
+        for argv in ([verb, str(path)], [verb, str(path), "-o", str(kept)]):
+            assert main(argv) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith("error: ") and "too long to print" in out.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted((path.name, kept.name))
+        assert kept.read_text() == "kept\n"
+        return
+    text = path.read_text()
+    if verb == "pfeval":
+        value = eval_pfaffian_circuit(parse_pfaffian(text))
+    elif verb == "forests":
+        value = count_rooted_forests(parse_graph(text))
+    elif verb == "trees":
+        value = count_spanning_trees(parse_graph(text))
+    else:
+        value = evaluate(parse_circuit(text))
+    assert main([verb, str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    with no_digit_limit():
+        whole = str(value)
+    assert len(whole) > INT_MAX_STR_DIGITS
+    lines = out.out.splitlines()
+    if verb == "check":
+        assert lines == [f"ok {whole}"]
+    elif verb == "multicycles":
+        assert lines[-1] == f"total {whole}"
+    else:
+        assert lines == [whole]
 
 
 def test_cli_poly_coefficient_past_the_digit_limit_exits_2(capsys, monkeypatch):
     # A graph whose coefficients pass the limit is too big to build here, so
-    # poly gets such a polynomial: every coefficient is formatted before any
-    # is printed.
+    # poly gets such a polynomial, and prints each coefficient whole.  This
+    # run exited 2 until results were formatted with the limit lifted.
     import detcircuits.graphs as graphsmod
     monkeypatch.setattr(graphsmod, "forest_polynomial",
                         lambda g: ForestPolynomial((0, 10 ** INT_MAX_STR_DIGITS, 1)))
-    assert main(["poly", str(DATA / "triangle.graph")]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("error: ") and "too long to print" in out.err
+    assert main(["poly", str(DATA / "triangle.graph")]) == 0
+    assert capsys.readouterr() == ("0 1" + "0" * INT_MAX_STR_DIGITS + " 1\n", "")
+
+
+def test_cli_prints_a_result_past_the_digit_limit_from_short_tokens(tmp_path, capsys):
+    # Forty one-gate stacks of 10**120 round a ring: every token is short,
+    # and the value, 1 + 10**4800, is not.
+    n = 40
+    path = tmp_path / "ring.circuit"
+    path.write_text("stack\ngate 1 1 1 / 1\n1e120\n" * n)
+    value = evaluate(parse_circuit(path.read_text()))
+    assert value == 1 + 10 ** (120 * n)
+    for verb in ("eval", "compile", "pfeval"):
+        argv = [verb, str(path)] if verb != "pfeval" else [verb, str(path) + ".pf"]
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        if verb != "compile":
+            assert out.out == "1" + "0" * (120 * n - 1) + "1\n"
 
 
 @pytest.mark.parametrize("token", ["1e10000000", "-1E+10000000", "1e-10000000"])
@@ -928,8 +980,9 @@ DIGIT_FILES = {
 
 def test_cli_digit_limit_is_the_same_in_every_shell(tmp_path):
     # PYTHONINTMAXSTRDIGITS sets the interpreter's limit: at 640 it refused
-    # the 1000-digit token, and at 0 it printed the 5001-digit value and
-    # took the 5000-digit token and orientation seed.
+    # the 1000-digit token, and at 0 it took the 5000-digit token and
+    # orientation seed.  The 5001-digit value prints whole in every shell;
+    # it exited 2 until results were formatted with the limit lifted.
     for name, text in DIGIT_FILES.items():
         (tmp_path / name).write_text(text)
     runs = [["eval", name] for name in DIGIT_FILES]
@@ -948,22 +1001,30 @@ def test_cli_digit_limit_is_the_same_in_every_shell(tmp_path):
     assert outputs["0"] == outputs[None] == outputs["640"]
     digits_1000, digits_5001, token_5000, seed = outputs[None]
     assert digits_1000 == (0, "1" + "0" * 998 + "1\n", "")
-    assert digits_5001[0] == 2 and "too long to print" in digits_5001[2]
+    assert digits_5001 == (0, "1" + "0" * 4999 + "1\n", "")
     assert token_5000[0] == 2 and token_5000[2].startswith("error: line 3: ")
     assert seed[0] == 1 and seed[2].startswith("usage error: ")
 
 
 def test_cli_restores_the_callers_digit_limit(tmp_path, capsys):
-    path = tmp_path / "digits_1000.circuit"
-    path.write_text(DIGIT_FILES[path.name])
+    # After a result printed under the lifted limit, a help or usage run, a
+    # missing file and a compile refused for its long entry alike.
+    for name in ("digits_1000.circuit", "digits_5001.circuit"):
+        (tmp_path / name).write_text(DIGIT_FILES[name])
+    path = str(tmp_path / "digits_1000.circuit")
+    big = str(tmp_path / "digits_5001.circuit")
     caller = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(640)
-        assert main(["eval", str(path)]) == 0
+        assert main(["eval", path]) == 0
         assert sys.get_int_max_str_digits() == 640
+        assert capsys.readouterr().out == "1" + "0" * 998 + "1\n"
+        for argv, code in ((["eval", big], 0), (["eval", "-h"], 0), (["eval"], 1),
+                           (["eval", path + ".missing"], 2), (["compile", big], 2)):
+            assert main(argv) == code, argv
+            assert sys.get_int_max_str_digits() == 640, argv
     finally:
         sys.set_int_max_str_digits(caller)
-    assert capsys.readouterr().out == "1" + "0" * 998 + "1\n"
 
 
 def test_format_scalar_refuses_non_finite_complex():
