@@ -14,7 +14,9 @@ with its help fixed at 78 columns.
 
 Exit codes: 0 success, 1 usage error, 2 parse, validation, I/O or size
 failure, a non-finite complex result or a compiled entry too long to
-print, 3 value mismatch in check.  An exact result prints whole, however
+print, 3 value mismatch in check.  A run reads its arguments and file
+under a 4300-digit limit on integers; every verb but compile lifts the
+limit once the file is read, so an exact result prints whole, however
 many digits it has.  All output is deterministic.
 """
 
@@ -147,15 +149,6 @@ def _read(path: str) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _whole(x) -> str:
-    """x formatted with no digit limit.  The limit bounds the work a token
-    in a file can force; a result is formatted after the run has read its
-    file, and costs little next to the work that made it.  main gives the
-    caller's limit back."""
-    sys.set_int_max_str_digits(0)
-    return format_scalar(x)
-
-
 def _run(ns) -> int:
     # Every verb reads and parses its one file before it prints anything.
     # graphs and tensor are imported only by the verbs that run them, each
@@ -177,7 +170,13 @@ def _run(ns) -> int:
         if ns.verb in ("oracle", "check", "multicycles"):
             import detcircuits.tensor as tensor
         # A complex run prints every value complex, the exact 1 of no entries too.
-        show = _whole if ns.field == "rational" else lambda x: format_scalar(complex(x))
+        show = str if ns.field == "rational" else lambda x: format_scalar(complex(x))
+    # The digit limit bounds the work a token in the file can force.  Once
+    # the file is read, every verb but compile lifts it, so a result or an
+    # error message prints whatever its length; main gives the caller's
+    # limit back.  compile keeps it, since pfeval reads its file under it.
+    if ns.verb != "compile":
+        sys.set_int_max_str_digits(0)
     if ns.verb == "eval":
         print(show(evaluate(c)))
     elif ns.verb == "oracle":
@@ -214,11 +213,11 @@ def _run(ns) -> int:
     elif ns.verb == "pfeval":
         print(show(eval_pfaffian_circuit(pc)))
     elif ns.verb == "forests":
-        print(_whole(graphs.count_rooted_forests(g)))
+        print(graphs.count_rooted_forests(g))
     elif ns.verb == "trees":
-        print(_whole(graphs.count_spanning_trees(g)))
+        print(graphs.count_spanning_trees(g))
     elif ns.verb == "poly":
-        print(" ".join([_whole(c) for c in graphs.forest_polynomial(g).coefficients]))
+        print(*graphs.forest_polynomial(g).coefficients)
     else:  # pragma: no cover - both readers enforce the verb set
         raise AssertionError(ns.verb)
     return 0
@@ -226,7 +225,7 @@ def _run(ns) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     # The digit limit decides which integers parse, arguments included: a
-    # run sets its own, lifts it to print a result, then sets the caller's.
+    # run sets its own, lifts it once its file is read, then sets the caller's.
     caller_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(INT_MAX_STR_DIGITS)
     if argv is None:

@@ -23,7 +23,7 @@ from .circuit import Circuit, transfer_matrix, wiring_matrix
 from .errors import LabelCollision, LabelMismatch, TooLarge
 from .labeled import LabeledMatrix, Scalar, _Value, submatrix
 from .pfaffian import PfaffianCircuit, SkewMatrix
-from .scalars import det_grid
+from .scalars import _name, det_grid
 
 Bits = tuple[int, ...]
 
@@ -181,7 +181,8 @@ def enumerate_multicycles(circuit: Circuit) -> tuple[Multicycle, ...]:
     max_size = min(len(b) for b in boundary)
     tuples = sum(prod(comb(len(b), s) for b in boundary) for s in range(max_size + 1))
     if (tuples - 1).bit_length() > ORACLE_CAP:  # tuples > 2**cap, without building 2**cap
-        raise TooLarge(f"multicycle enumeration over {tuples} subset tuples > 2**{ORACLE_CAP}")
+        raise TooLarge(f"multicycle enumeration over {_name(tuples)} subset tuples "
+                       f"> 2**{ORACLE_CAP}")
     # transfer[k] maps the wires entering stack k to the wires entering stack k+1
     transfer = [transfer_matrix(circuit, k) for k in range(m)]
     one = 1 if circuit.exact else 1 + 0j

@@ -4,9 +4,12 @@
 it pulls in) nor the graph and oracle modules: `graphs` loads for the
 graph verbs and `tensor` for the oracle verbs.  Nor does it load
 `argparse` (with the `gettext` and `locale` it pulls in), which only help
-and usage errors build.  Every name the package exports still resolves,
-through a module `__getattr__` for those two modules.  Module sets are read in a fresh interpreter, since this one has
-imported everything the other tests use.
+and usage errors build.  A bare `import detcircuits` loads only
+`labeled` and `pfaffian`, whose names it binds at once, and the `errors`
+and `scalars` they import: every other exported name, and every submodule
+asked for by name, loads through a module `__getattr__` on first use.
+Module sets are read in a fresh interpreter, since this one has imported
+everything the other tests use.
 """
 
 import ast
@@ -131,6 +134,23 @@ print(json.dumps([labeled.__module__, pfaffian.__module__, lazy,
                   and reorient is graphs.reorient]))
 """
     assert fresh(script) == ["detcircuits.labeled", "detcircuits.pfaffian", False, True]
+
+
+def test_a_bare_import_loads_only_the_eager_modules():
+    script = """
+import json, sys
+before = set(sys.modules)
+import detcircuits
+loaded = sorted(m for m in set(sys.modules) - before if m.startswith("detcircuits"))
+modules = [detcircuits.circuit, detcircuits.compiler, detcircuits.formats]
+print(json.dumps([loaded, [m is sys.modules[m.__name__] for m in modules],
+                  [m.__name__ for m in modules]]))
+"""
+    assert fresh(script) == [
+        ["detcircuits", "detcircuits.errors", "detcircuits.labeled", "detcircuits.pfaffian",
+         "detcircuits.scalars"],
+        [True, True, True],
+        ["detcircuits.circuit", "detcircuits.compiler", "detcircuits.formats"]]
 
 
 def test_an_unknown_name_raises_attribute_error():

@@ -607,6 +607,20 @@ def test_cli_multicycles_refuses_oversized_ring(tmp_path, capsys):
     assert out.err.startswith("error: multicycle enumeration over 2046924400")
 
 
+@pytest.mark.parametrize("verb", ["multicycles", "check"])
+def test_cli_multicycles_refusal_of_a_deep_ring_is_one_line(tmp_path, capsys, verb):
+    # 15000 stacks of width 2: 2**15000 + 2 subset tuples, a count of 4516
+    # digits, past the digit limit the file is read under.  The refusal
+    # names it cut short instead of raising while it formats the count.
+    path = tmp_path / "deep.circuit"
+    path.write_text("stack\ngate 2 2 1 2 / 1 2\n1 1\n0 1\n" * 15000)
+    assert main([verb, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: multicycle enumeration over ")
+    assert out.err.count("\n") == 1 and "(4516 characters)" in out.err
+
+
 def test_write_circuit_round_trips_gates_without_columns():
     # A gate with rows but no columns is written as r blank lines; the
     # parser must not read the next directive as one of its rows.
@@ -1400,6 +1414,12 @@ PARSE_ERROR_TEXT = [
      2, "", "error: line 2: gate labels need a single / separator\n"),
     ("pfgate-no-size", "pfeval", "pfgate state\n", [],
      2, "", "error: line 1: pfgate needs: pfgate state|costate n <edges>\n"),
+    ("stack-with-arguments", "eval", "stack x\n", [],
+     2, "", "error: line 1: stack line takes no arguments\n"),
+    ("wiring-no-colon", "eval", "stack\ngate 1 1 1 / 1\n5\nwiring 0 1->1\n", [],
+     2, "", "error: line 4: wiring needs a colon: wiring k: a->b, ...\n"),
+    ("graph-negative-count", "forests", "-1 2\n", [],
+     2, "", "error: line 1: counts must be nonnegative\n"),
     ("unknown-field", "eval", "stack\ngate 1 1 1 / 1\n5\n", ["--field", "integer"],
      1, "", "usage error: argument --field: invalid choice: 'integer' "
             "(choose from 'rational', 'complex')\n"),
