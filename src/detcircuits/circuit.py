@@ -22,13 +22,12 @@ from math import lcm
 from operator import mul
 
 from .errors import DanglingWire, DuplicateLabel, SizeMismatch
-from .labeled import LabeledMatrix, Scalar, _trusted, _Value, labeled, permutation_matrix
-from .scalars import _EXACT_TYPES, _det_bareiss_int, _det_complex, _name, grid_is_exact
+from .labeled import LabeledMatrix, Scalar, _trusted, _Value, permutation_matrix
+from .scalars import _det_bareiss_int, _det_complex, _name, grid_is_exact, normalize_grid
 
 Wiring = tuple[tuple[int, int], ...]  # (source output label, target input label)
 
 _INT = frozenset((int,))
-_COMPLEX = frozenset((complex,))
 
 
 class Stack(_Value):
@@ -109,30 +108,24 @@ def wiring_matrix(circuit: Circuit, k: int) -> LabeledMatrix:
 def transfer_matrix(circuit: Circuit, k: int) -> LabeledMatrix:
     """Stack k then wiring k as one matrix: columns stack k inputs, rows stack k+1 inputs.
 
-    Each gate row's nonzero entries go to the row its wiring names.  The
-    circuit has checked both label lists, and the grid is built to their
-    shape, so the result skips LabeledMatrix's checks.  It holds what
-    labeled() would give: the zeros are 0j beside a kept complex entry and
-    ints otherwise, so an all-0j complex stack gives an exact matrix.
-    Entries of any other mix of types go through labeled()."""
+    Each gate row's nonzero entries go to the row its wiring names, in a grid
+    of int zeros that normalize_grid types as labeled() would, so an all-0j
+    complex stack gives an exact matrix.  The circuit has checked both label
+    lists and the grid has their shape, so LabeledMatrix's checks are skipped."""
     stack = circuit.stacks[k]
     cols = stack.in_labels
     rows = circuit.stacks[(k + 1) % len(circuit.stacks)].in_labels
     pos = {lab: j for j, lab in enumerate(cols)}
     wire = dict(circuit.wirings[k])
-    kinds = {type(x) for g in stack.gates for row in g.entries for x in row if x}
-    zero = 0j if complex in kinds else 0
-    grid = {lab: [zero] * len(cols) for lab in rows}
+    grid = {lab: [0] * len(cols) for lab in rows}
     for g in stack.gates:
         for r, row in zip(g.rows, g.entries):
             out = grid[wire[r]]
             for c, x in zip(g.cols, row):
                 if x:
                     out[pos[c]] = x
-    entries = tuple([tuple(grid[lab]) for lab in rows])
-    if _EXACT_TYPES.issuperset(kinds) or kinds == _COMPLEX:
-        return _trusted(LabeledMatrix, rows=rows, cols=cols, entries=entries)
-    return labeled(rows, cols, entries)
+    return _trusted(LabeledMatrix, rows=rows, cols=cols,
+                    entries=normalize_grid([grid[lab] for lab in rows]))
 
 
 def collapse(circuit: Circuit, start: int = 0) -> LabeledMatrix:

@@ -11,9 +11,9 @@ from typing import TYPE_CHECKING
 
 from .circuit import Circuit, Stack, identity_wiring
 from .errors import DuplicateLabel, ParseError, SizeMismatch, ValidationError
-from .labeled import LabeledMatrix, _check_labels, _trusted
+from .labeled import LabeledMatrix, _trusted
 from .pfaffian import PfaffianCircuit, SkewMatrix
-from .scalars import Scalar, _name, format_scalar, parse_scalar
+from .scalars import Scalar, _check_field, _name, format_scalar, parse_scalar
 
 if TYPE_CHECKING:  # the annotations name it; parse_graph imports graphs itself
     from .graphs import Graph
@@ -94,6 +94,7 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
     `wiring k: a->b, c->d` gives the wire bijection out of stack k.  Gaps
     with no wiring line default to the sorted-label identity pairing.
     """
+    _check_field(field)  # an unknown field is refused before a line is read
     lines = _significant(text)
     memo: dict[str, Scalar] = {}
     stacks: list[list[LabeledMatrix]] = []
@@ -131,12 +132,9 @@ def parse_circuit(text: str, field: str = "rational") -> Circuit:
             cols = tuple(_parse_ints(col_toks, no, "column label"))
             grid = _parse_grid(lines, r, c, field, no, memo)
             try:
-                _check_labels(rows, "row")
-                _check_labels(cols, "column")
+                stacks[-1].append(LabeledMatrix(rows, cols, grid))
             except DuplicateLabel as exc:
                 raise ParseError(no, str(exc)) from None
-            # The grid is r rows of c entries, so no check is left to make.
-            stacks[-1].append(_trusted(LabeledMatrix, rows=rows, cols=cols, entries=grid))
         elif head == "wiring":
             body = line[len("wiring"):].strip()
             if ":" not in body:
@@ -221,6 +219,7 @@ def write_circuit(c: Circuit) -> str:
 def parse_pfaffian(text: str, field: str = "rational") -> PfaffianCircuit:
     """Parse `pfgate state|costate n <n edge ids>` blocks with n x n grids.
     The blocks may come in any order; each side keeps its blocks' order."""
+    _check_field(field)  # an unknown field is refused before a line is read
     lines = _significant(text)
     memo: dict[str, Scalar] = {}
     sides: dict[str, list[SkewMatrix]] = {"state": [], "costate": []}
@@ -287,11 +286,9 @@ def parse_graph(text: str) -> Graph:
     if n < 0 or m < 0:
         raise ParseError(no, "counts must be nonnegative")
     edges = []
-    for _ in range(m):
-        try:
-            no, line = next(lines)
-        except StopIteration:
-            raise ParseError(no, f"expected {_name(m)} edge lines, file ended early") from None
+    for no, line in lines:
+        if len(edges) == m:
+            raise ParseError(no, "trailing content after last edge")
         toks = line.split()
         if len(toks) != 2:
             raise ParseError(no, "edge line must be: u v")
@@ -301,12 +298,8 @@ def parse_graph(text: str) -> Graph:
         except ValidationError as exc:
             raise ParseError(no, str(exc)) from None
         edges.append((u, v))
-    try:
-        no, line = next(lines)
-    except StopIteration:
-        pass
-    else:
-        raise ParseError(no, "trailing content after last edge")
+    if len(edges) < m:
+        raise ParseError(no, f"expected {_name(m)} edge lines, file ended early")
     # Each edge was checked on its line, so no check is left to make.
     return _trusted(graphs.Graph, vertex_count=n, edges=tuple(edges))
 

@@ -27,9 +27,9 @@ from .scalars import Scalar, _name, det_grid, normalize_grid
 WireLabel = int
 
 
-def _check_labels(labels: tuple[int, ...], side: str) -> None:
+def _check_labels(labels: tuple[int, ...], what: str) -> None:
     if len(set(labels)) != len(labels):
-        raise DuplicateLabel(f"repeated {side} label in {_name(labels)}")
+        raise DuplicateLabel(f"repeated {what} in {_name(labels)}")
 
 
 class _Value:
@@ -92,8 +92,8 @@ class LabeledMatrix(_Value):
     entries: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self):
-        _check_labels(self.rows, "row")
-        _check_labels(self.cols, "column")
+        _check_labels(self.rows, "row label")
+        _check_labels(self.cols, "column label")
         if len(self.entries) != len(self.rows):
             raise ValueError("entry grid has wrong row count")
         for row in self.entries:
@@ -108,9 +108,8 @@ class LabeledMatrix(_Value):
 def _trusted(cls, **fields):
     """An instance of the value class cls holding fields, built without
     __init__ or __post_init__.  For values compile_circuit and
-    transfer_matrix build consistent by construction, and for gates and
-    graphs whose every check parse_circuit or parse_graph has already made;
-    a hand-built value is still checked."""
+    transfer_matrix build consistent by construction, and for graphs
+    parse_graph has already checked; a hand-built value is still checked."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj

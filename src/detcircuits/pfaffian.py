@@ -32,7 +32,7 @@ from math import isinf, prod
 from typing import Sequence
 
 from .errors import DanglingWire, DuplicateLabel, NotSkew, TooLarge
-from .labeled import _Value
+from .labeled import _check_labels, _Value
 from .scalars import (Scalar, _name, clear_denominators, grid_is_exact, normalize_grid,
                       scalars_equal)
 
@@ -197,9 +197,8 @@ class SkewMatrix(_Value):
     entries: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self):
+        _check_labels(self.labels, "label")
         n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise DuplicateLabel(f"repeated label in {_name(self.labels)}")
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValueError("skew matrix grid is not square on its labels")
         # Checked once here: pfaffian() and the edge matrix read only i < j.

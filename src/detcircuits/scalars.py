@@ -3,8 +3,8 @@
 Every value in the package is either an exact rational (an int, or a
 fractions.Fraction, which keeps lowest terms and a positive denominator)
 or a complex float.  A grid of ints and Fractions is exact and goes to
-the exact kernels as it is.  normalize_grid, behind labeled() and skew(),
-keeps ints and Fractions as they are, and demotes the whole grid to
+the exact kernels as it is.  normalize_grid, behind labeled(), skew() and
+transfer_matrix, keeps ints and Fractions and demotes the whole grid to
 complex when any entry is a float or complex.  Comparisons are exact on
 the rational side; on the complex side two values agree when they differ
 by at most 1e-9 times the larger of 1 and their magnitudes (absolute near
@@ -18,7 +18,7 @@ from cmath import isfinite
 from fractions import Fraction
 from itertools import chain
 from math import isinf, lcm, prod
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, complex]
 
@@ -30,13 +30,12 @@ NAMED_WHOLE = 64
 # By type, so a bool is not exact; unlike isinstance, this makes no call into
 # Fraction's ABC metaclass for each int, and int zeros fill most exact grids.
 _EXACT_TYPES = frozenset((int, Fraction))
+_SCALAR_TYPES = _EXACT_TYPES | {complex}
 
 
 def normalize_scalar(x) -> Scalar:
     """Keep ints, Fractions and complex values, make floats complex; reject
     everything else.  A bool is rejected, and other int subclasses become int."""
-    if type(x) in _EXACT_TYPES:
-        return x
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, int):
@@ -52,12 +51,19 @@ def is_exact(x: Scalar) -> bool:
     return type(x) in _EXACT_TYPES
 
 
-def normalize_grid(rows: Sequence[Sequence]) -> tuple[tuple[Scalar, ...], ...]:
-    """Normalize a rectangular grid; demote all entries to complex if any is."""
-    grid = [[normalize_scalar(x) for x in row] for row in rows]
-    if not grid_is_exact(grid):
-        grid = [[complex(x) for x in row] for row in grid]
-    return tuple([tuple(row) for row in grid])
+def normalize_grid(rows: Sequence[Iterable]) -> tuple[tuple[Scalar, ...], ...]:
+    """The rows as a tuple of tuples of scalars, all complex if any is.  One
+    type scan passes a grid of ints and Fractions as it is; only one holding
+    a type other than those and complex goes through normalize_scalar."""
+    grid = tuple([tuple(row) for row in rows])
+    kinds = set(map(type, chain.from_iterable(grid)))
+    if _EXACT_TYPES.issuperset(kinds):
+        return grid
+    if not _SCALAR_TYPES.issuperset(kinds):
+        grid = tuple([tuple([normalize_scalar(x) for x in row]) for row in grid])
+        if grid_is_exact(grid):
+            return grid
+    return tuple([tuple(list(map(complex, row))) for row in grid])
 
 
 def grid_is_exact(grid) -> bool:
@@ -231,17 +237,26 @@ def parse_scalar(token: str, field: str = "rational") -> Scalar:
             return Fraction(token)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational {_name(token)}: {_wrapped_text(exc, token)}") from exc
-    if field == "complex":
-        return _parse_complex(token)
-    raise ValueError(f"unknown field {field!r}")
+    _check_field(field)
+    return _parse_complex(token)
+
+
+def _check_field(field: str) -> None:
+    if field not in ("rational", "complex"):
+        raise ValueError(f"unknown field {field!r}")
 
 
 def _name(token: str | int | tuple[int, ...] | set[int]) -> str:
     """A token as error text, a str quoted and an int, label tuple or label
     set as str prints it: whole up to 64 characters, else by its first 40
     characters, "..." and its length, so that a refused token of thousands
-    of digits costs one short line."""
-    text = str(token)
+    of digits costs one short line.  An int past the digit limit is named
+    by its bit length, a tuple or set holding one by its length."""
+    try:
+        text = str(token)
+    except ValueError:
+        size = f"{token.bit_length()} bits" if type(token) is int else f"{len(token)} labels"
+        return f"<{type(token).__name__} of {size}>"
     show = repr if type(token) is str else str
     if len(text) <= NAMED_WHOLE:
         return show(token)

@@ -21,12 +21,14 @@ from detcircuits import (
     ParseError,
     PfaffianCircuit,
     Stack,
+    TooLarge,
     ValidationError,
     collapse,
     compile_circuit,
     contract_circuit,
     count_rooted_forests,
     count_spanning_trees,
+    enumerate_multicycles,
     eval_pfaffian_circuit,
     eval_pfaffian_oracle,
     evaluate,
@@ -619,6 +621,21 @@ def test_cli_multicycles_refusal_of_a_deep_ring_is_one_line(tmp_path, capsys, ve
     assert out.out == ""
     assert out.err.startswith("error: multicycle enumeration over ")
     assert out.err.count("\n") == 1 and "(4516 characters)" in out.err
+
+
+def test_multicycles_refusal_of_a_deep_ring_is_one_line_under_the_digit_limit():
+    # In process, under the interpreter's default limit, the 4516-digit count
+    # is named without str(), so the refusal is TooLarge, not ValueError.
+    c = parse_circuit("stack\ngate 2 2 1 2 / 1 2\n1 1\n0 1\n" * 15000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(TooLarge) as e:
+            enumerate_multicycles(c)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(e.value) == ("multicycle enumeration over <int of 15001 bits> "
+                            "subset tuples > 2**20")
 
 
 def test_write_circuit_round_trips_gates_without_columns():
@@ -1420,6 +1437,20 @@ PARSE_ERROR_TEXT = [
      2, "", "error: line 4: wiring needs a colon: wiring k: a->b, ...\n"),
     ("graph-negative-count", "forests", "-1 2\n", [],
      2, "", "error: line 1: counts must be nonnegative\n"),
+    ("gate-rows-cut-short", "eval", "stack\ngate 2 1 1 2 / 1\n5\n", [],
+     2, "", "error: line 2: expected 2 matrix rows, file ended early\n"),
+    ("pfgate-rows-cut-short", "pfeval", "pfgate state 2 1 2\n0 1\n", [],
+     2, "", "error: line 1: expected 2 matrix rows, file ended early\n"),
+    # The graph edge block names the last line read when it ends early and
+    # the first line past the m edges when it runs on.
+    ("graph-edges-cut-short", "forests", "3 2\n1 2\n", [],
+     2, "", "error: line 2: expected 2 edge lines, file ended early\n"),
+    ("graph-header-only", "forests", "3 1\n", [],
+     2, "", "error: line 1: expected 1 edge lines, file ended early\n"),
+    ("graph-trailing-edge", "forests", "2 1\n1 2\n\n# c\n2 1\n", [],
+     2, "", "error: line 5: trailing content after last edge\n"),
+    ("graph-no-edges-trailing", "forests", "2 0\n1 2\n", [],
+     2, "", "error: line 2: trailing content after last edge\n"),
     ("unknown-field", "eval", "stack\ngate 1 1 1 / 1\n5\n", ["--field", "integer"],
      1, "", "usage error: argument --field: invalid choice: 'integer' "
             "(choose from 'rational', 'complex')\n"),
@@ -1479,11 +1510,22 @@ def test_rational_parse_skips_the_scan_and_a_hand_built_circuit_scans():
     assert not PfaffianCircuit(complex_states, pc.costates).exact
 
 
-@pytest.mark.parametrize("parse, text, line", [
-    (parse_circuit, "stack\ngate 1 1 1 / 1\n0\n", 3),
-    (parse_pfaffian, "pfgate state 2 1 2\n0 1\n-1 0\n", 2),
-])
-def test_parse_unknown_field_names_the_first_grid_line(parse, text, line):
-    with pytest.raises(ParseError) as e:
-        parse(text, "integer")
-    assert (e.value.line, e.value.reason) == (line, "unknown field 'integer'")
+@pytest.mark.parametrize("parse, text", [
+    (parse_circuit, "stack\ngate 1 1 1 / 1\n5\n"),
+    (parse_circuit, ""),
+    (parse_circuit, "gate 1 1 1 / 1\n5\n"),
+    (parse_pfaffian, "pfgate state 2 1 2\n0 1\n-1 0\n"),
+    (parse_pfaffian, "pfgate state 0\npfgate costate 0\n"),
+    (parse_pfaffian, "stack\n"),
+], ids=["circuit-entries", "circuit-empty", "circuit-bad-line",
+        "pfaffian-entries", "pfaffian-no-entries", "pfaffian-bad-line"])
+@pytest.mark.parametrize("field", ["Rational", "integer", "bogus"])
+def test_parse_unknown_field_is_refused_before_any_line(parse, text, field):
+    # The field is checked before a line is read: not blamed on the file,
+    # and not accepted by a file with no entries.
+    with pytest.raises(ValueError) as want:
+        parse_scalar("0", field)
+    with pytest.raises(ValueError) as got:
+        parse(text, field)
+    assert type(got.value) is ValueError and str(got.value) == str(want.value)
+    assert str(got.value) == f"unknown field {field!r}"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from detcircuits.labeled import labeled
 from detcircuits.scalars import (
+    _name,
     det_grid,
     format_scalar,
     normalize_grid,
@@ -86,6 +87,68 @@ def test_mixed_grid_demotes_every_entry_to_complex():
     m = labeled((1,), (2, 3), [[7, 0.5]])
     assert m.entries == ((7 + 0j, 0.5 + 0j),)
     assert all(type(x) is complex for x in m.entries[0])
+
+
+class _Count(int):
+    pass
+
+
+def _reference_scalar(x):
+    if isinstance(x, bool):
+        raise TypeError("bool is not a scalar")
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, (Fraction, complex)):
+        return x
+    if isinstance(x, float):
+        return complex(x)
+    raise TypeError(f"unsupported scalar type {type(x).__name__}")
+
+
+def _reference_grid(rows):
+    """labeled()'s rule entry by entry: each entry normalized on its own,
+    then every entry made complex unless all are ints and Fractions."""
+    grid = [[_reference_scalar(x) for x in row] for row in rows]
+    if not all(type(x) in (int, Fraction) for row in grid for x in row):
+        grid = [[complex(x) for x in row] for row in grid]
+    return tuple([tuple(row) for row in grid])
+
+
+_mixed_entries = st.one_of(
+    st.integers(-5, 5), rationals, st.integers(-5, 5).map(_Count),
+    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    st.floats(-10, 10), st.booleans())
+
+
+@given(st.integers(0, 4).flatmap(lambda c: st.lists(
+           st.tuples(st.lists(_mixed_entries, min_size=c, max_size=c),
+                     st.sampled_from(["list", "tuple", "generator"])), max_size=4)))
+@example([([1, Fraction(1, 2), 3j], "generator")])
+@example([([_Count(2), 0], "generator"), ([0.5, True], "list")])
+@settings(max_examples=300, deadline=None)
+def test_normalize_grid_keeps_the_entry_by_entry_rule(spec):
+    shapes = {"list": list, "tuple": tuple, "generator": lambda row: (x for x in row)}
+    rows = [shapes[shape](row) for row, shape in spec]
+    try:
+        want = _reference_grid([row for row, _ in spec])
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=f"^{re.escape(str(exc))}$"):
+            normalize_grid(rows)
+        return
+    got = normalize_grid(rows)
+    assert got == want and type(got) is tuple and all(type(row) is tuple for row in got)
+    assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]
+
+
+def test_name_an_int_past_the_digit_limit_by_its_bits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert _name(10**5000) == "<int of 16610 bits>"
+        assert _name((1, 10**5000)) == "<tuple of 2 labels>"
+        assert _name(10**4000) == "1" + "0" * 39 + "... (4001 characters)"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_det_small_cases():

@@ -9,20 +9,30 @@ and `pfaffian_oracle`, which take bare grids; every other consumer reads
 `exact`.
 
 The trusted constructor `labeled._trusted`, which skips __post_init__, is
-read only in compile_circuit, transfer_matrix, parse_circuit and
-parse_graph, the code that builds or has just checked what it holds;
-parse_pfaffian keeps the full gadget check.  Only the two parsers record a
-circuit's field.  An ast scan, like tests/test_imports_used.py.
+read only in compile_circuit, transfer_matrix and parse_graph, the code
+that builds or has just checked what it holds; parse_circuit and
+parse_pfaffian build each gate through its checked constructor.  Only the
+two parsers record a circuit's field.
+
+Each rule for building a gate has one home too: entry types are normalized
+only in normalize_grid (the one reader of normalize_scalar), and label
+lists are checked for repeats only by _check_labels, which only the
+LabeledMatrix and SkewMatrix constructors read.  An ast scan, like
+tests/test_imports_used.py.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "detcircuits"
 CHECKS = {"validate": "Circuit.__post_init__",
           "validate_pfaffian": "PfaffianCircuit.__post_init__"}
 FIELD_MODULES = ("circuit.py", "tensor.py", "pfaffian.py")
-TRUSTED_READERS = ["compile_circuit", "parse_circuit", "parse_graph", "transfer_matrix"]
+TRUSTED_READERS = ["compile_circuit", "parse_graph", "transfer_matrix"]
+RULE_READERS = {"normalize_scalar": ["normalize_grid"],
+                "_check_labels": ["LabeledMatrix.__post_init__", "SkewMatrix.__post_init__"]}
 FIELD_SETTERS = ["parse_circuit", "parse_pfaffian"]
 FIELD_SCANS = [("grid_is_exact", "Circuit.exact"), ("grid_is_exact", "PfaffianCircuit.exact"),
                ("grid_is_exact", "pfaffian"), ("grid_is_exact", "pfaffian_oracle")]
@@ -142,3 +152,9 @@ def test_the_trusted_constructor_runs_only_where_the_values_are_known():
                    for where in reads(source, "_trusted")}) == TRUSTED_READERS
     setters = {where for source in sources for where in reads(source, "_exact")}
     assert sorted(setters - {"Circuit.exact", "PfaffianCircuit.exact"}) == FIELD_SETTERS
+
+
+@pytest.mark.parametrize("name", sorted(RULE_READERS))
+def test_each_build_rule_is_read_only_in_its_home(name):
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert sorted({where for source in sources for where in reads(source, name)}) == RULE_READERS[name]
