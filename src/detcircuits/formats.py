@@ -7,6 +7,7 @@ round-trip tests can compare output verbatim.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .circuit import Circuit, Stack, identity_wiring
@@ -270,9 +271,34 @@ def write_pfaffian(pc: PfaffianCircuit) -> str:
 # ------------------------------------------------------------------ graphs
 
 def parse_graph(text: str) -> Graph:
-    """Parse `n m` then m lines `u v` (1-based, oriented u to v as listed)."""
+    """Parse `n m` then m lines `u v` (1-based, oriented u to v as listed).
+
+    A well-formed file is read in C-level passes: every line is split, the
+    blank ones (no token) and, if the text has a #, the comments are dropped,
+    each line left must hold two tokens, one map(int, ...) converts them all,
+    the counts are compared and graphs._check_edges tests the endpoints as
+    whole lists.  Only when that read fails does _walk_graph go line by
+    line, so the error names the first faulty line."""
     import detcircuits.graphs as graphs  # loaded by the graph verbs only
-    check_edge = graphs._check_edge
+    pairs = list(filter(None, map(str.split, _lines(text))))
+    if "#" in text:
+        pairs = [toks for toks in pairs if toks[0][0] != "#"]
+    if pairs and set(map(len, pairs)) == {2}:
+        try:
+            n, m, *ends = map(int, chain.from_iterable(pairs))
+            tails, heads = ends[::2], ends[1::2]
+            if m == len(tails):
+                graphs._check_edges(n, tails, heads)  # and that n >= 0
+                return _trusted(graphs.Graph, vertex_count=n,
+                                edges=tuple(list(zip(tails, heads))))
+        except (ValueError, ValidationError):
+            pass
+    return _walk_graph(text)
+
+
+def _walk_graph(text: str) -> Graph:
+    """parse_graph line by line: a ParseError at the first faulty line."""
+    import detcircuits.graphs as graphs
     lines = _significant(text)
     try:
         no, line = next(lines)
@@ -294,14 +320,13 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(no, "edge line must be: u v")
         u, v = _parse_ints(toks, no, "endpoint")
         try:
-            check_edge(n, u, v)
+            graphs._check_edges(n, [u], [v])
         except ValidationError as exc:
             raise ParseError(no, str(exc)) from None
         edges.append((u, v))
     if len(edges) < m:
         raise ParseError(no, f"expected {_name(m)} edge lines, file ended early")
-    # Each edge was checked on its line, so no check is left to make.
-    return _trusted(graphs.Graph, vertex_count=n, edges=tuple(edges))
+    return graphs.Graph(n, tuple(edges))
 
 
 def write_graph(g: Graph) -> str:

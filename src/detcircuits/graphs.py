@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from itertools import chain, combinations, product
 from math import prod
+from operator import eq
 from typing import Iterator
 
 from .errors import TooLarge, ValidationError
@@ -29,17 +30,24 @@ class Graph(_Value):
     edges: tuple[tuple[int, int], ...]  # 1-based endpoints, (tail, head)
 
     def __post_init__(self):
-        for u, v in self.edges:
-            _check_edge(self.vertex_count, u, v)
+        _check_edges(self.vertex_count, [u for u, _ in self.edges], [v for _, v in self.edges])
 
 
-def _check_edge(n: int, u: int, v: int) -> None:
-    """Both endpoints in 1..n and distinct; parse_graph checks each edge line
-    with it, and a hand-built Graph each of its edges."""
-    if not (1 <= u <= n and 1 <= v <= n):
-        raise ValidationError(f"edge ({_name(u)},{_name(v)}) endpoint out of range")
-    if u == v:
-        raise ValidationError(f"self-loop at vertex {_name(u)}")
+def _check_edges(n: int, tails: list[int], heads: list[int]) -> None:
+    """n an int (not a bool) and nonnegative, and each edge's endpoints
+    tails[i], heads[i] in 1..n and distinct.  min, max and one map(eq, ...)
+    test the whole list; only when they fail does a walk name the first
+    faulty edge.  A hand-built Graph checks itself with it, and parse_graph
+    the edges it has read."""
+    if type(n) is not int or n < 0:
+        raise ValidationError(f"vertex count must be a nonnegative int, got {_name(n)}")
+    if tails and (min(tails) < 1 or min(heads) < 1 or max(tails) > n or max(heads) > n
+                  or any(map(eq, tails, heads))):
+        for u, v in zip(tails, heads):
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValidationError(f"edge ({_name(u)},{_name(v)}) endpoint out of range")
+            if u == v:
+                raise ValidationError(f"self-loop at vertex {_name(u)}")
 
 
 def reorient(g: Graph, seed: int) -> Graph:
@@ -114,7 +122,9 @@ def forest_polynomial(g: Graph) -> ForestPolynomial:
     `bits` bits per column, as in circuit._collapse_exact.  Row i of A M_k is
     the sum of M_k[t] over i's neighbours t (once per edge) less deg(i) M_k[i],
     and c I adds c to one slot of each row.  A diagonal slot is read after
-    adding `half` to every slot, so no borrow crosses a slot.  That is
+    adding `half` to every slot, so no borrow crosses a slot.  The steps run
+    for k = 1..n-1: the last one would only give the constant coefficient,
+    det(L), which is 0 on the touched vertices (L's rows sum to 0).  That is
     O(n(n + 2m)) bigint adds of n-slot rows in all."""
     n, edges = _touched(g)
     nbrs: list[list[int]] = [[] for _ in range(n)]
@@ -131,7 +141,7 @@ def forest_polynomial(g: Graph) -> ForestPolynomial:
     coeffs = [0] * n + [1]
     am = [0] * n  # A M_{k-1}, with M_0 = 0
     c = 1
-    for k in range(1, n + 1):
+    for k in range(1, n):  # coeffs[0] stays det(L) = 0, or 1 when n = 0
         mk = [r + (c << s) for r, s in zip(am, shifts)]  # M_k = A M_{k-1} + c I
         get = mk.__getitem__
         am = [sum(map(get, ts)) - d * mk[i] for ts, d, i in rows]
@@ -142,13 +152,18 @@ def forest_polynomial(g: Graph) -> ForestPolynomial:
 
 def laplacian_cofactor(g: Graph, i: int) -> int:
     """det of L less row and column i (0-based) by the Bareiss kernel; 0 when
-    n > 1 and a vertex is isolated (a zero row or a whole Laplacian is left)."""
+    n > 1 and a vertex is isolated (a zero row or a whole Laplacian is left).
+    Row and column i are deleted in place from L's fresh rows; an i outside
+    0..n-1 deletes nothing, so the result is det(L), 0 for n > 0."""
     touched, edges = _touched(g)
     if g.vertex_count > 1 and touched < g.vertex_count:
         return 0
     lap = _shifted_laplacian(g.vertex_count, edges, 0)  # none dropped, or no edge
-    keep = [j for j in range(g.vertex_count) if j != i]
-    return _det_bareiss_int([[lap[r][s] for s in keep] for r in keep]) if keep else 1
+    if 0 <= i < len(lap):
+        del lap[i]
+        for row in lap:
+            del row[i]
+    return _det_bareiss_int(lap) if lap else 1
 
 
 def count_spanning_trees(g: Graph) -> int:

@@ -3,15 +3,17 @@
 Each is an oracle a fast path is checked against, or the object a claim
 of the paper is stated about: the Chung-Langlands circuit behind the
 forest count, the skew embedding whose sub-Pfaffians are minors, the
-dense edge matrix of a Pfaffian circuit, and the Faddeev-LeVerrier loop
-on lists of ints that graphs.forest_polynomial packs.
-They take well-formed arguments and do not check them.
+dense edge matrix of a Pfaffian circuit, the Faddeev-LeVerrier loop
+on lists of ints that graphs.forest_polynomial packs, and the
+line-by-line `.graph` reader that formats.parse_graph reads in one pass.
+All but the reader take well-formed arguments and do not check them.
 """
 
 from detcircuits import (
     Circuit,
     Graph,
     LabeledMatrix,
+    ParseError,
     PfaffianCircuit,
     SkewMatrix,
     Stack,
@@ -21,7 +23,7 @@ from detcircuits import (
     labeled,
 )
 from detcircuits.compiler import _skew_grid
-from detcircuits.scalars import det_grid, scalars_equal
+from detcircuits.scalars import _name, det_grid, scalars_equal
 
 
 def dagger(m: LabeledMatrix) -> LabeledMatrix:
@@ -177,3 +179,46 @@ def forest_polynomial_rows(g: Graph) -> tuple[int, ...]:
     for k, (_, am) in enumerate(faddeev_leverrier_rows(g), 1):
         coeffs.append(-sum(row[i] for i, row in enumerate(am)) // k)
     return tuple(reversed(coeffs))
+
+
+def parse_graph_by_line(text: str) -> Graph:
+    """The `.graph` format read one line at a time: the `n m` header, then m
+    `u v` edge lines, blank and # comment lines skipped.  The first faulty
+    line raises ParseError(line, reason) with parse_graph's text."""
+    body = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = [(no, raw.strip()) for no, raw in enumerate(body, start=1)]
+    lines = iter([(no, line) for no, line in lines if line and not line.startswith("#")])
+    header = next(lines, None)
+    if header is None:
+        raise ParseError(1, "empty graph file, expected header n m")
+    no, line = header
+    toks = line.split()
+    if len(toks) != 2:
+        raise ParseError(no, "header must be: n m")
+    n = _int_token(toks[0], no, "vertex count")
+    m = _int_token(toks[1], no, "edge count")
+    if n < 0 or m < 0:
+        raise ParseError(no, "counts must be nonnegative")
+    edges = []
+    for no, line in lines:
+        if len(edges) == m:
+            raise ParseError(no, "trailing content after last edge")
+        toks = line.split()
+        if len(toks) != 2:
+            raise ParseError(no, "edge line must be: u v")
+        u, v = (_int_token(tok, no, "endpoint") for tok in toks)
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(no, f"edge ({_name(u)},{_name(v)}) endpoint out of range")
+        if u == v:
+            raise ParseError(no, f"self-loop at vertex {_name(u)}")
+        edges.append((u, v))
+    if len(edges) < m:
+        raise ParseError(no, f"expected {_name(m)} edge lines, file ended early")
+    return Graph(n, tuple(edges))
+
+
+def _int_token(tok: str, no: int, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(no, f"expected integer {what}, got {_name(tok)}") from None

@@ -65,6 +65,15 @@ def test_graph_validation():
     Graph(2, ((1, 2), (1, 2)))  # multi-edges are allowed
 
 
+@pytest.mark.parametrize("n, edges", [(-1, ()), (-3, ()), (2.5, ((1, 2),)), (2.0, ()),
+                                      (True, ()), (False, ()), ("3", ())])
+def test_a_graph_refuses_a_vertex_count_that_is_not_a_nonnegative_int(n, edges):
+    # Graph(-1, ()) once gave count_spanning_trees 1 and forest_polynomial (1,),
+    # and Graph(2.5, ((1, 2),)) a forest count of 3.
+    with pytest.raises(ValidationError, match="^vertex count must be a nonnegative int, got "):
+        Graph(n, edges)
+
+
 def test_incidence_matrix_single_edge():
     b = incidence_matrix(EDGE)
     assert b.shape == (1, 2)
@@ -201,7 +210,7 @@ def test_laplacian_census_trace_identity():
 
 def test_cofactors_with_isolated_vertices_match_full_minors():
     # The early 0 for an isolated vertex (n > 1) must equal the minor of
-    # the full Laplacian, for every removed vertex; i = n removes none.
+    # the full Laplacian, for every removed vertex; i = -1 and i = n remove none.
     rng = random.Random(8)
     graphs = list(MULTIGRAPHS)
     for _ in range(40):
@@ -213,7 +222,7 @@ def test_cofactors_with_isolated_vertices_match_full_minors():
     for g in graphs:
         n = g.vertex_count
         lap = laplacian(g)
-        for i in range(n + 1):
+        for i in range(-1, n + 1):
             keep = [j for j in range(n) if j != i]
             want = det_grid([[lap[r][s] for s in keep] for r in keep])
             got = laplacian_cofactor(g, i)

@@ -14,10 +14,10 @@ passes lcm a set of distinct denominators instead.
 
 An ast scan, like tests/test_single_check_site.py, keeps the pattern out,
 and a tracemalloc run with the collector off checks that a parse and an
-evaluation, the graph counts and the spanning-tree walk leave no memory
-behind.  A walk written as a nested function that calls itself would fail
-it: the function and its closure cell form a cycle that holds the whole
-output until a full collection.
+evaluation, the graph counts on graphs read by parse_graph and the
+spanning-tree walk leave no memory behind.  A walk written as a nested
+function that calls itself would fail it: the function and its closure
+cell form a cycle that holds the whole output until a full collection.
 """
 
 import ast
@@ -38,8 +38,10 @@ from detcircuits import (
     evaluate,
     forest_polynomial,
     parse_circuit,
+    parse_graph,
     parse_pfaffian,
     write_circuit,
+    write_graph,
     write_pfaffian,
 )
 from circgen import rand_ring
@@ -99,12 +101,15 @@ SPARSE = Graph(20, tuple([(v, _rng.randint(1, v - 1)) for v in range(2, 21)]
                          + [tuple(_rng.sample(range(1, 21), 2)) for _ in range(11)]))
 
 
+DENSE_TEXT, SPARSE_TEXT = write_graph(DENSE), write_graph(SPARSE)
+
 # K6: 15 edges, 1296 spanning trees.
 K6 = Graph(6, tuple([(u, v) for u in range(1, 7) for v in range(u + 1, 7)]))
 
 
 def _graph_counts():
-    for g in (DENSE, SPARSE):
+    for text in (DENSE_TEXT, SPARSE_TEXT):
+        g = parse_graph(text)
         forest_polynomial(g), count_rooted_forests(g), count_spanning_trees(g)
 
 

@@ -17,7 +17,10 @@ two parsers record a circuit's field.
 Each rule for building a gate has one home too: entry types are normalized
 only in normalize_grid (the one reader of normalize_scalar), and label
 lists are checked for repeats only by _check_labels, which only the
-LabeledMatrix and SkewMatrix constructors read.  An ast scan, like
+LabeledMatrix and SkewMatrix constructors read, and a graph's vertex count
+and edge endpoints only by _check_edges, which only the Graph constructor
+and parse_graph (with its line-by-line walk, run when the one-pass read
+fails) read.  An ast scan, like
 tests/test_imports_used.py.
 """
 
@@ -32,7 +35,8 @@ CHECKS = {"validate": "Circuit.__post_init__",
 FIELD_MODULES = ("circuit.py", "tensor.py", "pfaffian.py")
 TRUSTED_READERS = ["compile_circuit", "parse_graph", "transfer_matrix"]
 RULE_READERS = {"normalize_scalar": ["normalize_grid"],
-                "_check_labels": ["LabeledMatrix.__post_init__", "SkewMatrix.__post_init__"]}
+                "_check_labels": ["LabeledMatrix.__post_init__", "SkewMatrix.__post_init__"],
+                "_check_edges": ["Graph.__post_init__", "_walk_graph", "parse_graph"]}
 FIELD_SETTERS = ["parse_circuit", "parse_pfaffian"]
 FIELD_SCANS = [("grid_is_exact", "Circuit.exact"), ("grid_is_exact", "PfaffianCircuit.exact"),
                ("grid_is_exact", "pfaffian"), ("grid_is_exact", "pfaffian_oracle")]
