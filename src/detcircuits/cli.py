@@ -18,10 +18,17 @@ print, 3 value mismatch in check.  A run reads its arguments and file
 under a 4300-digit limit on integers; every verb but compile lifts the
 limit once the file is read, so an exact result prints whole, however
 many digits it has.  All output is deterministic.
+
+compile rewrites an existing output in place, then cuts it to its new
+length: on ext4, closing a file open(path, "w") cut to zero starts
+writeback, 90-115 us a rewrite of a few KB against 6-9 us in place.  No
+fsync either way, so a power loss mid-rewrite may leave old and new blocks.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import sys
 from functools import cache
 from types import SimpleNamespace
@@ -149,6 +156,22 @@ def _read(path: str) -> str:
     return text.removeprefix("\ufeff")
 
 
+def _rewrite(path: str, text: str) -> None:
+    # The bytes and inode open(path, "w") leaves, after a failed write too.
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    written = 0
+    try:
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
+
+
 def _run(ns) -> int:
     # Every verb reads and parses its one file before it prints anything.
     # graphs and tensor are imported only by the verbs that run them, each
@@ -206,9 +229,7 @@ def _run(ns) -> int:
         # before the file is opened: an entry too long to print raises, and
         # no output file is created or truncated.
         text = write_pfaffian(compiled.target)
-        out_path = ns.output if ns.output else ns.path + ".pf"
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _rewrite(ns.path + ".pf" if ns.output is None else ns.output, text)
         print(f"size_ratio {format_scalar(compiled.size_ratio)}")
     elif ns.verb == "pfeval":
         print(show(eval_pfaffian_circuit(pc)))

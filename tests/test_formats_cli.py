@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import os
 import random
@@ -290,6 +291,68 @@ def test_cli_compile_default_output(tmp_path, capsys):
     assert (tmp_path / "g.circuit.pf").exists()
     assert main(["pfeval", str(tmp_path / "g.circuit.pf")]) == 0
     assert capsys.readouterr().out == "3\n"
+
+
+def test_cli_compile_empty_output_is_a_path(tmp_path, capsys):
+    # An explicit empty -o names no file: compile exits 2 and writes nothing
+    # beside its input.
+    src = tmp_path / "ring3.circuit"
+    src.write_bytes((DATA / "ring3.circuit").read_bytes())
+    for argv in (["compile", str(src), "-o", ""], ["compile", str(src), "--output="]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: [Errno 2] No such file or directory: ''\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ring3.circuit"]
+
+
+@pytest.mark.parametrize("junk", [b"\xff" * 65536, b"x"])
+def test_cli_compile_rewrites_in_place(tmp_path, capsys, junk):
+    # An existing output ends holding exactly the new bytes, longer or
+    # shorter than the old, in the same inode, so a hard link sees them too.
+    out = tmp_path / "c.pf"
+    link = tmp_path / "link.pf"
+    for name in ("ring3", "two_by_two"):
+        out.write_bytes(junk)
+        if not link.exists():
+            os.link(out, link)
+        ino = os.stat(out).st_ino
+        assert main(["compile", str(DATA / f"{name}.circuit"), "-o", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("size_ratio ")
+        want = (DATA / f"{name}.pf").read_bytes()
+        assert out.read_bytes() == want and link.read_bytes() == want
+        assert os.stat(out).st_ino == ino
+
+
+def test_cli_compile_failed_write_keeps_only_what_it_wrote(tmp_path, capsys, monkeypatch):
+    # A disk that fills after 10 bytes leaves those 10 and nothing of the
+    # longer file they overwrote, as open(path, "w") would.
+    out = tmp_path / "c.pf"
+    out.write_bytes(b"old\n" * 1000)
+    real_write = os.write
+    calls = []
+
+    def write(fd, data):
+        if calls:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        calls.append(fd)
+        return real_write(fd, data[:10])
+
+    monkeypatch.setattr(os, "write", write)
+    assert main(["compile", str(DATA / "ring3.circuit"), "-o", str(out)]) == 2
+    monkeypatch.undo()
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == "error: [Errno 28] No space left on device\n"
+    assert out.read_bytes() == (DATA / "ring3.pf").read_bytes()[:10]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_cli_compile_to_a_device(capsys):
+    # A target that is not a regular file is written, never truncated.
+    assert main(["compile", str(DATA / "ring3.circuit"), "-o", "/dev/null"]) == 0
+    got = capsys.readouterr()
+    assert got.out.startswith("size_ratio ") and got.err == ""
 
 
 def complex_ring(seed, width=6, depth=3):
