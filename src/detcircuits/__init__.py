@@ -31,7 +31,7 @@ _EXPORTS = {
                 "write_graph", "write_pfaffian"),
     "graphs": ("ForestPolynomial", "Graph", "count_rooted_forests", "count_spanning_trees",
                "enumerate_forests", "enumerate_trees", "forest_polynomial",
-               "incidence_matrix", "laplacian", "laplacian_cofactor", "reorient"),
+               "incidence_matrix", "laplacian", "laplacian_cofactor"),
     "labeled": ("LabeledMatrix", "compose", "direct_sum", "identity", "labeled",
                 "permutation_matrix", "principal_minor_sum", "submatrix"),
     "pfaffian": ("PfaffianCircuit", "SkewMatrix", "eval_pfaffian_circuit", "pfaffian",

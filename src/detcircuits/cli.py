@@ -14,10 +14,10 @@ with its help fixed at 78 columns.
 
 Exit codes: 0 success, 1 usage error, 2 parse, validation, I/O or size
 failure, a non-finite complex result or a compiled entry too long to
-print, 3 value mismatch in check.  A run reads its arguments and file
-under a 4300-digit limit on integers; every verb but compile lifts the
-limit once the file is read, so an exact result prints whole, however
-many digits it has.  All output is deterministic.
+print, 3 value mismatch in check.  A run reads its file under a
+4300-digit limit on integers; every verb but compile lifts the limit
+once the file is read, so an exact result prints whole, however many
+digits it has.  All output is deterministic.
 
 compile rewrites an existing output in place, then cuts it to its new
 length: on ext4, closing a file open(path, "w") cut to zero starts
@@ -46,14 +46,12 @@ from .formats import (
 from .pfaffian import eval_pfaffian_circuit
 from .scalars import format_scalar, scalars_equal
 
-# Each option: its flags, dest, choices (a tuple), type (int) or None for
-# any string, default and help.
+# Each option: its flags, dest, choices (a tuple) or None for any string,
+# default and help.
 _FIELD = (("--field",), "field", ("rational", "complex"), "rational",
           "scalar field of the file")
 _OUTPUT = (("-o", "--output"), "output", None, None,
            "output path (default: input path + .pf)")
-_SEED = (("--orientation-seed",), "orientation_seed", int, None,
-         "re-randomize edge directions (counts are invariant)")
 
 # Each verb: the kind of file it reads, its help and its options.
 _VERBS = {
@@ -63,9 +61,9 @@ _VERBS = {
     "multicycles": ("circuit", "list nonzero multicycles and their weights", (_FIELD,)),
     "compile": ("circuit", "compile to a Pfaffian circuit file", (_FIELD, _OUTPUT)),
     "pfeval": ("pfaffian", "evaluate a Pfaffian circuit file", (_FIELD,)),
-    "forests": ("graph", "count rooted spanning forests", (_SEED,)),
-    "trees": ("graph", "count spanning trees", (_SEED,)),
-    "poly": ("graph", "forest polynomial coefficients, ascending in roots", (_SEED,)),
+    "forests": ("graph", "count rooted spanning forests", ()),
+    "trees": ("graph", "count spanning trees", ()),
+    "poly": ("graph", "forest polynomial coefficients, ascending in roots", ()),
 }
 
 
@@ -74,7 +72,7 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
 
     Well formed is a verb, a path, then option-value pairs: each option
     spelled out in full, at most once, with a valid value.  No path or value
-    may start with "-", so none can be an option or a negative number."""
+    may start with "-", so none can be an option."""
     if len(argv) < 2 or len(argv) % 2 or argv[0] not in _VERBS or argv[1][:1] == "-":
         return None
     options = _VERBS[argv[0]][2]
@@ -83,21 +81,14 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
         ns[dest] = default
     seen = set()
     for flag, value in zip(argv[2::2], argv[3::2]):
-        for flags, dest, kind, _, _ in options:
+        for flags, dest, choices, _, _ in options:
             if flag in flags:
                 break
         else:
             return None
-        if dest in seen or value[:1] == "-":
+        if dest in seen or value[:1] == "-" or choices is not None and value not in choices:
             return None
         seen.add(dest)
-        if kind is int:
-            try:
-                value = int(value)
-            except ValueError:  # a bad seed, or one over the digit limit
-                return None
-        elif kind is not None and value not in kind:
-            return None
         ns[dest] = value
     return SimpleNamespace(**ns)
 
@@ -128,9 +119,9 @@ def _argparser():
     for verb, (file_kind, verb_help, options) in _VERBS.items():
         sp = sub.add_parser(verb, help=verb_help, formatter_class=fixed)
         sp.add_argument("path", help=f"{file_kind} file")
-        for flags, dest, kind, default, help_text in options:
-            check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-            sp.add_argument(*flags, dest=dest, default=default, help=help_text, **check)
+        for flags, dest, choices, default, help_text in options:
+            sp.add_argument(*flags, dest=dest, choices=choices, default=default,
+                            help=help_text)
     return p
 
 
@@ -183,8 +174,6 @@ def _run(ns) -> int:
     if kind == "graph":
         import detcircuits.graphs as graphs
         g = parse_graph(text)
-        if ns.orientation_seed is not None:
-            g = graphs.reorient(g, ns.orientation_seed)
     else:
         if kind == "pfaffian":
             pc = parse_pfaffian(text, ns.field)
@@ -245,8 +234,8 @@ def _run(ns) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # The digit limit decides which integers parse, arguments included: a
-    # run sets its own, lifts it once its file is read, then sets the caller's.
+    # The digit limit decides which integers parse: a run sets its own,
+    # lifts it once its file is read, then sets the caller's.
     caller_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(INT_MAX_STR_DIGITS)
     if argv is None:

@@ -12,7 +12,6 @@ tests/paper.py, where the tests check it.
 
 from __future__ import annotations
 
-import random
 from itertools import chain, combinations, product
 from math import prod
 from operator import eq
@@ -48,13 +47,6 @@ def _check_edges(n: int, tails: list[int], heads: list[int]) -> None:
                 raise ValidationError(f"edge ({_name(u)},{_name(v)}) endpoint out of range")
             if u == v:
                 raise ValidationError(f"self-loop at vertex {_name(u)}")
-
-
-def reorient(g: Graph, seed: int) -> Graph:
-    """Flip each edge direction with probability 1/2 (counts must not move)."""
-    rng = random.Random(seed)
-    flipped = tuple([(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges])
-    return Graph(g.vertex_count, flipped)
 
 
 def incidence_matrix(g: Graph) -> LabeledMatrix:

@@ -2,12 +2,15 @@
 
 Each is an oracle a fast path is checked against, or the object a claim
 of the paper is stated about: the Chung-Langlands circuit behind the
-forest count, the skew embedding whose sub-Pfaffians are minors, the
-dense edge matrix of a Pfaffian circuit, the Faddeev-LeVerrier loop
-on lists of ints that graphs.forest_polynomial packs, and the
-line-by-line `.graph` reader that formats.parse_graph reads in one pass.
-All but the reader take well-formed arguments and do not check them.
+forest count, the random edge flips that count must not see, the skew
+embedding whose sub-Pfaffians are minors, the dense edge matrix of a
+Pfaffian circuit, the Faddeev-LeVerrier loop on lists of ints that
+graphs.forest_polynomial packs, and the line-by-line `.graph` reader
+that formats.parse_graph reads in one pass.  All but the reader take
+well-formed arguments and do not check them.
 """
+
+import random
 
 from detcircuits import (
     Circuit,
@@ -139,6 +142,13 @@ def graph_to_circuit(g: Graph) -> Circuit:
     # edge-out wires back onto the edge-in wires.
     wirings = tuple(tuple((lab, lab) for lab in s.out_labels) for s in stacks)
     return Circuit(stacks, wirings)
+
+
+def reorient(g: Graph, seed: int) -> Graph:
+    """Flip each edge direction with probability 1/2 (counts must not move)."""
+    rng = random.Random(seed)
+    flipped = tuple([(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges])
+    return Graph(g.vertex_count, flipped)
 
 
 def forest_histogram(g: Graph) -> list[int]:

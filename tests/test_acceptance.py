@@ -32,14 +32,20 @@ from detcircuits import (
     pfaffian,
     pfaffian_oracle,
     principal_minor_sum,
-    reorient,
     sdet_expand,
     submatrix,
     tensor_compose,
 )
 from detcircuits.scalars import det_grid
 from circgen import rand_circuit, rand_grid, rand_skew_grid
-from paper import determinant, forest_histogram, skew_embed, skew_restrict, tensors_equal
+from paper import (
+    determinant,
+    forest_histogram,
+    reorient,
+    skew_embed,
+    skew_restrict,
+    tensors_equal,
+)
 
 
 def close(a, b, tol=1e-9):

@@ -33,12 +33,10 @@ DASHED = FLAGS + SPELLINGS
 
 def _valid_value(option):
     """Values argparse takes for option."""
-    _, _, kind, _, _ = option
-    if kind is int:
-        return st.integers(0, 10 ** 6).map(str)
-    if kind is None:
+    _, _, choices, _, _ = option
+    if choices is None:
         return st.sampled_from(["q.pf", "out", ""])
-    return st.sampled_from(kind)
+    return st.sampled_from(choices)
 
 
 @st.composite
@@ -79,22 +77,21 @@ def test_plain_args_reads_the_benchmark_and_golden_shapes():
               ["compile", "p", "--field", "complex", "-o", "q"], ["compile", "p"],
               ["pfeval", "q", "--field", "rational"], ["pfeval", "q"],
               ["oracle", "p", "--field", "rational"], ["check", "p", "--field", "complex"],
-              ["multicycles", "p", "--field", "rational"], ["forests", "g"],
-              ["trees", "g", "--orientation-seed", "5"], ["poly", "g", "--orientation-seed", "7"]]
+              ["multicycles", "p", "--field", "rational"], ["forests", "g"], ["trees", "g"],
+              ["poly", "g"]]
     for argv in shapes:
         ns = _plain_args(argv)
         assert ns is not None, argv
         assert vars(ns) == vars(_argparser().parse_args(argv))
-    assert vars(_plain_args(["forests", "g", "--orientation-seed", "7"])) == {
-        "verb": "forests", "path": "g", "orientation_seed": 7}
+    assert vars(_plain_args(["forests", "g"])) == {"verb": "forests", "path": "g"}
 
 
 def test_plain_args_leaves_other_spellings_to_argparse():
     for argv in ([], ["eval"], ["eval", "-h"], ["frobnicate", "p"], ["eval", "-"],
                  ["eval", "p", "--fi", "complex"], ["eval", "p", "--field=complex"],
                  ["eval", "p", "--field", "rational", "--field", "complex"],
-                 ["eval", "p", "--", "q"], ["forests", "g", "--orientation-seed", "-7"],
-                 ["forests", "g", "--orientation-seed", "x"], ["eval", "p", "--field", "integer"],
+                 ["eval", "p", "--", "q"], ["forests", "g", "--orientation-seed", "7"],
+                 ["eval", "p", "--field", "integer"],
                  ["eval", "p", "extra"], ["compile", "p", "-o"], ["eval", "p", "-o", "q"],
                  ["compile", "p", "-o", "-q"]):
         assert _plain_args(argv) is None, argv

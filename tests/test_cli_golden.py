@@ -40,14 +40,14 @@ VERBS = CIRCUIT_VERBS + ("compile", "pfeval") + GRAPH_VERBS
 FIELDS = ("rational", "complex")
 RECORD_FIELDS = ("exit", "stdout", "stderr", "sha")
 
-# No verb, an unknown verb, no path, a bad --field, a bad seed, an extra
-# argument and -o with no value.
+# No verb, an unknown verb, no path, a bad --field, a graph verb given an
+# option (graph verbs take none), an extra argument and -o with no value.
 USAGE_ERRORS = (
     [],
     ["frobnicate", Path("ring3.circuit")],
     ["eval"],
     ["eval", Path("ring3.circuit"), "--field", "integer"],
-    ["forests", Path("triangle.graph"), "--orientation-seed", "x"],
+    ["forests", Path("triangle.graph"), "--orientation-seed", "5"],
     ["eval", Path("ring3.circuit"), "extra"],
     ["compile", Path("ring3.circuit"), "-o"],
 )
@@ -122,7 +122,6 @@ def runs(folder: Path):
         elif name.suffix == ".graph":
             for verb in GRAPH_VERBS:
                 yield [verb, name], None
-                yield [verb, name, "--orientation-seed", "5"], None
     yield ["-h"], None
     for verb in VERBS:
         yield [verb, "-h"], None

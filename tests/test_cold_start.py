@@ -42,7 +42,7 @@ EXPORTS = {
                 "write_graph", "write_pfaffian"],
     "graphs": ["ForestPolynomial", "Graph", "count_rooted_forests", "count_spanning_trees",
                "enumerate_forests", "enumerate_trees", "forest_polynomial",
-               "incidence_matrix", "laplacian", "laplacian_cofactor", "reorient"],
+               "incidence_matrix", "laplacian", "laplacian_cofactor"],
     "labeled": ["LabeledMatrix", "compose", "direct_sum", "identity", "labeled",
                 "permutation_matrix", "principal_minor_sum", "submatrix"],
     "pfaffian": ["PfaffianCircuit", "SkewMatrix", "eval_pfaffian_circuit", "pfaffian",
@@ -81,7 +81,7 @@ def test_each_verb_loads_only_what_it_runs(tmp_path):
     ring, pf = str(DATA / "ring3.circuit"), str(tmp_path / "ring3.pf")
     argvs = [["eval", ring], ["compile", ring, "-o", pf, "--field", "rational"],
              ["pfeval", pf, "--field", "rational"],
-             ["forests", str(DATA / "triangle.graph"), "--orientation-seed", "7"],
+             ["forests", str(DATA / "triangle.graph")],
              ["oracle", ring]]
     loaded = fresh(VERB_SCRIPT.replace("ARGVS", repr(argvs)))
     for stage in ("import", "eval", "compile", "pfeval"):
@@ -127,11 +127,11 @@ import json, sys
 import detcircuits.labeled, detcircuits.pfaffian
 from detcircuits import labeled, pfaffian
 lazy = "detcircuits.graphs" in sys.modules or "detcircuits.tensor" in sys.modules
-from detcircuits import Graph, Tensor, reorient
+from detcircuits import Graph, Tensor, laplacian_cofactor
 import detcircuits.graphs as graphs, detcircuits.tensor as tensor
 print(json.dumps([labeled.__module__, pfaffian.__module__, lazy,
                   Graph is graphs.Graph and Tensor is tensor.Tensor
-                  and reorient is graphs.reorient]))
+                  and laplacian_cofactor is graphs.laplacian_cofactor]))
 """
     assert fresh(script) == ["detcircuits.labeled", "detcircuits.pfaffian", False, True]
 

@@ -225,16 +225,6 @@ def test_cli_graph_verbs(capsys):
         assert capsys.readouterr().out == want + "\n"
 
 
-def test_cli_orientation_seed_invariance(capsys):
-    for seed in ("0", "5", "17"):
-        assert main(["forests", "--orientation-seed", seed,
-                     str(DATA / "triangle.graph")]) == 0
-        assert capsys.readouterr().out == "16\n"
-        assert main(["poly", "--orientation-seed", seed,
-                     str(DATA / "k4.graph")]) == 0
-        assert capsys.readouterr().out == "0 64 48 12 1\n"
-
-
 @pytest.mark.parametrize("cycle", [False, True], ids=["path", "cycle"])
 def test_cli_poly_on_a_long_path_and_cycle(tmp_path, capsys, cycle):
     # Closed forms at n = 120: the path P_n has F_2n rooted forests and one
@@ -1074,13 +1064,12 @@ DIGIT_FILES = {
 
 def test_cli_digit_limit_is_the_same_in_every_shell(tmp_path):
     # PYTHONINTMAXSTRDIGITS sets the interpreter's limit: at 640 it refused
-    # the 1000-digit token, and at 0 it took the 5000-digit token and
-    # orientation seed.  The 5001-digit value prints whole in every shell;
-    # it exited 2 until results were formatted with the limit lifted.
+    # the 1000-digit token, and at 0 it took the 5000-digit token.  The
+    # 5001-digit value prints whole in every shell; it exited 2 until
+    # results were formatted with the limit lifted.
     for name, text in DIGIT_FILES.items():
         (tmp_path / name).write_text(text)
     runs = [["eval", name] for name in DIGIT_FILES]
-    runs.append(["forests", str(DATA / "triangle.graph"), "--orientation-seed", "7" * 5000])
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = {}
     for setting in (None, "0", "640"):
@@ -1093,11 +1082,10 @@ def test_cli_digit_limit_is_the_same_in_every_shell(tmp_path):
                 subprocess.run([sys.executable, "-m", "detcircuits"] + argv, cwd=tmp_path,
                                env=env, capture_output=True, text=True) for argv in runs)]
     assert outputs["0"] == outputs[None] == outputs["640"]
-    digits_1000, digits_5001, token_5000, seed = outputs[None]
+    digits_1000, digits_5001, token_5000 = outputs[None]
     assert digits_1000 == (0, "1" + "0" * 998 + "1\n", "")
     assert digits_5001 == (0, "1" + "0" * 4999 + "1\n", "")
     assert token_5000[0] == 2 and token_5000[2].startswith("error: line 3: ")
-    assert seed[0] == 1 and seed[2].startswith("usage error: ")
 
 
 def test_cli_restores_the_callers_digit_limit(tmp_path, capsys):

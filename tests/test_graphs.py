@@ -24,7 +24,6 @@ from detcircuits import (
     laplacian,
     laplacian_cofactor,
     principal_minor_sum,
-    reorient,
 )
 from detcircuits.graphs import ENUM_EDGE_CAP, _slot_bits
 from detcircuits.scalars import det_grid
@@ -34,6 +33,7 @@ from paper import (
     forest_histogram,
     forest_polynomial_rows,
     graph_to_circuit,
+    reorient,
 )
 
 K3 = Graph(3, ((1, 2), (2, 3), (3, 1)))
@@ -165,6 +165,26 @@ def test_orientation_invariance():
             h = reorient(g, seed)
             assert (count_rooted_forests(h), count_spanning_trees(h),
                     forest_polynomial(h).coefficients) == base
+
+
+def test_reorienting_changes_the_circuit_not_its_value():
+    # The counts read only L = BᵀB, which no flip moves; graph_to_circuit
+    # reads B itself, whose row for a flipped edge changes sign.  So some
+    # flip moves which vertex gate meets an edge's +1 incidence and which
+    # its -1, and the circuit's value, the forest count, must not follow.
+    rng = random.Random(41)
+    for _ in range(10):
+        n = rng.randint(2, 6)
+        edges = tuple(tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(1, 7)))
+        g = Graph(n, edges)
+        base = graph_to_circuit(g)
+        count = count_rooted_forests(g)
+        moved = False
+        for seed in range(5):
+            c = graph_to_circuit(reorient(g, seed))
+            assert evaluate(c) == count
+            moved |= c.stacks != base.stacks
+        assert moved
 
 
 def test_circuit_value_is_forest_count():
